@@ -22,7 +22,8 @@ from .ideals import (enumerate_ideals, ideal_lattice, is_ideal, is_maximal,
                      is_primary, is_prime, is_semiprime)
 from .quotient import (bourne_congruence, congruence_to_ideal,
                        enumerate_congruences, has_nonzero_zero_divisors,
-                       is_congruence, partition_blocks, quotient_structure)
+                       is_congruence, partition_blocks, quotient_structure,
+                       roundtrip_failures)
 from .radicals import (is_semisimple, jacobson_radical, radical_by_elements,
                        radical_by_primes, radical_report)
 from .spectrum import (HomomorphismMap, connected_components, crt_check,
@@ -220,32 +221,44 @@ def run_asserted_suite(s: GammaStructure) -> list:
                                  None, (), "hypothesis not met; nothing to check"))
 
     if group:
-        wit = []
-        for i in ideals:
-            z = congruence_to_ideal(s, bourne_congruence(s, i))
-            if z != i:
-                wit.append((_elems(i), _elems(z)))
-        checks.append(SuiteCheck("bourne-zero-class-equals-ideal", True,
-                                 not wit, tuple(wit)))
+        checks.extend(_quotient_characterizations(s, asserted=group))
+    return checks
 
-        wit = []
-        for p in proper:
-            left = is_prime(s, p).ok
-            q = quotient_structure(s, bourne_congruence(s, p))
-            right = not has_nonzero_zero_divisors(q).ok
-            if left != right:
-                wit.append((_elems(p), "prime" if left else "not-prime",
-                            "zero-divisor-free" if right else "has-zero-divisors"))
-        checks.append(SuiteCheck("prime-iff-quotient-zero-divisor-free", True,
-                                 not wit, tuple(wit)))
 
-        wit = []
-        for rep in _crt_reports(s):
-            if rep.comaximal.ok and not (rep.bijective
-                                         and rep.kernel_matches_intersection):
-                wit.append(tuple(_elems(i) for i in rep.ideals))
-        checks.append(SuiteCheck("crt-for-comaximal-maximals", True,
-                                 not wit, tuple(wit)))
+def _quotient_characterizations(s: GammaStructure, asserted: bool) -> list:
+    """Three laws proved for additive groups: asserted there, reported (with
+    a note on what the proof needs) for monoid addition."""
+    ideals = enumerate_ideals(s)
+
+    def check(name: str, wit: list, note: Optional[str]) -> SuiteCheck:
+        return SuiteCheck(name, asserted, not wit, tuple(wit),
+                          None if asserted else note)
+
+    wit = []
+    for i in ideals:
+        z = congruence_to_ideal(s, bourne_congruence(s, i))
+        if z != i:
+            wit.append((_elems(i), _elems(z)))
+    checks = [check("bourne-zero-class-equals-ideal", wit,
+                    "monoid addition: inflation is possible")]
+
+    wit = []
+    for p in _proper_ideals(s):
+        left = is_prime(s, p).ok
+        q = quotient_structure(s, bourne_congruence(s, p))
+        right = not has_nonzero_zero_divisors(q).ok
+        if left != right:
+            wit.append((_elems(p), "prime" if left else "not-prime",
+                        "zero-divisor-free" if right else "has-zero-divisors"))
+    checks.append(check("prime-iff-quotient-zero-divisor-free", wit,
+                        "coset argument needs subtraction"))
+
+    wit = []
+    for rep in _crt_reports(s):
+        if rep.comaximal.ok and not (rep.bijective
+                                     and rep.kernel_matches_intersection):
+            wit.append(tuple(_elems(i) for i in rep.ideals))
+    checks.append(check("crt-for-comaximal-maximals", wit, None))
     return checks
 
 
@@ -293,45 +306,13 @@ def run_reported_suite(s: GammaStructure) -> list:
                 wit.append((_elems(q), _elems(rad)))
     checks.append(SuiteCheck("primary-radical-prime", False, not wit, tuple(wit)))
 
-    congruences = enumerate_congruences(s)
-    wit = []
-    for rho in congruences:
-        back = bourne_congruence(s, congruence_to_ideal(s, rho))
-        if back != rho:
-            wit.append((list(rho), list(back)))
+    wit = [(list(rho), list(back)) for rho, back in roundtrip_failures(s)]
     checks.append(SuiteCheck("congruence-roundtrip-bijection", False,
                              not wit, tuple(wit),
                              "distinct congruences may share a zero class"))
 
     if not group:
-        wit = []
-        for i in ideals:
-            z = congruence_to_ideal(s, bourne_congruence(s, i))
-            if z != i:
-                wit.append((_elems(i), _elems(z)))
-        checks.append(SuiteCheck("bourne-zero-class-equals-ideal", False,
-                                 not wit, tuple(wit),
-                                 "monoid addition: inflation is possible"))
-
-        wit = []
-        for p in proper:
-            left = is_prime(s, p).ok
-            q = quotient_structure(s, bourne_congruence(s, p))
-            right = not has_nonzero_zero_divisors(q).ok
-            if left != right:
-                wit.append((_elems(p), "prime" if left else "not-prime",
-                            "zero-divisor-free" if right else "has-zero-divisors"))
-        checks.append(SuiteCheck("prime-iff-quotient-zero-divisor-free", False,
-                                 not wit, tuple(wit),
-                                 "coset argument needs subtraction"))
-
-        wit = []
-        for rep in _crt_reports(s):
-            if rep.comaximal.ok and not (rep.bijective
-                                         and rep.kernel_matches_intersection):
-                wit.append(tuple(_elems(i) for i in rep.ideals))
-        checks.append(SuiteCheck("crt-for-comaximal-maximals", False,
-                                 not wit, tuple(wit)))
+        checks.extend(_quotient_characterizations(s, asserted=group))
 
     idempotents = find_idempotents(s)
     components = connected_components(s)
@@ -406,9 +387,7 @@ def evaluate_claim(claim: dict) -> dict:
         rep = verify_axioms(s)
         if rep.passed:
             return done(True)
-        return done(False, {"failures": [
-            {"law": v.law, "args": list(v.args), "lhs": v.lhs, "rhs": v.rhs}
-            for v in rep.failures()]})
+        return done(False, {"failures": [v.to_dict() for v in rep.failures()]})
     if kind == "ideals-exactly":
         claimed = sorted(mask_of(e) for e in claim["ideals"])
         computed = sorted(enumerate_ideals(s))
@@ -513,7 +492,6 @@ def analyze(s: GammaStructure) -> dict:
         report["analysis_skipped"] = "axioms failed; nothing below is defined"
         return report
 
-    top = full_mask(s.order)
     lattice = ideal_lattice(s)
     ideal_rows = []
     for i, info in zip(lattice.ideals, lattice.info):
@@ -581,7 +559,7 @@ def render_text(report: dict) -> str:
     ax = report["axioms"]
     lines.append(f"axioms: {'pass' if ax['passed'] else 'FAIL'}")
     if not ax["passed"]:
-        for field, v in ax.items():
+        for v in ax.values():
             if isinstance(v, dict) and v.get("law"):
                 lines.append(f"  {v['law']} at {tuple(v['args'])}: "
                              f"{v['lhs']} != {v['rhs']}")

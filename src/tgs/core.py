@@ -100,6 +100,10 @@ class Violation:
         cells = ",".join(str(a) for a in self.args)
         return f"{self.law}({cells}): {self.lhs} != {self.rhs}"
 
+    def to_dict(self) -> dict:
+        return {"law": self.law, "args": list(self.args),
+                "lhs": self.lhs, "rhs": self.rhs}
+
 
 class Verdict(NamedTuple):
     """Boolean outcome plus the first counterexample tuple, if any."""
@@ -120,53 +124,89 @@ class AxiomReport:
     distributive: Optional[Violation]
     absorbing_zero: Optional[Violation]
     commutative: Optional[Violation]
-    require_commutative: bool = True
 
     @property
     def passed(self) -> bool:
-        core = (self.additive_monoid, self.ternary_assoc,
-                self.distributive, self.absorbing_zero)
-        if any(v is not None for v in core):
-            return False
-        return self.commutative is None or not self.require_commutative
+        return not self.failures()
 
     def failures(self) -> list[Violation]:
-        out = [v for v in (self.additive_monoid, self.ternary_assoc,
-                           self.distributive, self.absorbing_zero) if v is not None]
-        if self.require_commutative and self.commutative is not None:
-            out.append(self.commutative)
-        return out
+        return [v for v in (self.additive_monoid, self.ternary_assoc,
+                            self.distributive, self.absorbing_zero,
+                            self.commutative) if v is not None]
 
     def to_dict(self) -> dict:
-        def enc(v: Optional[Violation]):
-            if v is None:
-                return None
-            return {"law": v.law, "args": list(v.args), "lhs": v.lhs, "rhs": v.rhs}
-
-        return {
-            "passed": self.passed,
-            "additive_monoid": enc(self.additive_monoid),
-            "ternary_assoc": enc(self.ternary_assoc),
-            "distributive": enc(self.distributive),
-            "absorbing_zero": enc(self.absorbing_zero),
-            "commutative": enc(self.commutative),
-        }
+        out = {}
+        for name in ("passed", "additive_monoid", "ternary_assoc",
+                     "distributive", "absorbing_zero", "commutative"):
+            v = getattr(self, name)
+            out[name] = v.to_dict() if isinstance(v, Violation) else v
+        return out
 
 
 # ---------------------------------------------------------------------------
 # the structure itself
 
-def _as_grid(rows, n: int, what: str) -> tuple[tuple[int, ...], ...]:
-    if len(rows) != n:
-        raise InputError(f"{what} must have {n} rows, got {len(rows)}")
+def memo(s, key: str, compute):
+    """compute() once per structure object; later calls return the stored value.
+
+    The store lives in the object's own __dict__ and is not a dataclass field,
+    so ==, hash and repr ignore it and it is freed with the object. Every
+    caller shares the value, so it must be immutable.
+    """
+    store = s.__dict__.setdefault("_memo", {})
+    if key not in store:
+        store[key] = compute()
+    return store[key]
+
+
+_INT = {int}  # exact type: bools and floats are not table entries
+
+
+def _positive_int(v, what: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise InputError(f"{what} must be a positive integer, got {v!r}")
+    return v
+
+
+def _as_list(x, length: int, what: str, unit: str = "entries"):
+    if not isinstance(x, (list, tuple)):
+        raise InputError(f"{what} must be a list, got {type(x).__name__}")
+    if len(x) != length:
+        raise InputError(f"{what} must have {length} {unit}, got {len(x)}")
+    return x
+
+
+def _as_grid(rows, n: int, what: str,
+             width: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """n rows of width (default n) integers, each in 0..n-1, as nested tuples.
+
+    Every table the searches build passes through here, so a good row costs
+    two set checks and formats no message.
+    """
+    _as_list(rows, n, what, "rows")
+    width = n if width is None else width
+    valid = set(range(n))
     out = []
     for i, row in enumerate(rows):
-        if len(row) != n:
-            raise InputError(f"{what} row {i} must have {n} entries, got {len(row)}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise InputError(f"{what}[{i}][{j}] = {v!r} out of range 0..{n - 1}")
+        if not (isinstance(row, (list, tuple)) and len(row) == width
+                and _INT.issuperset(map(type, row)) and valid.issuperset(row)):
+            _as_list(row, width, f"{what} row {i}")
+            j = next(j for j, v in enumerate(row) if type(v) is not int or v not in valid)
+            raise InputError(f"{what}[{i}][{j}] = {row[j]!r} is not an integer in 0..{n - 1}")
         out.append(tuple(row))
+    return tuple(out)
+
+
+def _as_layers(layers, m: int, n: int, k: int, what: str) -> tuple:
+    """m x m parameter layers of n planes, each k rows of n entries in 0..k-1."""
+    out = []
+    for al, layer in enumerate(_as_list(layers, m, what, "alpha-layers")):
+        cubes = []
+        for be, cube in enumerate(_as_list(layer, m, f"{what}[{al}]", "beta-layers")):
+            where = f"{what}[{al}][{be}]"
+            cubes.append(tuple(_as_grid(plane, k, f"{where}[{a}]", width=n)
+                               for a, plane in enumerate(_as_list(cube, n, where, "planes"))))
+        out.append(tuple(cubes))
     return tuple(out)
 
 
@@ -185,33 +225,15 @@ class GammaStructure:
     names: tuple = ()
 
     def __post_init__(self):
-        n, m = self.order, self.gamma_size
-        if n < 1:
-            raise InputError(f"order must be >= 1, got {n}")
-        if m < 1:
-            raise InputError(f"gamma size must be >= 1, got {m}")
+        n = _positive_int(self.order, "order")
+        m = _positive_int(self.gamma_size, "gamma size")
         object.__setattr__(self, "addition", _as_grid(self.addition, n, "addition"))
-        if len(self.ternary) != m:
-            raise InputError(f"ternary must have {m} alpha-layers, got {len(self.ternary)}")
-        layers = []
-        for al, layer in enumerate(self.ternary):
-            if len(layer) != m:
-                raise InputError(f"ternary[{al}] must have {m} beta-layers, got {len(layer)}")
-            cubes = []
-            for be, cube in enumerate(layer):
-                if len(cube) != n:
-                    raise InputError(f"ternary[{al}][{be}] must have {n} planes, got {len(cube)}")
-                cubes.append(tuple(_as_grid(plane, n, f"ternary[{al}][{be}][{a}]")
-                                   for a, plane in enumerate(cube)))
-            layers.append(tuple(cubes))
-        object.__setattr__(self, "ternary", tuple(layers))
-        if not self.names:
-            object.__setattr__(self, "names", tuple(str(i) for i in range(n)))
+        object.__setattr__(self, "ternary", _as_layers(self.ternary, m, n, n, "ternary"))
+        if self.names in ((), []):
+            names = tuple(str(i) for i in range(n))
         else:
-            names = tuple(str(x) for x in self.names)
-            if len(names) != n:
-                raise InputError(f"names must have {n} entries, got {len(names)}")
-            object.__setattr__(self, "names", names)
+            names = tuple(str(x) for x in _as_list(self.names, n, "names"))
+        object.__setattr__(self, "names", names)
 
     # fast unchecked lookups for inner loops
     def add(self, a: int, b: int) -> int:
@@ -362,7 +384,7 @@ def _check_commutative(s: GammaStructure) -> Optional[Violation]:
     return None
 
 
-def verify_axioms(s: GammaStructure, require_commutative: bool = True) -> AxiomReport:
+def verify_axioms(s: GammaStructure) -> AxiomReport:
     """Check every axiom over the whole table; first lex witness per axiom."""
     return AxiomReport(
         additive_monoid=_check_additive_monoid(s),
@@ -370,7 +392,6 @@ def verify_axioms(s: GammaStructure, require_commutative: bool = True) -> AxiomR
         distributive=_check_distributive(s),
         absorbing_zero=_check_absorbing_zero(s),
         commutative=_check_commutative(s),
-        require_commutative=require_commutative,
     )
 
 
@@ -421,11 +442,10 @@ def zero_fixing_permutations(n: int):
         yield (0,) + tail
 
 
-def canonical_form(s: GammaStructure, gamma_relabeling: bool = False) -> bytes:
+def canonical_form(s: GammaStructure) -> bytes:
     """Lexicographically minimal table serialization over all 0-fixing relabelings.
 
-    Parameters are treated as labeled: gamma permutations do not act unless
-    gamma_relabeling is set (off by default).
+    Parameters are treated as labeled: gamma permutations do not act.
     """
     n, m = s.order, s.gamma_size
     best = None
@@ -434,7 +454,7 @@ def canonical_form(s: GammaStructure, gamma_relabeling: bool = False) -> bytes:
         for a in range(n):
             for b in range(n):
                 add[sigma[a]][sigma[b]] = sigma[s.addition[a][b]]
-        cubes = {}
+        tern = [[None] * m for _ in range(m)]
         for al in range(m):
             for be in range(m):
                 src = s.ternary[al][be]
@@ -443,16 +463,10 @@ def canonical_form(s: GammaStructure, gamma_relabeling: bool = False) -> bytes:
                     for b in range(n):
                         for c in range(n):
                             dst[sigma[a]][sigma[b]][sigma[c]] = sigma[src[a][b][c]]
-                cubes[(al, be)] = dst
-        if gamma_relabeling:
-            param_perms = list(permutations(range(m)))
-        else:
-            param_perms = [tuple(range(m))]
-        for tau in param_perms:
-            tern = [[cubes[(tau[al], tau[be])] for be in range(m)] for al in range(m)]
-            cand = _serialize_tables(n, m, add, tern)
-            if best is None or cand < best:
-                best = cand
+                tern[al][be] = dst
+        cand = _serialize_tables(n, m, add, tern)
+        if best is None or cand < best:
+            best = cand
     return best
 
 
@@ -508,12 +522,8 @@ def structure_from_dict(d: dict) -> GammaStructure:
     for key in ("order", "gamma", "addition", "ternary"):
         if key not in d:
             raise InputError(f"structure document missing key {key!r}")
-    n = d["order"]
-    m = d["gamma"]
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"order must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or m < 1:
-        raise InputError(f"gamma must be a positive integer, got {m!r}")
+    n = _positive_int(d["order"], "order")
+    m = _positive_int(d["gamma"], "gamma")
     tern_obj = d["ternary"]
     if not isinstance(tern_obj, dict):
         raise InputError("ternary must be an object keyed by 'alpha,beta'")
@@ -529,9 +539,9 @@ def structure_from_dict(d: dict) -> GammaStructure:
             parts.append(f"unexpected keys {extra}")
         raise InputError("ternary: " + "; ".join(parts))
     tern = [[tern_obj[f"{al},{be}"] for be in range(m)] for al in range(m)]
-    names = d.get("names") or [str(i) for i in range(n)]
+    names = d.get("names")
     return GammaStructure(order=n, gamma_size=m, addition=d["addition"],
-                          ternary=tern, names=tuple(str(x) for x in names))
+                          ternary=tern, names=() if names is None else names)
 
 
 def dumps_structure(s: GammaStructure) -> str:

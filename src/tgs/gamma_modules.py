@@ -17,8 +17,9 @@ from itertools import product as iproduct
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, full_mask, mask_elements, max_order,
-                   structure_from_dict, structure_to_dict, subset_sort_key)
+                   Violation, _as_grid, _as_layers, _positive_int,
+                   full_mask, mask_elements, max_order, structure_from_dict,
+                   structure_to_dict, subset_sort_key)
 from .enumeration import enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
 
@@ -28,17 +29,6 @@ PRINTED_ASSOC_NOTE = (
     "expression, which has no parse under a ternary product; not evaluated")
 
 _SUBMODULE_SCAN_CAP = 16
-
-
-def _as_grid(rows, size: int, what: str):
-    grid = tuple(tuple(int(v) for v in row) for row in rows)
-    if len(grid) != size or any(len(row) != size for row in grid):
-        raise InputError(f"{what} must be a {size}x{size} table")
-    for row in grid:
-        for v in row:
-            if not 0 <= v < size:
-                raise InputError(f"{what} entry {v} out of range 0..{size - 1}")
-    return grid
 
 
 @dataclass(frozen=True)
@@ -51,42 +41,11 @@ class ModuleAction:
     action: tuple
 
     def __post_init__(self):
-        n, m, k = self.scalar.order, self.scalar.gamma_size, self.carrier_order
-        if k < 1:
-            raise InputError(f"carrier order must be positive, got {k}")
+        n, m = self.scalar.order, self.scalar.gamma_size
+        k = _positive_int(self.carrier_order, "carrier order")
         object.__setattr__(self, "carrier_addition",
                            _as_grid(self.carrier_addition, k, "carrier addition"))
-        act = tuple(
-            tuple(
-                tuple(
-                    tuple(tuple(int(v) for v in row) for row in plane)
-                    for plane in self.action[al][be])
-                for be in range(m))
-            for al in range(m))
-        if len(self.action) != m or any(len(self.action[al]) != m for al in range(m)):
-            raise InputError(f"action must carry {m}x{m} parameter tables")
-        for al in range(m):
-            for be in range(m):
-                cube = act[al][be]
-                if len(cube) != n:
-                    raise InputError(f"action table {al},{be} must have {n} scalar planes")
-                for plane in cube:
-                    if len(plane) != k or any(len(row) != n for row in plane):
-                        raise InputError(
-                            f"action table {al},{be} planes must be {k}x{n}")
-                    for row in plane:
-                        for v in row:
-                            if not 0 <= v < k:
-                                raise InputError(
-                                    f"action value {v} out of range 0..{k - 1}")
-        object.__setattr__(self, "action", act)
-
-    def act(self, a: int, al: int, m: int, be: int, b: int) -> int:
-        return self.action[al][be][a][m][b]
-
-    @property
-    def carrier_elements(self) -> range:
-        return range(self.carrier_order)
+        object.__setattr__(self, "action", _as_layers(self.action, m, n, k, "action"))
 
 
 def regular_module(s: GammaStructure) -> ModuleAction:
@@ -141,16 +100,12 @@ class ModuleAxiomReport:
     associativity: Optional[Violation]
     assoc_evaluated: bool
     assoc_note: Optional[str]
-    commutativity: Optional[Violation]
-    commutativity_checked: bool
 
     @property
     def passed(self) -> Optional[bool]:
         """True/False when decidable; None when the associativity mode could
         not be evaluated and nothing else failed."""
         hard = [self.carrier_monoid, self.additivity, self.absorbing_zero]
-        if self.commutativity_checked:
-            hard.append(self.commutativity)
         if self.assoc_evaluated:
             hard.append(self.associativity)
         if any(v is not None for v in hard):
@@ -160,29 +115,18 @@ class ModuleAxiomReport:
         return True
 
     def failures(self) -> tuple:
-        out = []
-        for v in (self.carrier_monoid, self.additivity, self.absorbing_zero,
-                  self.associativity, self.commutativity):
-            if v is not None:
-                out.append(v)
-        return tuple(out)
+        return tuple(v for v in (self.carrier_monoid, self.additivity,
+                                 self.absorbing_zero, self.associativity)
+                     if v is not None)
 
     def to_dict(self) -> dict:
-        def enc(v):
-            return None if v is None else {
-                "law": v.law, "args": list(v.args), "lhs": v.lhs, "rhs": v.rhs}
-        return {
-            "carrier_monoid": enc(self.carrier_monoid),
-            "additivity": enc(self.additivity),
-            "absorbing_zero": enc(self.absorbing_zero),
-            "assoc_law": self.assoc_law,
-            "associativity": enc(self.associativity),
-            "assoc_evaluated": self.assoc_evaluated,
-            "assoc_note": self.assoc_note,
-            "commutativity": enc(self.commutativity),
-            "commutativity_checked": self.commutativity_checked,
-            "passed": self.passed,
-        }
+        out = {}
+        for name in ("carrier_monoid", "additivity", "absorbing_zero",
+                     "assoc_law", "associativity", "assoc_evaluated",
+                     "assoc_note", "passed"):
+            v = getattr(self, name)
+            out[name] = v.to_dict() if isinstance(v, Violation) else v
+        return out
 
 
 def _check_module_additivity(a_: ModuleAction) -> Optional[Violation]:
@@ -271,24 +215,8 @@ def _check_module_assoc_surrogate(a_: ModuleAction) -> Optional[Violation]:
     return None
 
 
-def _check_module_commutative(a_: ModuleAction) -> Optional[Violation]:
-    s, k = a_.scalar, a_.carrier_order
-    n, m = s.order, s.gamma_size
-    for al in range(m):
-        for be in range(m):
-            for a in range(n):
-                for mm in range(k):
-                    for b in range(n):
-                        lhs = a_.action[al][be][a][mm][b]
-                        rhs = a_.action[be][al][b][mm][a]
-                        if lhs != rhs:
-                            return Violation("module-commutativity",
-                                             (a, mm, b, al, be), lhs, rhs)
-    return None
-
-
-def verify_module_axioms(a_: ModuleAction, assoc_law: str = "surrogate",
-                         commutative: bool = False) -> ModuleAxiomReport:
+def verify_module_axioms(a_: ModuleAction,
+                         assoc_law: str = "surrogate") -> ModuleAxiomReport:
     """Exhaustive check; first witness per family, scan order as written."""
     if assoc_law not in ASSOC_LAWS:
         raise InputError(f"assoc_law must be one of {ASSOC_LAWS}, got {assoc_law!r}")
@@ -300,7 +228,6 @@ def verify_module_axioms(a_: ModuleAction, assoc_law: str = "surrogate",
         evaluated, note = True, None
     else:
         assoc, evaluated, note = None, False, PRINTED_ASSOC_NOTE
-    comm = _check_module_commutative(a_) if commutative else None
     return ModuleAxiomReport(
         carrier_monoid=carrier,
         additivity=additivity,
@@ -309,8 +236,6 @@ def verify_module_axioms(a_: ModuleAction, assoc_law: str = "surrogate",
         associativity=assoc,
         assoc_evaluated=evaluated,
         assoc_note=note,
-        commutativity=comm,
-        commutativity_checked=commutative,
     )
 
 

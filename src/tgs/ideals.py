@@ -10,11 +10,10 @@ outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .core import (GammaStructure, InputError, Verdict, full_mask,
-                   mask_elements, subset_sort_key)
+                   mask_elements, memo, subset_sort_key)
 
 
 def is_ideal(s: GammaStructure, mask: int) -> Verdict:
@@ -75,14 +74,11 @@ def generated_ideal(s: GammaStructure, seed: int = 0) -> int:
         cur = nxt
 
 
-@lru_cache(maxsize=None)
 def enumerate_ideals(s: GammaStructure) -> tuple[int, ...]:
-    """Every ideal, ascending by size then bitmask. 2^n subset scan."""
-    found = []
-    for mask in range(1, 1 << s.order):
-        if mask & 1 and is_ideal(s, mask).ok:
-            found.append(mask)
-    return tuple(sorted(found, key=subset_sort_key))
+    """Every ideal, ascending by size then bitmask. 2^n subset scan, once per structure."""
+    return memo(s, "ideals", lambda: tuple(sorted(
+        (mask for mask in range(1, 1 << s.order, 2) if is_ideal(s, mask).ok),
+        key=subset_sort_key)))
 
 
 def _require_proper(s: GammaStructure, mask: int, what: str) -> None:
@@ -135,22 +131,14 @@ def is_maximal(s: GammaStructure, mask: int) -> Verdict:
     return Verdict(True)
 
 
-def is_primary(s: GammaStructure, mask: int, shared_params: bool = True) -> Verdict:
+def is_primary(s: GammaStructure, mask: int) -> Verdict:
     """Product in the subset with first argument outside forces a cube in.
 
-    With shared_params the cubes use the same (al, be) as the product, exactly
-    as the condition is printed; shared_params=False quantifies each cube's
-    parameters independently. Witness (a, b, c, al, be).
+    The cubes use the same (al, be) as the product, exactly as the condition
+    is printed. Witness (a, b, c, al, be).
     """
     _require_proper(s, mask, "primariness")
     n, m = s.order, s.gamma_size
-
-    def cube_in(x: int, al: int, be: int) -> bool:
-        if shared_params:
-            return bool(mask >> s.ternary[al][be][x][x][x] & 1)
-        return any(mask >> s.ternary[ga][de][x][x][x] & 1
-                   for ga in range(m) for de in range(m))
-
     for a in range(n):
         if mask >> a & 1:
             continue
@@ -158,9 +146,10 @@ def is_primary(s: GammaStructure, mask: int, shared_params: bool = True) -> Verd
             for c in range(n):
                 for al in range(m):
                     for be in range(m):
-                        if not mask >> s.ternary[al][be][a][b][c] & 1:
+                        cube = s.ternary[al][be]
+                        if not mask >> cube[a][b][c] & 1:
                             continue
-                        if not (cube_in(b, al, be) or cube_in(c, al, be)):
+                        if not (mask >> cube[b][b][b] & 1 or mask >> cube[c][c][c] & 1):
                             return Verdict(False, (a, b, c, al, be))
     return Verdict(True)
 
@@ -209,20 +198,28 @@ class IdealLattice:
     info: tuple[IdealInfo, ...]
 
 
-@lru_cache(maxsize=None)
 def ideal_lattice(s: GammaStructure) -> IdealLattice:
-    ideals = enumerate_ideals(s)
-    covers = []
-    for i, lo in enumerate(ideals):
-        for j, hi in enumerate(ideals):
-            if lo == hi or lo & hi != lo:
-                continue
-            if any(k not in (i, j) and lo & mid == lo and mid & hi == mid
-                   for k, mid in enumerate(ideals)):
-                continue
-            covers.append((i, j))
-    info = tuple(classify_ideal(s, mask) for mask in ideals)
-    return IdealLattice(ideals=ideals, covers=tuple(sorted(covers)), info=info)
+    def build() -> IdealLattice:
+        ideals = enumerate_ideals(s)
+        covers = []
+        for i, lo in enumerate(ideals):
+            for j, hi in enumerate(ideals):
+                if lo == hi or lo & hi != lo:
+                    continue
+                if any(k not in (i, j) and lo & mid == lo and mid & hi == mid
+                       for k, mid in enumerate(ideals)):
+                    continue
+                covers.append((i, j))
+        info = tuple(classify_ideal(s, mask) for mask in ideals)
+        return IdealLattice(ideals=ideals, covers=tuple(sorted(covers)), info=info)
+    return memo(s, "lattice", build)
+
+
+def spectrum_points(s: GammaStructure) -> tuple[int, ...]:
+    """All prime ideals, ascending by size then bitmask; once per structure."""
+    top = full_mask(s.order)
+    return memo(s, "primes", lambda: tuple(
+        i for i in enumerate_ideals(s) if i != top and is_prime(s, i).ok))
 
 
 def lattice_dot(s: GammaStructure) -> str:

@@ -9,11 +9,9 @@ onto the quotient's element indices.
 from __future__ import annotations
 
 from .core import (ConsistencyError, GammaStructure, InputError, Verdict,
-                   mask_elements)
+                   mask_elements, memo)
 
 Partition = tuple
-
-BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
 
 def normalize_partition(p) -> Partition:
@@ -91,8 +89,9 @@ def _iter_rgs(n: int):
 
 
 def enumerate_congruences(s: GammaStructure) -> tuple[Partition, ...]:
-    """All congruences, in lexicographic restricted-growth order."""
-    return tuple(p for p in _iter_rgs(s.order) if is_congruence(s, p).ok)
+    """All congruences, in lexicographic restricted-growth order; once per structure."""
+    return memo(s, "congruences", lambda: tuple(
+        p for p in _iter_rgs(s.order) if is_congruence(s, p).ok))
 
 
 def bourne_congruence(s: GammaStructure, mask: int) -> Partition:
@@ -132,6 +131,17 @@ def congruence_to_ideal(s: GammaStructure, p) -> int:
     if len(p) != s.order:
         raise InputError(f"partition must label {s.order} elements, got {len(p)}")
     return sum(1 << i for i, v in enumerate(p) if v == 0)
+
+
+def roundtrip_failures(s: GammaStructure) -> list:
+    """(congruence, bourne congruence of its zero class) for every congruence
+    that does not come back to itself, in enumeration order."""
+    out = []
+    for rho in enumerate_congruences(s):
+        back = bourne_congruence(s, congruence_to_ideal(s, rho))
+        if back != rho:
+            out.append((rho, back))
+    return out
 
 
 def quotient_structure(s: GammaStructure, p) -> GammaStructure:

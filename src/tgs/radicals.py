@@ -9,61 +9,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GammaStructure, InputError, full_mask, mask_elements
-from .ideals import enumerate_ideals, is_ideal, is_maximal, is_prime
+from .core import GammaStructure, InputError, full_mask, mask_elements, memo
+from .ideals import enumerate_ideals, is_ideal, is_maximal, spectrum_points
 
 
 def radical_by_primes(s: GammaStructure, mask: int) -> int:
     """Intersection of all prime ideals containing the subset; carrier if none."""
     if mask >> s.order:
         raise InputError(f"subset {bin(mask)} has bits beyond order {s.order}")
-    top = full_mask(s.order)
-    out = top
-    hit = False
-    for ideal in enumerate_ideals(s):
-        if ideal == top or ideal & mask != mask:
-            continue
-        if is_prime(s, ideal).ok:
-            out &= ideal
-            hit = True
-    return out if hit else top
+    out = full_mask(s.order)
+    for p in spectrum_points(s):
+        if p & mask == mask:
+            out &= p
+    return out
 
 
-def radical_by_elements(s: GammaStructure, mask: int, iterate: str = "once") -> int:
-    """Elements whose ternary cube lands in the subset.
-
-    iterate="once" applies exactly one self-cubing, as the characterization
-    is printed. iterate="fixpoint" marks every element some chain of repeated
-    cubings (any parameter pair at each step) sends into the subset.
-    """
+def radical_by_elements(s: GammaStructure, mask: int) -> int:
+    """Elements whose ternary cube, for some parameter pair, lands in the
+    subset: exactly one self-cubing, as the characterization is printed."""
     if mask >> s.order:
         raise InputError(f"subset {bin(mask)} has bits beyond order {s.order}")
-    if iterate not in ("once", "fixpoint"):
-        raise InputError(f"iterate must be 'once' or 'fixpoint', got {iterate!r}")
-    n, m = s.order, s.gamma_size
-    cubes = {a: {s.ternary[al][be][a][a][a] for al in range(m) for be in range(m)}
-             for a in range(n)}
-    if iterate == "once":
-        return sum(1 << a for a in range(n) if cubes[a] & set(mask_elements(mask)))
-    # fixpoint: reachability along a -> cube(a) edges into the subset
-    target = set(mask_elements(mask))
-    out = 0
-    for a in range(n):
-        seen = {a}
-        frontier = [a]
-        found = a in target
-        while frontier and not found:
-            x = frontier.pop()
-            for y in cubes[x]:
-                if y in target:
-                    found = True
-                    break
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if found:
-            out |= 1 << a
-    return out
+    m = s.gamma_size
+    return sum(1 << a for a in range(s.order)
+               if any(mask >> s.ternary[al][be][a][a][a] & 1
+                      for al in range(m) for be in range(m)))
 
 
 @dataclass(frozen=True)
@@ -109,17 +78,15 @@ def radical_report(s: GammaStructure, mask: int) -> RadicalReport:
 
 
 def jacobson_radical(s: GammaStructure) -> int:
-    """Intersection of all maximal ideals; carrier if there are none."""
-    top = full_mask(s.order)
-    out = top
-    hit = False
-    for ideal in enumerate_ideals(s):
-        if ideal == top:
-            continue
-        if is_maximal(s, ideal).ok:
-            out &= ideal
-            hit = True
-    return out if hit else top
+    """Intersection of all maximal ideals; carrier if there are none. Once per structure."""
+    def meet() -> int:
+        top = full_mask(s.order)
+        out = top
+        for ideal in enumerate_ideals(s):
+            if ideal != top and is_maximal(s, ideal).ok:
+                out &= ideal
+        return out
+    return memo(s, "jacobson", meet)
 
 
 def is_semisimple(s: GammaStructure) -> bool:

@@ -13,16 +13,10 @@ from itertools import product as iproduct
 from typing import Optional
 
 from .core import (GammaStructure, InputError, Verdict, full_mask,
-                   mask_elements, subset_sort_key)
-from .ideals import enumerate_ideals, generated_ideal, is_ideal, is_prime
+                   mask_elements, memo, subset_sort_key)
+from .ideals import enumerate_ideals, generated_ideal, is_ideal, spectrum_points
 from .quotient import bourne_congruence, normalize_partition, quotient_structure
 from .radicals import radical_by_primes
-
-
-def spectrum_points(s: GammaStructure) -> tuple[int, ...]:
-    """All prime ideals, ascending by size then bitmask."""
-    top = full_mask(s.order)
-    return tuple(i for i in enumerate_ideals(s) if i != top and is_prime(s, i).ok)
 
 
 def closed_set(s: GammaStructure, mask: int) -> frozenset:
@@ -46,7 +40,14 @@ def _closure_of_point(family: list, point: int, every: frozenset) -> frozenset:
 
 
 def verify_topology(s: GammaStructure) -> list[TopologyCheck]:
-    """Re-derive the closed-set laws for this structure, one named check each."""
+    """Re-derive the closed-set laws for this structure, one named check each.
+
+    The checks run once per structure; each call returns a fresh list.
+    """
+    return list(memo(s, "topology", lambda: _topology_checks(s)))
+
+
+def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
     ideals = enumerate_ideals(s)
     points = spectrum_points(s)
     every = frozenset(points)
@@ -137,7 +138,7 @@ def verify_topology(s: GammaStructure) -> list[TopologyCheck]:
             bad = (i,)
             break
     checks.append(TopologyCheck("closed-set-meet-is-radical", bad is None, bad))
-    return checks
+    return tuple(checks)
 
 
 def connected_components(s: GammaStructure) -> tuple[tuple[int, ...], ...]:

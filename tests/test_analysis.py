@@ -1,10 +1,15 @@
+import gc
+import hashlib
+import json
+import weakref
 from collections import Counter
+from dataclasses import replace
 
 from tgs.analysis import (analyze, evaluate_all_claims, evaluate_claim,
                           render_text, run_asserted_suite,
                           run_reported_suite)
 from tgs.core import GammaStructure
-from tgs.fixtures import CLAIMS, DERIVED
+from tgs.fixtures import CLAIMS, DERIVED, mod_mul_structure
 
 
 def _klein_with_zero_product():
@@ -141,3 +146,31 @@ def test_render_text_anchors():
     assert "[FAIL] idempotent-count-equals-component-count" in text
     text = render_text(analyze(DERIVED["N3"]))
     assert "[FAIL] maximal-implies-prime" in text
+
+
+# sha256 over the analyze() JSON of every representative at (1..3, 1) and
+# (2, 2), then of every DERIVED fixture; any change to a report's bytes shows
+ANALYZE_DIGEST = "36c0e468253520c3e961733e7eccffe3e196dc5a4d4f132d9936a218dfc7203b"
+
+
+def test_analyze_reports_are_frozen(corpus_reps):
+    structures = [s for shape in ((1, 1), (2, 1), (3, 1), (2, 2))
+                  for s in corpus_reps[shape]]
+    structures += [DERIVED[name] for name in sorted(DERIVED)]
+    digest = hashlib.sha256()
+    for s in structures:
+        digest.update(json.dumps(analyze(s), indent=2, sort_keys=True).encode())
+    assert digest.hexdigest() == ANALYZE_DIGEST
+
+
+def test_structure_is_freed_after_analyze():
+    # names no other test uses, so no cache keyed by equal tables holds it
+    s = replace(mod_mul_structure(6), names=tuple("zabcde"))
+    twin = replace(s)
+    analyze(s)
+    # what analyze() leaves on the object is no field of the structure
+    assert (s, hash(s), repr(s)) == (twin, hash(twin), repr(twin))
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None

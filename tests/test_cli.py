@@ -116,6 +116,17 @@ def test_verify_directory_severity(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_structure_exits_1_without_traceback(tmp_path, capsys):
+    doc = json.loads(dumps_structure(DERIVED["B2"]))
+    for key, value in (("addition", 3), ("names", 5), ("order", True)):
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(dict(doc, **{key: value})))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_verify_empty_directory(tmp_path, capsys):
     assert main(["verify", str(tmp_path)]) == 1
     assert "no structure files" in capsys.readouterr().err

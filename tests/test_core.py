@@ -79,17 +79,42 @@ def test_structure_from_dict_validation():
         structure_from_dict({"order": 0, "gamma": 1, "addition": [],
                              "ternary": {}})
     good = json.loads(dumps_structure(DERIVED["B2"]))
-    good["addition"] = [[0, 1]]
+    bad = dict(good, addition=[[0, 1]])
     with pytest.raises(InputError):
-        structure_from_dict(good)
+        structure_from_dict(bad)
+    # JSON numbers and booleans where lists or counts belong
+    for key, value in (("addition", 3), ("names", 5), ("order", True),
+                       ("gamma", True)):
+        with pytest.raises(InputError, match=key):
+            structure_from_dict(dict(good, **{key: value}))
+    for path in (("addition", 1), ("ternary", "0,0", 1)):
+        bad = json.loads(json.dumps(good))
+        holder = bad
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = 7
+        with pytest.raises(InputError, match="must be a list, got int"):
+            structure_from_dict(bad)
 
 
 def test_constructor_validation():
     with pytest.raises(InputError):
         GammaStructure(order=0, gamma_size=1, addition=[], ternary=[])
+    zero = [[[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]]
     with pytest.raises(InputError):
         GammaStructure(order=2, gamma_size=1, addition=[[0, 1], [1, 9]],
-                       ternary=[[[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]])
+                       ternary=zero)
+    for kwargs in ({"order": True, "gamma_size": 1},
+                   {"order": 2, "gamma_size": True},
+                   {"order": 2, "gamma_size": 1, "names": 5},
+                   {"order": 2, "gamma_size": 1, "addition": 3},
+                   {"order": 2, "gamma_size": 1,
+                    "addition": [[0, 1], [1, 1.0]]},
+                   {"order": 2, "gamma_size": 1, "addition": [[0, 1], 7]},
+                   {"order": 2, "gamma_size": 1, "ternary": [[[7, 7]]]}):
+        args = dict({"addition": [[0, 1], [1, 0]], "ternary": zero}, **kwargs)
+        with pytest.raises(InputError):
+            GammaStructure(**args)
 
 
 def test_canonical_form_permutation_invariance():

@@ -104,6 +104,16 @@ def test_action_constructor_validation():
     with pytest.raises(InputError):
         ModuleAction(scalar=s, carrier_order=1, carrier_addition=((0,),),
                      action=[[[[[5], [0]]]]])
+    # entries must be integers: no truncation, no bools, no strings
+    act = [[[[list(row) for row in plane] for plane in s.ternary[0][0]]]]
+    for madd in ([[0, 1.9], [True, 0]], [[0, "x"], [1, 0]]):
+        with pytest.raises(InputError, match="carrier addition"):
+            ModuleAction(scalar=s, carrier_order=2, carrier_addition=madd,
+                         action=act)
+    act[0][0][1][1][1] = 1.5
+    with pytest.raises(InputError, match="action"):
+        ModuleAction(scalar=s, carrier_order=2, carrier_addition=s.addition,
+                     action=act)
 
 
 def _freeze(act, m):
