@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (GammaStructure, canonical_form, full_mask, mask_elements,
-                   mask_of, verify_axioms)
+                   mask_of, memo, verify_axioms)
 from .fixtures import CLAIMS, claim_structure
 from .gamma_modules import regular_module, verify_module_axioms
 from .ideals import (enumerate_ideals, ideal_lattice, is_ideal, is_maximal,
@@ -262,7 +262,13 @@ def _quotient_characterizations(s: GammaStructure, asserted: bool) -> list:
     return checks
 
 
-def _crt_reports(s: GammaStructure) -> list:
+def _crt_reports(s: GammaStructure) -> tuple:
+    """CRT reports for each pair of maximal ideals, then for all of them when
+    there are more than two; once per structure."""
+    return memo(s, "crt", lambda: _crt_checks(s))
+
+
+def _crt_checks(s: GammaStructure) -> tuple:
     maximals = [i for i in _proper_ideals(s) if is_maximal(s, i).ok]
     out = []
     for a in range(len(maximals)):
@@ -270,7 +276,7 @@ def _crt_reports(s: GammaStructure) -> list:
             out.append(crt_check(s, [maximals[a], maximals[b]]))
     if len(maximals) > 2:
         out.append(crt_check(s, maximals))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,17 @@ def _verify_structure(s, suite: str, label: str) -> int:
             print(f"  [FAIL] {c.name}")
             for w in c.witnesses[:5]:
                 print(f"         witness: {w}")
+    _print_reported_suite(s)
+    return code
+
+
+def _print_reported_suite(s) -> None:
     for c in run_reported_suite(s):
         if c.ok:
             print(f"  [reported] {c.name}: holds exhaustively")
         else:
             print(f"  [reported] {c.name}: {len(c.witnesses)} discrepancies,"
                   f" first: {c.witnesses[0]}")
-    return code
 
 
 def _verify_fixtures() -> int:
@@ -121,12 +125,7 @@ def _verify_fixtures() -> int:
     print()
     for name, s in DERIVED.items():
         print(f"fixture {name} (order {s.order}):")
-        for c in run_reported_suite(s):
-            if c.ok:
-                print(f"  [reported] {c.name}: holds exhaustively")
-            else:
-                print(f"  [reported] {c.name}: {len(c.witnesses)}"
-                      f" discrepancies, first: {c.witnesses[0]}")
+        _print_reported_suite(s)
         print(f"  congruence round-trip collisions: {len(roundtrip_failures(s))}"
               f" of {len(enumerate_congruences(s))}"
               " congruences do not return to themselves")
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run suites over a file, a directory, or the"
                             " reserved target 'fixtures'")
     p.add_argument("target")
-    p.add_argument("--suite", choices=("axioms", "theorems", "all"),
+    p.add_argument("--suite", choices=("axioms", "all"),
                    default="all")
     p.set_defaults(func=cmd_verify)
 

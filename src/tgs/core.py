@@ -146,7 +146,7 @@ class AxiomReport:
 # ---------------------------------------------------------------------------
 # the structure itself
 
-def memo(s, key: str, compute):
+def memo(s, key, compute):
     """compute() once per structure object; later calls return the stored value.
 
     The store lives in the object's own __dict__ and is not a dataclass field,
@@ -210,6 +210,20 @@ def _as_layers(layers, m: int, n: int, k: int, what: str) -> tuple:
     return tuple(out)
 
 
+def _prevalidated(cls, **fields):
+    """An instance of the frozen dataclass cls with its fields set as given,
+    skipping __post_init__. Only for tables a search built already in the
+    validated form: nested tuples of in-range ints, names filled in. Equal to
+    what the validating constructor returns for the same tables."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _default_names(n: int) -> tuple:
+    return tuple(str(i) for i in range(n))
+
+
 @dataclass(frozen=True)
 class GammaStructure:
     """Operation tables for one finite structure. Hashable; tables are nested tuples.
@@ -230,7 +244,7 @@ class GammaStructure:
         object.__setattr__(self, "addition", _as_grid(self.addition, n, "addition"))
         object.__setattr__(self, "ternary", _as_layers(self.ternary, m, n, n, "ternary"))
         if self.names in ((), []):
-            names = tuple(str(i) for i in range(n))
+            names = _default_names(n)
         else:
             names = tuple(str(x) for x in _as_list(self.names, n, "names"))
         object.__setattr__(self, "names", names)
@@ -398,6 +412,21 @@ def verify_axioms(s: GammaStructure) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # relabeling and canonical form
 
+def _relabel_tables(sigma: Sequence[int], addition, ternary=()) -> tuple:
+    """(addition, ternary) relabeled by the bijection sigma as nested tuples:
+    the entry at [a][b] moves to [sigma[a]][sigma[b]] and its value v becomes
+    sigma[v], and likewise for every ternary cube. Leave ternary empty to
+    relabel an addition table alone."""
+    inv = [0] * len(sigma)
+    for a, x in enumerate(sigma):
+        inv[x] = a
+    add = tuple(tuple(sigma[addition[a][b]] for b in inv) for a in inv)
+    tern = tuple(tuple(tuple(tuple(tuple(sigma[cube[a][b][c]] for c in inv)
+                                   for b in inv) for a in inv)
+                       for cube in layer) for layer in ternary)
+    return add, tern
+
+
 def apply_permutation(s: GammaStructure, sigma: Sequence[int]) -> GammaStructure:
     """Relabel elements by sigma (a bijection with sigma[0] == 0); names travel along."""
     n, m = s.order, s.gamma_size
@@ -406,18 +435,7 @@ def apply_permutation(s: GammaStructure, sigma: Sequence[int]) -> GammaStructure
         raise InputError(f"sigma must be a permutation of 0..{n - 1}, got {sigma}")
     if sigma[0] != 0:
         raise InputError("sigma must fix the zero element")
-    add = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            add[sigma[a]][sigma[b]] = sigma[s.addition[a][b]]
-    tern = [[[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(m)] for _ in range(m)]
-    for al in range(m):
-        for be in range(m):
-            cube = s.ternary[al][be]
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        tern[al][be][sigma[a]][sigma[b]][sigma[c]] = sigma[cube[a][b][c]]
+    add, tern = _relabel_tables(sigma, s.addition, s.ternary)
     names = [""] * n
     for a in range(n):
         names[sigma[a]] = s.names[a]
@@ -448,26 +466,8 @@ def canonical_form(s: GammaStructure) -> bytes:
     Parameters are treated as labeled: gamma permutations do not act.
     """
     n, m = s.order, s.gamma_size
-    best = None
-    for sigma in zero_fixing_permutations(n):
-        add = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                add[sigma[a]][sigma[b]] = sigma[s.addition[a][b]]
-        tern = [[None] * m for _ in range(m)]
-        for al in range(m):
-            for be in range(m):
-                src = s.ternary[al][be]
-                dst = [[[0] * n for _ in range(n)] for _ in range(n)]
-                for a in range(n):
-                    for b in range(n):
-                        for c in range(n):
-                            dst[sigma[a]][sigma[b]][sigma[c]] = sigma[src[a][b][c]]
-                tern[al][be] = dst
-        cand = _serialize_tables(n, m, add, tern)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(_serialize_tables(n, m, *_relabel_tables(sigma, s.addition, s.ternary))
+               for sigma in zero_fixing_permutations(n))
 
 
 def structure_from_bytes(data: bytes) -> GammaStructure:

@@ -1,24 +1,31 @@
 """Exhaustive generation of structures of a given order up to isomorphism.
 
-Additive monoids come first (backtracking with associativity checked as
-entries land), then ternary tables are filled orbit by orbit: commutativity
-ties symmetric cells together, zero absorption pins every cell with a zero
-argument, and distributivity instances are replayed as soon as their last
-free cell is placed. Ternary associativity spans five elements and prunes
-poorly, so completed tables go through the full axiom check instead.
+Every table here is completed by one backtracking engine, _backtrack: cells
+take values in lexicographic order and a hook accepts or rejects each
+placement. Additive monoids come first, with associativity as the hook.
+Ternary tables follow, filled orbit by orbit: commutativity ties symmetric
+cells together, zero absorption pins every cell with a zero argument, and
+each distributivity instance is replayed as soon as its last free cell is
+placed. gamma_modules fills module actions with the same engine and the
+same additivity buckets. Ternary associativity spans five elements and
+prunes poorly, so completed tables go through the full axiom check instead.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product as iproduct
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
-                   ResourceLimitError, _serialize_tables, canonical_form,
-                   mask_size, max_order, structure_from_bytes, verify_axioms)
+                   ResourceLimitError, _as_grid, _default_names, _prevalidated,
+                   _relabel_tables, _serialize_tables, canonical_form,
+                   mask_size, max_order, structure_from_bytes, verify_axioms,
+                   zero_fixing_permutations)
 from .ideals import classify_ideal, enumerate_ideals, full_mask
 from .quotient import enumerate_congruences, roundtrip_failures
 from .radicals import is_semisimple, jacobson_radical
@@ -44,22 +51,78 @@ def _check_caps(n: int, m: int) -> None:
             f"gamma size {m} exceeds cap {DEFAULT_MAX_GAMMA}")
 
 
-def _monoid_serial(grid, n: int) -> bytes:
-    return bytes(grid[a][b] for a in range(n) for b in range(n))
+def _backtrack(count: int, domain, ok, first: Optional[int] = None):
+    """The one table-completion search of the package.
+
+    Cells 0..count-1 take values from domain in lexicographic order; after
+    cell k lands, ok(vals, k) decides whether to go deeper. The live value
+    list is yielded at each completion, once (with no cells) when count is 0.
+    It carries one extra trailing 0, so a cell key of -1 reads a pinned zero.
+    If first is given, cell 0 is pinned to it.
+    """
+    vals = [0] * (count + 1)
+
+    def fill(k: int):
+        if k == count:
+            yield vals
+            return
+        for v in (first,) if k == 0 and first is not None else domain:
+            vals[k] = v
+            if ok(vals, k):
+                yield from fill(k + 1)
+
+    return fill(0)
+
+
+def _additivity_buckets(count: int, m: int, index: dict, dims, adds) -> list:
+    """Additivity instances (lhs, r1, r2) of a table over cells
+    (al, be, s0, s1, s2), slot i ranging over dims[i] and summed by adds[i].
+
+    index maps each cell to its key: a cell index, or -1 for a cell pinned to
+    0. Instances go to the bucket of the last key they read and hold when
+    vals[lhs] == op[vals[r1]][vals[r2]]; those that read no free cell drop.
+    """
+    buckets = [{} for _ in range(count)]  # dicts as ordered sets
+    for al in range(m):
+        for be in range(m):
+            for slot, (d, add) in enumerate(zip(dims, adds)):
+                rest = [range(dims[j]) for j in range(3) if j != slot]
+                for uv in iproduct(*rest):
+                    for x in range(d):
+                        for y in range(x, d):
+                            ks = tuple(index[(al, be) + uv[:slot] + (z,) + uv[slot:]]
+                                       for z in (add[x][y], x, y))
+                            if max(ks) >= 0:
+                                buckets[max(ks)][ks] = None
+    return [tuple(b) for b in buckets]
+
+
+def _additive_tables(index: dict, m: int, dims, adds, op,
+                      first: Optional[int] = None):
+    """Every m x m x dims table whose cells map through index onto free
+    values in range(len(op)), additive in each slot; as nested tuples, in
+    search order."""
+    count = max(index.values()) + 1
+    buckets = _additivity_buckets(count, m, index, dims, adds)
+
+    def ok(vals, k: int) -> bool:
+        for lhs, r1, r2 in buckets[k]:
+            if vals[lhs] != op[vals[r1]][vals[r2]]:
+                return False
+        return True
+
+    keys = tuple(index.values())
+    shape = (m, m) + dims
+    for vals in _backtrack(count, range(len(op)), ok, first):
+        flat = [vals[i] for i in keys]
+        for d in reversed(shape):
+            flat = [tuple(flat[i:i + d]) for i in range(0, len(flat), d)]
+        yield flat[0]
 
 
 def _monoid_canonical(grid, n: int) -> bytes:
-    from .core import zero_fixing_permutations
-    best = None
-    for sigma in zero_fixing_permutations(n):
-        relab = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                relab[sigma[a]][sigma[b]] = sigma[grid[a][b]]
-        cand = _monoid_serial(relab, n)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(bytes(v for row in _relabel_tables(sigma, grid)[0] for v in row)
+               for sigma in zero_fixing_permutations(n))
 
 
 @lru_cache(maxsize=None)
@@ -67,17 +130,18 @@ def enumerate_additive_monoids(n: int) -> tuple:
     """Commutative monoid tables with identity at index 0, one per 0-fixing
     relabeling class, ordered by canonical serialization."""
     _check_caps(n, 1)
-    if n == 1:
-        return (((0,),),)
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
     table = [[None] * n for _ in range(n)]
     for a in range(n):
         table[0][a] = a
         table[a][0] = a
-    found = []
 
-    def assoc_ok() -> bool:
-        # checks only triples whose four lookups are already placed
+    def ok(vals, k: int) -> bool:
+        # place cell k and clear the later ones, left over from other
+        # branches; then check the triples whose four lookups are placed
+        for j in range(k, len(cells)):
+            a, b = cells[j]
+            table[a][b] = table[b][a] = vals[k] if j == k else None
         for x in range(n):
             for y in range(n):
                 s1 = table[x][y]
@@ -93,44 +157,27 @@ def enumerate_additive_monoids(n: int) -> tuple:
                         return False
         return True
 
-    def fill(k: int) -> None:
-        if k == len(cells):
-            found.append(tuple(tuple(row) for row in table))
-            return
-        a, b = cells[k]
-        for v in range(n):
-            table[a][b] = v
-            table[b][a] = v
-            if assoc_ok():
-                fill(k + 1)
-        table[a][b] = None
-        table[b][a] = None
-
-    fill(0)
     reps = {}
-    for grid in found:
+    for _ in _backtrack(len(cells), range(n), ok):
+        grid = tuple(tuple(row) for row in table)
         reps.setdefault(_monoid_canonical(grid, n), grid)
-    out = []
-    for canon in sorted(reps):
-        grid = tuple(tuple(canon[a * n + b] for b in range(n)) for a in range(n))
-        out.append(grid)
-    return tuple(out)
+    return tuple(tuple(tuple(canon[a * n:(a + 1) * n]) for a in range(n))
+                 for canon in sorted(reps))
 
 
 @lru_cache(maxsize=None)
 def _orbit_layout(n: int, m: int) -> tuple:
-    """Free ternary cells grouped into commutativity orbits.
-
-    Returns (orbits, orbit_of) where orbits is a tuple of cell tuples ordered
-    by their lexicographically least member and orbit_of maps cell -> index.
+    """Every ternary cell (al, be, a, b, c), in lexicographic order, mapped
+    to its commutativity orbit, or to -1 when zero absorption pins it. Orbits
+    are numbered by their lexicographically least member.
     """
-    cells = [(al, be, a, b, c)
-             for al in range(m) for be in range(m)
-             for a in range(1, n) for b in range(1, n) for c in range(1, n)]
-    orbit_of = {}
-    orbits = []
-    for cell in cells:
-        if cell in orbit_of:
+    index = {}
+    count = 0
+    for cell in iproduct(range(m), range(m), range(n), range(n), range(n)):
+        if cell in index:
+            continue
+        if 0 in cell[2:]:
+            index[cell] = -1
             continue
         seen = {cell}
         stack = [cell]
@@ -140,102 +187,21 @@ def _orbit_layout(n: int, m: int) -> tuple:
                 if img not in seen:
                     seen.add(img)
                     stack.append(img)
-        idx = len(orbits)
-        orbits.append(tuple(sorted(seen)))
         for member in seen:
-            orbit_of[member] = idx
-    return tuple(orbits), orbit_of
-
-
-def _cell_key(orbit_of, al, be, a, b, c) -> int:
-    # -1 marks a cell pinned to 0 by zero absorption
-    if a == 0 or b == 0 or c == 0:
-        return -1
-    return orbit_of[(al, be, a, b, c)]
-
-
-def _distributivity_instances(add, n: int, m: int, orbit_of):
-    """Constraint triples (lhs, r1, r2) bucketed by the last orbit involved.
-
-    Each key is an orbit index or -1 for a forced-zero cell; the constraint
-    reads val(lhs) == add[val(r1)][val(r2)].
-    """
-    orbit_count = len(set(orbit_of.values())) if orbit_of else 0
-    buckets = [[] for _ in range(orbit_count)]
-    for al in range(m):
-        for be in range(m):
-            for x in range(n):
-                for y in range(x, n):
-                    xy = add[x][y]
-                    for u in range(n):
-                        for v in range(n):
-                            for pos in range(3):
-                                if pos == 0:
-                                    lhs = _cell_key(orbit_of, al, be, xy, u, v)
-                                    r1 = _cell_key(orbit_of, al, be, x, u, v)
-                                    r2 = _cell_key(orbit_of, al, be, y, u, v)
-                                elif pos == 1:
-                                    lhs = _cell_key(orbit_of, al, be, u, xy, v)
-                                    r1 = _cell_key(orbit_of, al, be, u, x, v)
-                                    r2 = _cell_key(orbit_of, al, be, u, y, v)
-                                else:
-                                    lhs = _cell_key(orbit_of, al, be, u, v, xy)
-                                    r1 = _cell_key(orbit_of, al, be, u, v, x)
-                                    r2 = _cell_key(orbit_of, al, be, u, v, y)
-                                last = max(lhs, r1, r2)
-                                if last >= 0:
-                                    buckets[last].append((lhs, r1, r2))
-    return buckets
+            index[member] = count
+        count += 1
+    return dict(sorted(index.items()))
 
 
 def _structures_for_monoid(add, n: int, m: int,
                            first_value: Optional[int] = None) -> Iterator[GammaStructure]:
-    orbits, orbit_of = _orbit_layout(n, m)
-    if not orbits:
-        if first_value in (None, 0):
-            zero_cube = tuple(tuple(tuple(0 for _ in range(n))
-                                    for _ in range(n)) for _ in range(n))
-            tern = tuple(tuple(zero_cube for _ in range(m)) for _ in range(m))
-            s = GammaStructure(order=n, gamma_size=m, addition=add, ternary=tern)
-            if verify_axioms(s).passed:
-                yield s
-        return
-    buckets = _distributivity_instances(add, n, m, orbit_of)
-    vals = [0] * len(orbits)
-
-    def value(key: int) -> int:
-        return 0 if key < 0 else vals[key]
-
-    def build() -> Optional[GammaStructure]:
-        tern = [[[[ [0] * n for _ in range(n)] for _ in range(n)]
-                 for _ in range(m)] for _ in range(m)]
-        for idx, orbit in enumerate(orbits):
-            for al, be, a, b, c in orbit:
-                tern[al][be][a][b][c] = vals[idx]
-        s = GammaStructure(order=n, gamma_size=m, addition=add,
-                           ternary=tuple(
-                               tuple(
-                                   tuple(tuple(tuple(r) for r in plane)
-                                         for plane in tern[al][be])
-                                   for be in range(m))
-                               for al in range(m)))
-        return s if verify_axioms(s).passed else None
-
-    def fill(k: int) -> Iterator[GammaStructure]:
-        if k == len(orbits):
-            s = build()
-            if s is not None:
-                yield s
-            return
-        choices = range(n) if not (k == 0 and first_value is not None) \
-            else (first_value,)
-        for v in choices:
-            vals[k] = v
-            if all(value(lhs) == add[value(r1)][value(r2)]
-                   for lhs, r1, r2 in buckets[k]):
-                yield from fill(k + 1)
-
-    yield from fill(0)
+    names = _default_names(n)
+    for tern in _additive_tables(_orbit_layout(n, m), m, (n, n, n), (add,) * 3,
+                                 add, first_value):
+        s = _prevalidated(GammaStructure, order=n, gamma_size=m, addition=add,
+                          ternary=tern, names=names)
+        if verify_axioms(s).passed:
+            yield s
 
 
 def enumerate_structures(n: int, m: int = 1,
@@ -247,7 +213,7 @@ def enumerate_structures(n: int, m: int = 1,
     """
     _check_caps(n, m)
     if addition is not None:
-        adds = (tuple(tuple(row) for row in addition),)
+        adds = (_as_grid(addition, n, "addition"),)
     else:
         adds = enumerate_additive_monoids(n)
     for add in adds:
@@ -354,10 +320,11 @@ def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
         raise InputError(f"jobs must be positive, got {jobs}")
     monoids = enumerate_additive_monoids(n)
     tasks = [(n, m, mi, v) for mi in range(len(monoids)) for v in range(n)]
-    if jobs == 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         chunks = [_enumeration_worker(t) for t in tasks]
     else:
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             chunks = pool.map(_enumeration_worker, tasks)
     raw = [blob for chunk in chunks for blob in chunk]
     canon = {canonical_form(structure_from_bytes(blob)) for blob in raw}

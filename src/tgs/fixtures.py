@@ -17,7 +17,7 @@ from __future__ import annotations
 from .core import GammaStructure
 
 
-def mod_mul_structure(n: int, gamma_size: int = 1, name: str | None = None) -> GammaStructure:
+def mod_mul_structure(n: int, gamma_size: int = 1) -> GammaStructure:
     """Addition mod n with ternary product a*b*c mod n (every parameter pair alike)."""
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     cube = [[[(a * b * c) % n for c in range(n)] for b in range(n)] for a in range(n)]

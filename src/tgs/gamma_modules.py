@@ -7,6 +7,10 @@ mixes five factors into an untyped scalar product, so two modes exist:
 "surrogate" checks the well-typed exchange law
 a (b m c) d = b (a m d) c (parameters following their scalars), while
 "printed" refuses to guess and reports an unevaluated verdict with a note.
+
+Actions are enumerated by the table-completion engine of enumeration, with
+additivity in all three slots replayed as cells land, so every generated
+action is additive by construction.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from itertools import product as iproduct
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, _as_grid, _as_layers, _positive_int,
+                   Violation, _as_grid, _as_layers, _positive_int, _prevalidated,
                    full_mask, mask_elements, max_order, structure_from_dict,
                    structure_to_dict, subset_sort_key)
-from .enumeration import enumerate_additive_monoids
+from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
 
 ASSOC_LAWS = ("surrogate", "printed")
@@ -313,84 +317,24 @@ def annihilator(a_: ModuleAction) -> AnnihilatorResult:
 # ---------------------------------------------------------------------------
 # enumeration of actions
 
-def _action_cells(n: int, m: int, k: int) -> list:
-    return [(al, be, a, mm, b)
-            for al in range(m) for be in range(m)
-            for a in range(1, n) for mm in range(k) for b in range(1, n)]
-
-
 def _actions_for_carrier(s: GammaStructure, k: int, madd) -> Iterator[ModuleAction]:
-    """Backtracking over free action cells with additivity replayed as soon
-    as its last cell lands; scalar-zero cells are pinned to 0 up front."""
+    """The action cells a m b with nonzero scalars a, b are the free cells of
+    the table search; the scalar-zero ones are pinned to 0."""
     n, m = s.order, s.gamma_size
-    cells = _action_cells(n, m, k)
-    cell_id = {cell: i for i, cell in enumerate(cells)}
-
-    def key(al, be, a, mm, b) -> int:
-        if a == 0 or b == 0:
-            return -1
-        return cell_id[(al, be, a, mm, b)]
-
-    buckets = [[] for _ in cells]
-    for al in range(m):
-        for be in range(m):
-            for x in range(n):
-                for y in range(x, n):
-                    xy = s.addition[x][y]
-                    for mm in range(k):
-                        for b in range(n):
-                            ks = (key(al, be, xy, mm, b),
-                                  key(al, be, x, mm, b),
-                                  key(al, be, y, mm, b))
-                            if max(ks) >= 0:
-                                buckets[max(ks)].append(ks)
-                            ks = (key(al, be, b, mm, xy),
-                                  key(al, be, b, mm, x),
-                                  key(al, be, b, mm, y))
-                            if max(ks) >= 0:
-                                buckets[max(ks)].append(ks)
-            for a in range(n):
-                for m1 in range(k):
-                    for m2 in range(m1, k):
-                        ms = madd[m1][m2]
-                        for b in range(n):
-                            ks = (key(al, be, a, ms, b),
-                                  key(al, be, a, m1, b),
-                                  key(al, be, a, m2, b))
-                            if max(ks) >= 0:
-                                buckets[max(ks)].append(ks)
-    vals = [0] * len(cells)
-
-    def value(kk: int) -> int:
-        return 0 if kk < 0 else vals[kk]
-
-    def build() -> ModuleAction:
-        act = [[[[[0] * n for _ in range(k)] for _ in range(n)]
-                for _ in range(m)] for _ in range(m)]
-        for i, (al, be, a, mm, b) in enumerate(cells):
-            act[al][be][a][mm][b] = vals[i]
-        return ModuleAction(scalar=s, carrier_order=k, carrier_addition=madd,
-                            action=act)
-
-    def fill(i: int) -> Iterator[ModuleAction]:
-        if i == len(cells):
-            yield build()
-            return
-        for v in range(k):
-            vals[i] = v
-            if all(value(l) == madd[value(r1)][value(r2)]
-                   for l, r1, r2 in buckets[i]):
-                yield from fill(i + 1)
-
-    if not cells:
-        yield build()
-        return
-    yield from fill(0)
+    cells = list(iproduct(range(m), range(m), range(n), range(k), range(n)))
+    index = dict.fromkeys(cells, -1)
+    free = [c for c in cells if c[2] and c[4]]
+    index.update((c, i) for i, c in enumerate(free))
+    for act in _additive_tables(index, m, (n, k, n),
+                                (s.addition, madd, s.addition), madd):
+        yield _prevalidated(ModuleAction, scalar=s, carrier_order=k,
+                            carrier_addition=madd, action=act)
 
 
 def enumerate_module_actions(s: GammaStructure, carrier_order: int,
                              carrier_addition=None) -> Iterator[ModuleAction]:
     """All additivity-satisfying actions on carriers of the given order."""
+    _positive_int(carrier_order, "carrier order")
     if carrier_addition is not None:
         carriers = (_as_grid(carrier_addition, carrier_order, "carrier addition"),)
     else:

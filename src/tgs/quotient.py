@@ -96,11 +96,16 @@ def enumerate_congruences(s: GammaStructure) -> tuple[Partition, ...]:
 
 def bourne_congruence(s: GammaStructure, mask: int) -> Partition:
     """Smallest congruence-like relation identifying a and b when some
-    a+i = b+j with i, j in the given ideal; closed transitively (union-find)."""
+    a+i = b+j with i, j in the given ideal; closed transitively (union-find).
+    Computed once per structure and mask."""
     if not mask & 1:
         raise InputError("bourne congruence needs an ideal containing 0")
     if mask >> s.order:
         raise InputError(f"subset {bin(mask)} has bits beyond order {s.order}")
+    return memo(s, ("bourne", mask), lambda: _bourne_classes(s, mask))
+
+
+def _bourne_classes(s: GammaStructure, mask: int) -> Partition:
     n = s.order
     members = mask_elements(mask)
     parent = list(range(n))

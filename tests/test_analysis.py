@@ -5,6 +5,8 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 
+import tgs.analysis
+import tgs.quotient
 from tgs.analysis import (analyze, evaluate_all_claims, evaluate_claim,
                           render_text, run_asserted_suite,
                           run_reported_suite)
@@ -174,3 +176,28 @@ def test_structure_is_freed_after_analyze():
     del s
     gc.collect()
     assert ref() is None
+
+
+def test_bourne_and_crt_computed_once_per_structure(monkeypatch):
+    bourne, crt = Counter(), Counter()
+    inner_bourne = tgs.quotient._bourne_classes
+    inner_crt = tgs.analysis.crt_check
+
+    def count_bourne(s, mask):
+        bourne[mask] += 1
+        return inner_bourne(s, mask)
+
+    def count_crt(s, ideals):
+        crt[tuple(ideals)] += 1
+        return inner_crt(s, ideals)
+
+    monkeypatch.setattr(tgs.quotient, "_bourne_classes", count_bourne)
+    monkeypatch.setattr(tgs.analysis, "crt_check", count_crt)
+    # fresh objects: the fixtures may already carry their memo
+    for name, crt_runs in (("M6", 1), ("N3", 0), ("L3", 0)):
+        bourne.clear()
+        crt.clear()
+        analyze(replace(DERIVED[name]))
+        assert bourne and set(bourne.values()) == {1}
+        # M6 has two maximal ideals, one pair
+        assert len(crt) == crt_runs and set(crt.values()) <= {1}

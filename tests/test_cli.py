@@ -105,6 +105,10 @@ def test_verify_axioms_suite_skips_theorems(tmp_path, capsys):
     path = _write(tmp_path, "n3", DERIVED["N3"])
     assert main(["verify", path, "--suite", "axioms"]) == 0
     assert "maximal-implies-prime" not in capsys.readouterr().out
+    # "all" is the only suite beyond the axioms
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--suite", "theorems"])
+    assert exc.value.code == 1
 
 
 def test_verify_directory_severity(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
-from tgs.core import (ResourceLimitError, InputError, apply_permutation,
-                      canonical_form, zero_fixing_permutations)
+import tgs.enumeration
+from tgs.core import (GammaStructure, ResourceLimitError, InputError,
+                      _serialize_tables, apply_permutation, canonical_form,
+                      zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
                              render_classification_text, _structure_summary)
@@ -12,14 +15,32 @@ from oracles import (canonical_set, naive_monoid_tables, naive_structures,
                      naive_structures_fully)
 
 # counts frozen from the naive oracles before the pruned paths were trusted
-MONOID_COUNTS = {1: 1, 2: 2, 3: 5, 4: 19}
+MONOID_COUNTS = {1: 1, 2: 2, 3: 5, 4: 19, 5: 78}
 CANDIDATE_COUNTS = {(1, 1): 1, (2, 1): 4, (3, 1): 19, (4, 1): 206, (2, 2): 16}
+# sha256 of the ordered stream of serialized tables: the search must emit the
+# same structures in the same order, not just as many
+CANDIDATE_DIGESTS = {
+    (1, 1): "a0454a24dd4bc418448ca19320519ea3fe544fa1a910868b62ca210614f119f8",
+    (2, 1): "7876514b5e63305eddcfadd1f345c0067c10568543ff1d107028847f1028c079",
+    (3, 1): "32b17d258f4bf5a66bd115eea443f2951ec353759fba601f1757309ff4c74a11",
+    (4, 1): "0592f19dc4dacb16811fc3dfc6390b2610b41137526ea3cc1ff037f93487c36d",
+    (2, 2): "e532ee85991296e76c8082a1d7e61e34f082e49714edc945e6e680456638f16e",
+}
+MONOID_DIGEST = "7cfd1a5e7b019c50b7d7772c25dfdc62d6245e213c3283ff8f8fc8b579e939a0"
 CANONICAL_COUNTS = {(1, 1): 1, (2, 1): 4, (3, 1): 19, (4, 1): 175, (2, 2): 16}
 
 
 @pytest.mark.parametrize("n", sorted(MONOID_COUNTS))
 def test_monoid_counts(n):
     assert len(enumerate_additive_monoids(n)) == MONOID_COUNTS[n]
+
+
+def test_monoid_stream_digest():
+    h = hashlib.sha256()
+    for n in sorted(MONOID_COUNTS):
+        for grid in enumerate_additive_monoids(n):
+            h.update(bytes(v for row in grid for v in row))
+    assert h.hexdigest() == MONOID_DIGEST
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -49,7 +70,13 @@ def test_monoid_oracle_equality(n):
 @pytest.mark.parametrize("shape", sorted(CANDIDATE_COUNTS))
 def test_candidate_counts(shape):
     n, m = shape
-    assert sum(1 for _ in enumerate_structures(n, m)) == CANDIDATE_COUNTS[shape]
+    h = hashlib.sha256()
+    count = 0
+    for s in enumerate_structures(n, m):
+        h.update(_serialize_tables(n, m, s.addition, s.ternary))
+        count += 1
+    assert count == CANDIDATE_COUNTS[shape]
+    assert h.hexdigest() == CANDIDATE_DIGESTS[shape]
 
 
 @pytest.mark.parametrize("shape", sorted(CANONICAL_COUNTS))
@@ -88,6 +115,49 @@ def test_classify_deterministic_across_jobs():
     jb = json.dumps(b.to_dict(), sort_keys=True)
     assert ja == jb
     assert render_classification_text(a) == render_classification_text(b)
+
+
+def test_classify_pool_bounded_by_tasks_and_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # runs the tasks in this process; never starts a worker
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(tgs.enumeration, "Pool", RecordingPool)
+    monkeypatch.setattr(tgs.enumeration.os, "cpu_count", lambda: 8)
+    # (2, 1) has 2 monoids x 2 first values = 4 tasks
+    expected = json.dumps(classify(2, 1).to_dict(), sort_keys=True)
+    assert sizes == []
+    assert json.dumps(classify(2, 1, jobs=1000).to_dict(),
+                      sort_keys=True) == expected
+    assert sizes == [4]
+    classify(4, 1, jobs=1000)
+    assert sizes == [4, 8]
+    classify(3, 1, jobs=3)
+    assert sizes == [4, 8, 3]
+    monkeypatch.setattr(tgs.enumeration.os, "cpu_count", lambda: None)
+    classify(3, 1, jobs=4)
+    assert sizes == [4, 8, 3]  # one worker runs in-process
+
+
+def test_search_output_equals_validated_construction():
+    for s in enumerate_structures(3, 1):
+        checked = GammaStructure(order=s.order, gamma_size=s.gamma_size,
+                                 addition=[list(r) for r in s.addition],
+                                 ternary=s.ternary)
+        assert s == checked and hash(s) == hash(checked)
+        assert s.names == checked.names == ("0", "1", "2")
 
 
 def test_classify_repeat_runs_identical():

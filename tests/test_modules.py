@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,51 @@ def test_action_enumeration_all_carriers():
         len(naive_module_actions(s, 2, madd))
         for madd in enumerate_additive_monoids(2))
     assert len(seen) == per_carrier
+
+
+def _flat(x):
+    if isinstance(x, int):
+        yield x
+    else:
+        for y in x:
+            yield from _flat(y)
+
+
+def test_action_stream_digest(corpus_reps):
+    # the ordered output of the action search, frozen: carriers k = 2, 3 over
+    # the (<=3, 1) representatives and k = 2 over the (2, 2) ones
+    loads = [(s, k) for shape in ((1, 1), (2, 1), (3, 1))
+             for s in corpus_reps[shape] for k in (2, 3)]
+    loads += [(s, 2) for s in corpus_reps[(2, 2)]]
+    h = hashlib.sha256()
+    count = 0
+    for s, k in loads:
+        for a in enumerate_module_actions(s, k):
+            h.update(bytes(_flat(a.carrier_addition)) + bytes(_flat(a.action)))
+            count += 1
+    assert count == 8849
+    assert h.hexdigest() == (
+        "beed0653eeb06f7f46675f28c3ebb55cbaa9f76949b8cc481d270e456fb4b570")
+
+
+def test_action_search_equals_validated_construction():
+    s = DERIVED["M3"]
+    madd = enumerate_additive_monoids(3)[2]
+    actions = list(enumerate_module_actions(s, 3, [list(r) for r in madd]))
+    assert actions
+    for a in actions:
+        checked = ModuleAction(scalar=s, carrier_order=3,
+                               carrier_addition=[list(r) for r in madd],
+                               action=a.action)
+        assert a == checked and hash(a) == hash(checked)
+
+
+def test_action_search_validates_its_arguments():
+    s = DERIVED["B2"]
+    with pytest.raises(InputError, match="carrier order"):
+        list(enumerate_module_actions(s, 0, []))
+    with pytest.raises(InputError, match="carrier addition"):
+        list(enumerate_module_actions(s, 2, [[0, 1], [1, 2]]))
 
 
 def test_annihilator_regular_m3():
