@@ -249,27 +249,8 @@ class GammaStructure:
             names = tuple(str(x) for x in _as_list(self.names, n, "names"))
         object.__setattr__(self, "names", names)
 
-    # fast unchecked lookups for inner loops
-    def add(self, a: int, b: int) -> int:
-        return self.addition[a][b]
-
-    def tern(self, a: int, al: int, b: int, be: int, c: int) -> int:
-        return self.ternary[al][be][a][b][c]
-
-    @property
-    def elements(self) -> range:
-        return range(self.order)
-
-    @property
-    def params(self) -> range:
-        return range(self.gamma_size)
-
-    @property
-    def carrier_mask(self) -> int:
-        return full_mask(self.order)
-
     def is_additive_group(self) -> bool:
-        return all(any(self.addition[a][b] == 0 for b in self.elements) for a in self.elements)
+        return all(0 in row for row in self.addition)
 
     def element_label(self, i: int) -> str:
         return self.names[i]
@@ -516,6 +497,26 @@ def structure_to_dict(s: GammaStructure) -> dict:
     }
 
 
+def _param_grid(obj, m: int, what: str) -> list:
+    """The values of an object keyed "alpha,beta", as an m x m grid.
+
+    The key count is compared with m*m before any key is built, so a huge m
+    costs nothing; a message names at most three keys of each kind.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be an object keyed by 'alpha,beta'")
+    if len(obj) != m * m:
+        raise InputError(f"{what} must have {m * m} 'alpha,beta' keys "
+                         f"for gamma {m}, got {len(obj)}")
+    keys = [f"{al},{be}" for al in range(m) for be in range(m)]
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        extra = sorted(set(obj).difference(keys), key=str)
+        raise InputError(f"{what}: {len(missing)} missing keys, first {missing[:3]}; "
+                         f"unexpected keys, first {extra[:3]}")
+    return [[obj[f"{al},{be}"] for be in range(m)] for al in range(m)]
+
+
 def structure_from_dict(d: dict) -> GammaStructure:
     if not isinstance(d, dict):
         raise InputError(f"structure document must be an object, got {type(d).__name__}")
@@ -524,21 +525,7 @@ def structure_from_dict(d: dict) -> GammaStructure:
             raise InputError(f"structure document missing key {key!r}")
     n = _positive_int(d["order"], "order")
     m = _positive_int(d["gamma"], "gamma")
-    tern_obj = d["ternary"]
-    if not isinstance(tern_obj, dict):
-        raise InputError("ternary must be an object keyed by 'alpha,beta'")
-    expected = {f"{al},{be}" for al in range(m) for be in range(m)}
-    got = set(tern_obj)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing keys {missing}")
-        if extra:
-            parts.append(f"unexpected keys {extra}")
-        raise InputError("ternary: " + "; ".join(parts))
-    tern = [[tern_obj[f"{al},{be}"] for be in range(m)] for al in range(m)]
+    tern = _param_grid(d["ternary"], m, "ternary")
     names = d.get("names")
     return GammaStructure(order=n, gamma_size=m, addition=d["addition"],
                           ternary=tern, names=() if names is None else names)

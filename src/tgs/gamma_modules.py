@@ -21,9 +21,9 @@ from itertools import product as iproduct
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, _as_grid, _as_layers, _positive_int, _prevalidated,
-                   full_mask, mask_elements, max_order, structure_from_dict,
-                   structure_to_dict, subset_sort_key)
+                   Violation, _as_grid, _as_layers, _param_grid, _positive_int,
+                   _prevalidated, full_mask, mask_elements, max_order,
+                   structure_from_dict, structure_to_dict, subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
 
@@ -443,14 +443,8 @@ def module_from_dict(d: dict) -> ModuleAction:
         s = load_structure(scalar)
     else:
         s = structure_from_dict(scalar)
-    m = s.gamma_size
-    expected = {f"{al},{be}" for al in range(m) for be in range(m)}
-    if set(action_raw) != expected:
-        raise InputError(
-            f"action keys {sorted(action_raw)} do not match parameter grid")
-    action = [[action_raw[f"{al},{be}"] for be in range(m)] for al in range(m)]
     return ModuleAction(scalar=s, carrier_order=k, carrier_addition=madd,
-                        action=action)
+                        action=_param_grid(action_raw, s.gamma_size, "action"))
 
 
 def dumps_module(a_: ModuleAction) -> str:

@@ -4,6 +4,14 @@ A congruence is stored as a block-index-per-element tuple in restricted
 growth form: block ids appear in order of each block's smallest member, so
 the class of 0 is always block 0 and the form doubles as the projection map
 onto the quotient's element indices.
+
+One test decides whether a partition is a congruence, for is_congruence,
+enumerate_congruences and quotient_structure alike: every addition and
+ternary entry must lie in the class of the same entry taken at the block
+representatives, the least member of each block (an equivalence is a
+congruence iff each operation respects it; Burris and Sankappanavar, A
+Course in Universal Algebra, 1981). The quotient's tables are then read at
+those representatives.
 """
 
 from __future__ import annotations
@@ -33,48 +41,55 @@ def partition_blocks(p: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
-def is_congruence(s: GammaStructure, p) -> Verdict:
-    """Compatibility with addition and with every ternary argument position.
+def _representative_clash(s: GammaStructure, p: Partition):
+    """First entry whose class differs from the same entry taken at the block
+    representatives (each block's least member), or None.
 
-    Witnesses: ("add", a, a2, b, b2) for related pairs whose sums separate;
-    ("tern", a, a2, b, b2, c, c2, al, be) for related triples whose products
-    separate. Scan order is lexicographic within each family, addition first.
+    An equivalence is a congruence iff each operation respects it, and that
+    holds iff every entry agrees with its representative entry: then related
+    arguments reach the same representative entry. One pass, addition first,
+    each family in lexicographic argument order, parameters last.
     """
     n, m = s.order, s.gamma_size
-    if len(p) != n:
-        raise InputError(f"partition must label {n} elements, got {len(p)}")
-    p = normalize_partition(p)
+    rep = [p.index(v) for v in p]
     add = s.addition
     for a in range(n):
-        for a2 in range(n):
-            if p[a] != p[a2]:
-                continue
-            for b in range(n):
-                for b2 in range(n):
-                    if p[b] != p[b2]:
-                        continue
-                    if p[add[a][b]] != p[add[a2][b2]]:
-                        return Verdict(False, ("add", a, a2, b, b2))
+        for b in range(n):
+            ra, rb = rep[a], rep[b]
+            if p[add[a][b]] != p[add[ra][rb]]:
+                return ("add", ra, a, rb, b)
+    cubes = [(al, be, s.ternary[al][be]) for al in range(m) for be in range(m)]
     for a in range(n):
-        for a2 in range(n):
-            if p[a] != p[a2]:
-                continue
-            for b in range(n):
-                for b2 in range(n):
-                    if p[b] != p[b2]:
-                        continue
-                    for c in range(n):
-                        for c2 in range(n):
-                            if p[c] != p[c2]:
-                                continue
-                            for al in range(m):
-                                for be in range(m):
-                                    if p[s.ternary[al][be][a][b][c]] != \
-                                       p[s.ternary[al][be][a2][b2][c2]]:
-                                        return Verdict(
-                                            False,
-                                            ("tern", a, a2, b, b2, c, c2, al, be))
-    return Verdict(True)
+        for b in range(n):
+            for c in range(n):
+                ra, rb, rc = rep[a], rep[b], rep[c]
+                if (ra, rb, rc) == (a, b, c):
+                    continue
+                for al, be, cube in cubes:
+                    if p[cube[a][b][c]] != p[cube[ra][rb][rc]]:
+                        return ("tern", ra, a, rb, b, rc, c, al, be)
+    return None
+
+
+def _checked_partition(s: GammaStructure, p) -> Partition:
+    if len(p) != s.order:
+        raise InputError(f"partition must label {s.order} elements, got {len(p)}")
+    return normalize_partition(p)
+
+
+def is_congruence(s: GammaStructure, p) -> Verdict:
+    """Compatibility with addition and with every ternary argument position,
+    decided by the representative test of _representative_clash.
+
+    Witnesses name a representative and a member of the same block per
+    argument: ("add", ra, a, rb, b) when a+b and ra+rb lie in different
+    classes; ("tern", ra, a, rb, b, rc, c, al, be) likewise for the ternary
+    product at parameters (al, be). The first clash in scan order is named:
+    addition before ternary, arguments in lexicographic order, parameters
+    last.
+    """
+    clash = _representative_clash(s, _checked_partition(s, p))
+    return Verdict(True) if clash is None else Verdict(False, clash)
 
 
 def _iter_rgs(n: int):
@@ -91,7 +106,7 @@ def _iter_rgs(n: int):
 def enumerate_congruences(s: GammaStructure) -> tuple[Partition, ...]:
     """All congruences, in lexicographic restricted-growth order; once per structure."""
     return memo(s, "congruences", lambda: tuple(
-        p for p in _iter_rgs(s.order) if is_congruence(s, p).ok))
+        p for p in _iter_rgs(s.order) if _representative_clash(s, p) is None))
 
 
 def bourne_congruence(s: GammaStructure, mask: int) -> Partition:
@@ -132,9 +147,7 @@ def _bourne_classes(s: GammaStructure, mask: int) -> Partition:
 
 def congruence_to_ideal(s: GammaStructure, p) -> int:
     """Bitmask of the class of 0. Whether it is an ideal is the caller's check."""
-    p = normalize_partition(p)
-    if len(p) != s.order:
-        raise InputError(f"partition must label {s.order} elements, got {len(p)}")
+    p = _checked_partition(s, p)
     return sum(1 << i for i, v in enumerate(p) if v == 0)
 
 
@@ -151,50 +164,21 @@ def roundtrip_failures(s: GammaStructure) -> list:
 
 def quotient_structure(s: GammaStructure, p) -> GammaStructure:
     """Structure on the blocks: zero class is element 0, the rest ordered by
-    smallest member. Every operation is recomputed from all representatives;
-    representative dependence raises ConsistencyError."""
-    n, m = s.order, s.gamma_size
-    if len(p) != n:
-        raise InputError(f"partition must label {n} elements, got {len(p)}")
-    p = normalize_partition(p)
-    k = max(p) + 1
+    smallest member. Raises ConsistencyError when p is not a congruence (the
+    representative test of _representative_clash); otherwise every operation
+    is read at the block representatives."""
+    p = _checked_partition(s, p)
+    clash = _representative_clash(s, p)
+    if clash is not None:
+        raise ConsistencyError(f"partition {list(p)} is not a congruence: {clash}")
     blocks = partition_blocks(p)
-    q_add = [[None] * k for _ in range(k)]
-    for a in range(n):
-        for b in range(n):
-            v = p[s.addition[a][b]]
-            cell = q_add[p[a]][p[b]]
-            if cell is None:
-                q_add[p[a]][p[b]] = v
-            elif cell != v:
-                raise ConsistencyError(
-                    f"addition is representative-dependent at classes "
-                    f"({p[a]},{p[b]}): {cell} vs {v}")
-    q_tern = [[[[[None] * k for _ in range(k)] for _ in range(k)]
-               for _ in range(m)] for _ in range(m)]
-    for al in range(m):
-        for be in range(m):
-            cube = s.ternary[al][be]
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        v = p[cube[a][b][c]]
-                        cell = q_tern[al][be][p[a]][p[b]][p[c]]
-                        if cell is None:
-                            q_tern[al][be][p[a]][p[b]][p[c]] = v
-                        elif cell != v:
-                            raise ConsistencyError(
-                                f"ternary product is representative-dependent at "
-                                f"classes ({p[a]},{p[b]},{p[c]}) params ({al},{be}): "
-                                f"{cell} vs {v}")
+    reps = [block[0] for block in blocks]
+    q_add = [[p[s.addition[a][b]] for b in reps] for a in reps]
+    q_tern = [[[[[p[cube[a][b][c]] for c in reps] for b in reps] for a in reps]
+               for cube in layer] for layer in s.ternary]
     names = tuple("{" + ",".join(s.names[i] for i in block) + "}" for block in blocks)
-    return GammaStructure(order=k, gamma_size=m, addition=q_add,
-                          ternary=q_tern, names=names)
-
-
-def kernel_partition(element_map) -> Partition:
-    """Partition of the source by fibers of a map (tuple image-per-element)."""
-    return normalize_partition(tuple(element_map))
+    return GammaStructure(order=len(blocks), gamma_size=s.gamma_size,
+                          addition=q_add, ternary=q_tern, names=names)
 
 
 def has_nonzero_zero_divisors(s: GammaStructure) -> Verdict:

@@ -150,13 +150,13 @@ def test_render_text_anchors():
     assert "[FAIL] maximal-implies-prime" in text
 
 
-# sha256 over the analyze() JSON of every representative at (1..3, 1) and
+# sha256 over the analyze() JSON of every representative at (1..4, 1) and
 # (2, 2), then of every DERIVED fixture; any change to a report's bytes shows
-ANALYZE_DIGEST = "36c0e468253520c3e961733e7eccffe3e196dc5a4d4f132d9936a218dfc7203b"
+ANALYZE_DIGEST = "3bedd42a00f8540b080dbce69fb6e3e94f7814afb6b60efaa94d19e7b375c77e"
 
 
 def test_analyze_reports_are_frozen(corpus_reps):
-    structures = [s for shape in ((1, 1), (2, 1), (3, 1), (2, 2))
+    structures = [s for shape in ((1, 1), (2, 1), (3, 1), (4, 1), (2, 2))
                   for s in corpus_reps[shape]]
     structures += [DERIVED[name] for name in sorted(DERIVED)]
     digest = hashlib.sha256()

@@ -122,13 +122,16 @@ def test_verify_directory_severity(tmp_path, capsys):
 
 def test_malformed_structure_exits_1_without_traceback(tmp_path, capsys):
     doc = json.loads(dumps_structure(DERIVED["B2"]))
-    for key, value in (("addition", 3), ("names", 5), ("order", True)):
-        path = tmp_path / f"bad_{key}.json"
+    # a huge gamma is refused by its key count before any key is built
+    for i, (key, value) in enumerate((("addition", 3), ("names", 5), ("order", True),
+                                      ("gamma", 300), ("gamma", 10 ** 9))):
+        path = tmp_path / f"bad_{i}.json"
         path.write_text(json.dumps(dict(doc, **{key: value})))
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert len(err) < len(str(path)) + 200
 
 
 def test_verify_empty_directory(tmp_path, capsys):

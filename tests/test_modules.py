@@ -253,3 +253,7 @@ def test_module_roundtrip():
     assert dumps_module(back) == text
     with pytest.raises(InputError):
         module_from_dict({"carrier_order": 1})
+    doc = json.loads(text)
+    for action in (5, None, [[0]], {"0,1": doc["action"]["0,0"]}):
+        with pytest.raises(InputError, match="action"):
+            module_from_dict(dict(doc, action=action))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tgs.core import ConsistencyError, canonical_form, verify_axioms
@@ -5,11 +7,11 @@ from tgs.fixtures import DERIVED, mod_mul_structure
 from tgs.ideals import enumerate_ideals, is_ideal
 from tgs.quotient import (bourne_congruence, congruence_to_ideal,
                           enumerate_congruences, has_nonzero_zero_divisors,
-                          is_congruence, kernel_partition, normalize_partition,
+                          is_congruence, normalize_partition,
                           partition_blocks, quotient_structure)
 from tgs.spectrum import find_homomorphisms
 
-from oracles import naive_congruences
+from oracles import naive_congruences, naive_partitions
 
 CONGRUENCE_COUNTS = {"B2": 2, "M3": 2, "M4": 3, "M6": 4, "L3": 4, "N3": 3}
 
@@ -28,19 +30,86 @@ def test_n3_congruences_exact():
 
 
 def test_congruences_match_oracle_on_corpus(corpus_reps):
-    for shape in ((3, 1), (2, 2)):
+    for shape in ((3, 1), (4, 1), (2, 2)):
         for s in corpus_reps[shape]:
             assert sorted(enumerate_congruences(s)) == naive_congruences(s)
-    for s in list(corpus_reps[(4, 1)])[:20]:
-        assert sorted(enumerate_congruences(s)) == naive_congruences(s)
+
+
+SHAPES = ((1, 1), (2, 1), (3, 1), (4, 1), (2, 2))
+
+# sha256 of the ordered (partition, verdict) stream over every partition of
+# every representative at SHAPES, partitions in lexicographic order
+VERDICT_DIGEST = "19e8071061f156e7facce17096f569eca687a6aa4a8efe2b3e208df974dfa97d"
+
+
+def _all_partitions(corpus_reps):
+    for shape in SHAPES:
+        for s in corpus_reps[shape]:
+            for p in naive_partitions(s.order):
+                yield s, p
+
+
+def test_congruence_verdicts_frozen(corpus_reps):
+    digest = hashlib.sha256()
+    for s, p in _all_partitions(corpus_reps):
+        digest.update(repr((p, is_congruence(s, p).ok)).encode())
+    assert digest.hexdigest() == VERDICT_DIGEST
 
 
 def test_is_congruence_witnesses():
     s = DERIVED["L3"]
     v = is_congruence(s, (0, 1, 0))  # merging 0 and 2 breaks addition by 1
     assert not v.ok
-    kind = v.witness[0]
-    assert kind in ("add", "tern")
+    # 1+2 = 2 sits in class 0, the representative sum 1+0 = 1 in class 1
+    assert v.witness == ("add", 1, 1, 0, 2)
+
+
+def _replays(s, p, witness):
+    """Representatives are block minima, each paired element shares its
+    representative's class, and the two results lie in different classes."""
+    kind, *args = witness
+    if kind == "add":
+        pairs, (x, y) = args, (s.addition, s.addition)
+    else:
+        pairs, (al, be) = args[:6], args[6:]
+        x = y = s.ternary[al][be]
+    reps, elems = pairs[0::2], pairs[1::2]
+    for r, e in zip(reps, elems):
+        if r != p.index(p[r]) or p[r] != p[e]:
+            return False
+    for i in reps:
+        x = x[i]
+    for i in elems:
+        y = y[i]
+    return p[x] != p[y]
+
+
+def test_witnesses_replay_and_quotient_agrees(corpus_reps):
+    failures = 0
+    for s, p in _all_partitions(corpus_reps):
+        v = is_congruence(s, p)
+        if v.ok:
+            assert quotient_structure(s, p).order == max(p) + 1
+            continue
+        failures += 1
+        assert _replays(s, p, v.witness), (p, v.witness)
+        with pytest.raises(ConsistencyError):
+            quotient_structure(s, p)
+    assert failures
+
+
+# sha256 of the ordered (partition, witness) stream over the non-congruences
+# among the partitions of test_congruence_verdicts_frozen
+WITNESS_DIGEST = "50eb70145499f89558e29f11cb093b8e0fc87ff2d0bb49773d55bd3539c52ea8"
+
+
+def test_witness_stream_frozen(corpus_reps):
+    digest = hashlib.sha256()
+    for s, p in _all_partitions(corpus_reps):
+        v = is_congruence(s, p)
+        if not v.ok:
+            digest.update(repr((p, v.witness)).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 def test_bourne_congruence_frozen():
@@ -102,7 +171,7 @@ def test_quotient_rejects_non_congruence():
 def test_partition_helpers():
     assert normalize_partition((1, 0, 1)) == (0, 1, 0)
     assert partition_blocks((0, 1, 0, 1)) == ((0, 2), (1, 3))
-    assert kernel_partition((0, 2, 0)) == (0, 1, 0)
+    assert normalize_partition((0, 2, 0)) == (0, 1, 0)
 
 
 def test_roundtrip_collisions_frozen():
@@ -128,7 +197,7 @@ def test_first_isomorphism_over_corpus_homs(corpus_reps):
     for src in reps:
         for dst in reps:
             for f in find_homomorphisms(src, dst, surjective_only=True):
-                q = quotient_structure(src, kernel_partition(f.element_map))
+                q = quotient_structure(src, normalize_partition(f.element_map))
                 assert canonical_form(q) == canonical_form(dst)
                 checked += 1
     assert checked > len(reps)  # identity maps alone guarantee this many
