@@ -84,6 +84,12 @@ def subset_sort_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+def _check_bits(s, mask: int, what: str) -> None:
+    """Refuse a subset of s that names elements beyond its order."""
+    if mask >> s.order:
+        raise InputError(f"{what} {bin(mask)} has bits beyond order {s.order}")
+
+
 # ---------------------------------------------------------------------------
 # verdicts and witnesses
 
@@ -212,9 +218,11 @@ def _as_layers(layers, m: int, n: int, k: int, what: str) -> tuple:
 
 def _prevalidated(cls, **fields):
     """An instance of the frozen dataclass cls with its fields set as given,
-    skipping __post_init__. Only for tables a search built already in the
-    validated form: nested tuples of in-range ints, names filled in. Equal to
-    what the validating constructor returns for the same tables."""
+    skipping __post_init__. Only for tables already in the validated form:
+    nested tuples of in-range ints, names filled in, as a search builds them
+    or as they derive from validated tables (a quotient reads its parent's
+    entries through a partition into range). Equal to what the validating
+    constructor returns for the same tables."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -484,17 +492,20 @@ def structures_isomorphic(s1: GammaStructure, s2: GammaStructure) -> bool:
 # JSON interchange
 
 def structure_to_dict(s: GammaStructure) -> dict:
-    tern = {}
-    for al in range(s.gamma_size):
-        for be in range(s.gamma_size):
-            tern[f"{al},{be}"] = [[list(row) for row in plane] for plane in s.ternary[al][be]]
     return {
         "order": s.order,
         "gamma": s.gamma_size,
         "names": list(s.names),
         "addition": [list(row) for row in s.addition],
-        "ternary": tern,
+        "ternary": _param_dict(s.ternary),
     }
+
+
+def _param_dict(layers) -> dict:
+    """The cubes of m x m parameter layers keyed "alpha,beta", each as nested
+    lists; the inverse of _param_grid."""
+    return {f"{al},{be}": [[list(row) for row in plane] for plane in cube]
+            for al, layer in enumerate(layers) for be, cube in enumerate(layer)}
 
 
 def _param_grid(obj, m: int, what: str) -> list:
@@ -541,6 +552,8 @@ def parse_structure(text: str) -> GammaStructure:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError("JSON nested too deeply") from exc
     return structure_from_dict(doc)
 
 
@@ -550,6 +563,8 @@ def load_structure(path) -> GammaStructure:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
         return parse_structure(text)
     except InputError as exc:

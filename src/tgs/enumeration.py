@@ -23,8 +23,8 @@ from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
                    ResourceLimitError, _as_grid, _default_names, _prevalidated,
-                   _relabel_tables, _serialize_tables, canonical_form,
-                   mask_size, max_order, structure_from_bytes, verify_axioms,
+                   _relabel_tables, canonical_form, mask_size, max_order,
+                   structure_from_bytes, verify_axioms,
                    zero_fixing_permutations)
 from .ideals import classify_ideal, enumerate_ideals, full_mask
 from .quotient import enumerate_congruences, roundtrip_failures
@@ -223,7 +223,7 @@ def enumerate_structures(n: int, m: int = 1,
 def _enumeration_worker(task) -> list:
     n, m, monoid_idx, first = task
     add = enumerate_additive_monoids(n)[monoid_idx]
-    return [_serialize_tables(n, m, s.addition, s.ternary)
+    return [canonical_form(s)
             for s in _structures_for_monoid(add, n, m, first_value=first)]
 
 
@@ -313,7 +313,8 @@ def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
     """Enumerate, deduplicate by canonical form, and summarize invariants.
 
     The report content does not depend on the worker count: workers return
-    raw serializations and a single aggregation pass sorts and deduplicates.
+    the canonical form of each structure they find, and a single aggregation
+    pass deduplicates and sorts them.
     """
     _check_caps(n, m)
     if jobs < 1:
@@ -326,15 +327,14 @@ def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
     else:
         with Pool(workers) as pool:
             chunks = pool.map(_enumeration_worker, tasks)
-    raw = [blob for chunk in chunks for blob in chunk]
-    canon = {canonical_form(structure_from_bytes(blob)) for blob in raw}
-    representatives = tuple(structure_from_bytes(cb) for cb in sorted(canon))
+    forms = [cb for chunk in chunks for cb in chunk]
+    representatives = tuple(structure_from_bytes(cb) for cb in sorted(set(forms)))
     summaries = tuple(_structure_summary(s) for s in representatives)
     return ClassificationReport(
         order=n,
         gamma_size=m,
         monoid_count=len(monoids),
-        candidate_count=len(raw),
+        candidate_count=len(forms),
         structure_count=len(representatives),
         representatives=representatives,
         summaries=summaries,

@@ -17,20 +17,18 @@ from __future__ import annotations
 from .core import GammaStructure
 
 
-def mod_mul_structure(n: int, gamma_size: int = 1) -> GammaStructure:
-    """Addition mod n with ternary product a*b*c mod n (every parameter pair alike)."""
+def mod_mul_structure(n: int) -> GammaStructure:
+    """Addition mod n with ternary product a*b*c mod n."""
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     cube = [[[(a * b * c) % n for c in range(n)] for b in range(n)] for a in range(n)]
-    tern = [[cube for _ in range(gamma_size)] for _ in range(gamma_size)]
-    return GammaStructure(order=n, gamma_size=gamma_size, addition=add, ternary=tern)
+    return GammaStructure(order=n, gamma_size=1, addition=add, ternary=[[cube]])
 
 
-def mod_add_structure(n: int, gamma_size: int = 1) -> GammaStructure:
+def mod_add_structure(n: int) -> GammaStructure:
     """Addition mod n with ternary product a+b+c mod n. Violates zero absorption."""
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     cube = [[[(a + b + c) % n for c in range(n)] for b in range(n)] for a in range(n)]
-    tern = [[cube for _ in range(gamma_size)] for _ in range(gamma_size)]
-    return GammaStructure(order=n, gamma_size=gamma_size, addition=add, ternary=tern)
+    return GammaStructure(order=n, gamma_size=1, addition=add, ternary=[[cube]])
 
 
 def bool_or_and() -> GammaStructure:

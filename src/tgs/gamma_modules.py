@@ -3,10 +3,10 @@
 An action table assigns a carrier element to a m b for scalars a, b and
 carrier m. Verification covers the carrier monoid, additivity in all three
 slots, and scalar-slot zero absorption. The associativity axiom as printed
-mixes five factors into an untyped scalar product, so two modes exist:
-"surrogate" checks the well-typed exchange law
-a (b m c) d = b (a m d) c (parameters following their scalars), while
-"printed" refuses to guess and reports an unevaluated verdict with a note.
+multiplies four scalars and the carrier in one expression, which has no
+parse under a ternary product, so the law checked is its well-typed
+surrogate, the exchange law a (b m c) d = b (a m d) c (parameters following
+their scalars).
 
 Actions are enumerated by the table-completion engine of enumeration, with
 additivity in all three slots replayed as cells land, so every generated
@@ -21,16 +21,12 @@ from itertools import product as iproduct
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, _as_grid, _as_layers, _param_grid, _positive_int,
-                   _prevalidated, full_mask, mask_elements, max_order,
-                   structure_from_dict, structure_to_dict, subset_sort_key)
+                   Violation, _as_grid, _as_layers, _param_dict, _param_grid,
+                   _positive_int, _prevalidated, full_mask, mask_elements,
+                   max_order, structure_from_dict, structure_to_dict,
+                   subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
-
-ASSOC_LAWS = ("surrogate", "printed")
-PRINTED_ASSOC_NOTE = (
-    "associativity as printed multiplies four scalars and the carrier in one "
-    "expression, which has no parse under a ternary product; not evaluated")
 
 _SUBMODULE_SCAN_CAP = 16
 
@@ -100,23 +96,11 @@ class ModuleAxiomReport:
     carrier_monoid: Optional[Violation]
     additivity: Optional[Violation]
     absorbing_zero: Optional[Violation]
-    assoc_law: str
     associativity: Optional[Violation]
-    assoc_evaluated: bool
-    assoc_note: Optional[str]
 
     @property
-    def passed(self) -> Optional[bool]:
-        """True/False when decidable; None when the associativity mode could
-        not be evaluated and nothing else failed."""
-        hard = [self.carrier_monoid, self.additivity, self.absorbing_zero]
-        if self.assoc_evaluated:
-            hard.append(self.associativity)
-        if any(v is not None for v in hard):
-            return False
-        if not self.assoc_evaluated:
-            return None
-        return True
+    def passed(self) -> bool:
+        return not self.failures()
 
     def failures(self) -> tuple:
         return tuple(v for v in (self.carrier_monoid, self.additivity,
@@ -126,8 +110,7 @@ class ModuleAxiomReport:
     def to_dict(self) -> dict:
         out = {}
         for name in ("carrier_monoid", "additivity", "absorbing_zero",
-                     "assoc_law", "associativity", "assoc_evaluated",
-                     "assoc_note", "passed"):
+                     "associativity", "passed"):
             v = getattr(self, name)
             out[name] = v.to_dict() if isinstance(v, Violation) else v
         return out
@@ -219,27 +202,13 @@ def _check_module_assoc_surrogate(a_: ModuleAction) -> Optional[Violation]:
     return None
 
 
-def verify_module_axioms(a_: ModuleAction,
-                         assoc_law: str = "surrogate") -> ModuleAxiomReport:
+def verify_module_axioms(a_: ModuleAction) -> ModuleAxiomReport:
     """Exhaustive check; first witness per family, scan order as written."""
-    if assoc_law not in ASSOC_LAWS:
-        raise InputError(f"assoc_law must be one of {ASSOC_LAWS}, got {assoc_law!r}")
-    carrier = _check_carrier_monoid(a_.carrier_addition, a_.carrier_order)
-    additivity = _check_module_additivity(a_)
-    zero = _check_module_zero(a_)
-    if assoc_law == "surrogate":
-        assoc = _check_module_assoc_surrogate(a_)
-        evaluated, note = True, None
-    else:
-        assoc, evaluated, note = None, False, PRINTED_ASSOC_NOTE
     return ModuleAxiomReport(
-        carrier_monoid=carrier,
-        additivity=additivity,
-        absorbing_zero=zero,
-        assoc_law=assoc_law,
-        associativity=assoc,
-        assoc_evaluated=evaluated,
-        assoc_note=note,
+        carrier_monoid=_check_carrier_monoid(a_.carrier_addition, a_.carrier_order),
+        additivity=_check_module_additivity(a_),
+        absorbing_zero=_check_module_zero(a_),
+        associativity=_check_module_assoc_surrogate(a_),
     )
 
 
@@ -343,15 +312,14 @@ def enumerate_module_actions(s: GammaStructure, carrier_order: int,
         yield from _actions_for_carrier(s, carrier_order, madd)
 
 
-def find_primitive_ideals(s: GammaStructure, carrier_cap: Optional[int] = None,
-                          limit: Optional[int] = None) -> tuple:
+def find_primitive_ideals(s: GammaStructure,
+                          carrier_cap: Optional[int] = None) -> tuple:
     """Proper annihilators of simple module actions, deduplicated.
 
-    carrier_cap defaults to the scalar order; limit bounds how far the cap
-    may be pushed and defaults to the global order cap.
+    Carriers of order 2 up to carrier_cap are searched. carrier_cap defaults
+    to the scalar order and may not exceed the global order cap, max_order().
     """
-    if limit is None:
-        limit = max_order()
+    limit = max_order()
     if carrier_cap is None:
         carrier_cap = min(s.order, limit)
     if carrier_cap > limit:
@@ -416,17 +384,11 @@ def is_submodule(a_: ModuleAction, mask: int) -> bool:
 # serialization
 
 def module_to_dict(a_: ModuleAction) -> dict:
-    s = a_.scalar
-    action = {}
-    for al in range(s.gamma_size):
-        for be in range(s.gamma_size):
-            action[f"{al},{be}"] = [
-                [list(row) for row in plane] for plane in a_.action[al][be]]
     return {
-        "scalar": structure_to_dict(s),
+        "scalar": structure_to_dict(a_.scalar),
         "carrier_order": a_.carrier_order,
         "carrier_addition": [list(row) for row in a_.carrier_addition],
-        "action": action,
+        "action": _param_dict(a_.action),
     }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (GammaStructure, InputError, Verdict, full_mask,
+from .core import (GammaStructure, InputError, Verdict, _check_bits, full_mask,
                    mask_elements, memo, subset_sort_key)
 
 
@@ -24,8 +24,7 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
     """
     if mask == 0:
         raise InputError("subset is empty")
-    if mask >> s.order:
-        raise InputError(f"subset {bin(mask)} has bits beyond order {s.order}")
+    _check_bits(s, mask, "subset")
     if not mask & 1:
         return Verdict(False, ("missing-zero",))
     members = mask_elements(mask)
@@ -49,8 +48,7 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
 
 def generated_ideal(s: GammaStructure, seed: int = 0) -> int:
     """Least ideal containing the seed subset: close over 0, sums, absorption."""
-    if seed >> s.order:
-        raise InputError(f"seed {bin(seed)} has bits beyond order {s.order}")
+    _check_bits(s, seed, "seed")
     n, m = s.order, s.gamma_size
     cur = seed | 1
     while True:
@@ -84,8 +82,7 @@ def enumerate_ideals(s: GammaStructure) -> tuple[int, ...]:
 def _require_proper(s: GammaStructure, mask: int, what: str) -> None:
     if mask == full_mask(s.order):
         raise InputError(f"{what} is only defined for proper subsets")
-    if mask >> s.order:
-        raise InputError(f"subset {bin(mask)} has bits beyond order {s.order}")
+    _check_bits(s, mask, "subset")
 
 
 def is_prime(s: GammaStructure, mask: int) -> Verdict:

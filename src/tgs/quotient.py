@@ -17,7 +17,7 @@ those representatives.
 from __future__ import annotations
 
 from .core import (ConsistencyError, GammaStructure, InputError, Verdict,
-                   mask_elements, memo)
+                   _check_bits, _prevalidated, mask_elements, memo)
 
 Partition = tuple
 
@@ -115,8 +115,7 @@ def bourne_congruence(s: GammaStructure, mask: int) -> Partition:
     Computed once per structure and mask."""
     if not mask & 1:
         raise InputError("bourne congruence needs an ideal containing 0")
-    if mask >> s.order:
-        raise InputError(f"subset {bin(mask)} has bits beyond order {s.order}")
+    _check_bits(s, mask, "subset")
     return memo(s, ("bourne", mask), lambda: _bourne_classes(s, mask))
 
 
@@ -166,19 +165,25 @@ def quotient_structure(s: GammaStructure, p) -> GammaStructure:
     """Structure on the blocks: zero class is element 0, the rest ordered by
     smallest member. Raises ConsistencyError when p is not a congruence (the
     representative test of _representative_clash); otherwise every operation
-    is read at the block representatives."""
+    is read at the block representatives. Built once per structure and
+    partition; a non-congruence is refused each time and never stored."""
     p = _checked_partition(s, p)
+    return memo(s, ("quotient", p), lambda: _quotient(s, p))
+
+
+def _quotient(s: GammaStructure, p: Partition) -> GammaStructure:
     clash = _representative_clash(s, p)
     if clash is not None:
         raise ConsistencyError(f"partition {list(p)} is not a congruence: {clash}")
     blocks = partition_blocks(p)
     reps = [block[0] for block in blocks]
-    q_add = [[p[s.addition[a][b]] for b in reps] for a in reps]
-    q_tern = [[[[[p[cube[a][b][c]] for c in reps] for b in reps] for a in reps]
-               for cube in layer] for layer in s.ternary]
+    q_add = tuple(tuple(p[s.addition[a][b]] for b in reps) for a in reps)
+    q_tern = tuple(tuple(tuple(tuple(tuple(p[cube[a][b][c]] for c in reps)
+                                     for b in reps) for a in reps)
+                         for cube in layer) for layer in s.ternary)
     names = tuple("{" + ",".join(s.names[i] for i in block) + "}" for block in blocks)
-    return GammaStructure(order=len(blocks), gamma_size=s.gamma_size,
-                          addition=q_add, ternary=q_tern, names=names)
+    return _prevalidated(GammaStructure, order=len(blocks), gamma_size=s.gamma_size,
+                         addition=q_add, ternary=q_tern, names=names)
 
 
 def has_nonzero_zero_divisors(s: GammaStructure) -> Verdict:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GammaStructure, InputError, full_mask, mask_elements, memo
+from .core import GammaStructure, _check_bits, full_mask, mask_elements, memo
 from .ideals import enumerate_ideals, is_ideal, is_maximal, spectrum_points
 
 
 def radical_by_primes(s: GammaStructure, mask: int) -> int:
     """Intersection of all prime ideals containing the subset; carrier if none."""
-    if mask >> s.order:
-        raise InputError(f"subset {bin(mask)} has bits beyond order {s.order}")
+    _check_bits(s, mask, "subset")
     out = full_mask(s.order)
     for p in spectrum_points(s):
         if p & mask == mask:
@@ -27,8 +26,7 @@ def radical_by_primes(s: GammaStructure, mask: int) -> int:
 def radical_by_elements(s: GammaStructure, mask: int) -> int:
     """Elements whose ternary cube, for some parameter pair, lands in the
     subset: exactly one self-cubing, as the characterization is printed."""
-    if mask >> s.order:
-        raise InputError(f"subset {bin(mask)} has bits beyond order {s.order}")
+    _check_bits(s, mask, "subset")
     m = s.gamma_size
     return sum(1 << a for a in range(s.order)
                if any(mask >> s.ternary[al][be][a][a][a] & 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .core import (GammaStructure, InputError, Verdict, full_mask,
+from .core import (GammaStructure, InputError, Verdict, _check_bits, full_mask,
                    mask_elements, memo, subset_sort_key)
 from .ideals import enumerate_ideals, generated_ideal, is_ideal, spectrum_points
 from .quotient import bourne_congruence, normalize_partition, quotient_structure
@@ -37,6 +37,11 @@ def _closure_of_point(family: list, point: int, every: frozenset) -> frozenset:
         if point in c:
             out = out & c
     return out
+
+
+def _first_pair(xs, ys, bad) -> Optional[tuple]:
+    """The first (x, y), x outer and y inner, for which bad(x, y) holds."""
+    return next(((x, y) for x in xs for y in ys if bad(x, y)), None)
 
 
 def verify_topology(s: GammaStructure) -> list[TopologyCheck]:
@@ -64,52 +69,29 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
         "top-closed-set-is-empty", vmap[top] == frozenset(),
         None if not vmap[top] else (sorted(vmap[top]),)))
 
-    bad = None
-    for i in ideals:
-        for j in ideals:
-            meet = i & j
-            if vmap[meet] != vmap[i] | vmap[j]:
-                bad = (i, j)
-                break
-        if bad:
-            break
-    checks.append(TopologyCheck("intersection-law", bad is None, bad))
+    def pair_check(name: str, xs, ys, bad) -> None:
+        pair = _first_pair(xs, ys, bad)
+        checks.append(TopologyCheck(name, pair is None, pair))
 
-    bad = None
-    for i in ideals:
-        for j in ideals:
-            join = generated_ideal(s, i | j)
-            if vmap[join] != vmap[i] & vmap[j]:
-                bad = (i, j)
-                break
-        if bad:
-            break
-    checks.append(TopologyCheck("sum-law", bad is None, bad))
+    pair_check("intersection-law", ideals, ideals,
+               lambda i, j: vmap[i & j] != vmap[i] | vmap[j])
+    pair_check("sum-law", ideals, ideals,
+               lambda i, j: vmap[generated_ideal(s, i | j)] != vmap[i] & vmap[j])
 
     fam_set = set(family)
-    bad = None
-    for c1 in family:
-        for c2 in family:
-            if c1 | c2 not in fam_set:
-                bad = (sorted(c1), sorted(c2), "union")
-                break
-            if c1 & c2 not in fam_set:
-                bad = (sorted(c1), sorted(c2), "intersection")
-                break
-        if bad:
-            break
+
+    def missing(c1, c2) -> Optional[str]:
+        if c1 | c2 not in fam_set:
+            return "union"
+        return "intersection" if c1 & c2 not in fam_set else None
+
+    pair = _first_pair(family, family, missing)
+    bad = None if pair is None else (sorted(pair[0]), sorted(pair[1]), missing(*pair))
     checks.append(TopologyCheck("family-closed-under-union-intersection",
                                 bad is None, bad))
 
-    bad = None
-    for i in ideals:
-        for j in ideals:
-            if i & j == i and not vmap[j] <= vmap[i]:
-                bad = (i, j)
-                break
-        if bad:
-            break
-    checks.append(TopologyCheck("order-reversal", bad is None, bad))
+    pair_check("order-reversal", ideals, ideals,
+               lambda i, j: i & j == i and not vmap[j] <= vmap[i])
 
     bad = None
     closures = {p: _closure_of_point(family, p, every) for p in points}
@@ -119,15 +101,8 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
             break
     checks.append(TopologyCheck("point-closure-is-containment-set", bad is None, bad))
 
-    bad = None
-    for p in points:
-        for q in points:
-            if p != q and closures[p] == closures[q]:
-                bad = (p, q)
-                break
-        if bad:
-            break
-    checks.append(TopologyCheck("t0-separation", bad is None, bad))
+    pair_check("t0-separation", points, points,
+               lambda p, q: p != q and closures[p] == closures[q])
 
     bad = None
     for i in ideals:
@@ -307,8 +282,7 @@ def find_homomorphisms(src: GammaStructure, dst: GammaStructure,
 
 def pullback_ideal(f: HomomorphismMap, mask: int) -> int:
     """Preimage of a target subset under the element map."""
-    if mask >> f.target.order:
-        raise InputError(f"subset {bin(mask)} has bits beyond order {f.target.order}")
+    _check_bits(f.target, mask, "subset")
     return sum(1 << a for a in range(f.source.order)
                if mask >> f.element_map[a] & 1)
 

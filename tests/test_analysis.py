@@ -201,3 +201,18 @@ def test_bourne_and_crt_computed_once_per_structure(monkeypatch):
         assert bourne and set(bourne.values()) == {1}
         # M6 has two maximal ideals, one pair
         assert len(crt) == crt_runs and set(crt.values()) <= {1}
+
+
+def test_quotients_built_once_per_partition(monkeypatch):
+    built = Counter()
+    inner = tgs.quotient._quotient
+
+    def count(s, p):
+        built[p] += 1
+        return inner(s, p)
+
+    monkeypatch.setattr(tgs.quotient, "_quotient", count)
+    for name in ("M6", "N3", "L3"):
+        built.clear()
+        analyze(replace(DERIVED[name]))
+        assert built and set(built.values()) == {1}

@@ -123,15 +123,22 @@ def test_verify_directory_severity(tmp_path, capsys):
 def test_malformed_structure_exits_1_without_traceback(tmp_path, capsys):
     doc = json.loads(dumps_structure(DERIVED["B2"]))
     # a huge gamma is refused by its key count before any key is built
-    for i, (key, value) in enumerate((("addition", 3), ("names", 5), ("order", True),
-                                      ("gamma", 300), ("gamma", 10 ** 9))):
-        path = tmp_path / f"bad_{i}.json"
-        path.write_text(json.dumps(dict(doc, **{key: value})))
-        assert main(["analyze", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-        assert len(err) < len(str(path)) + 200
+    texts = [json.dumps(dict(doc, **{key: value})).encode()
+             for key, value in (("addition", 3), ("names", 5), ("order", True),
+                                ("gamma", 300), ("gamma", 10 ** 9))]
+    # not UTF-8, and nested beyond the parser's recursion limit
+    texts += [b"\xff\xfe" + texts[0], b"[" * 200000]
+    for i, text in enumerate(texts):
+        folder = tmp_path / f"bad_{i}"
+        folder.mkdir()
+        path = folder / "structure.json"
+        path.write_bytes(text)
+        for argv in (["analyze", str(path)], ["verify", str(folder)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "Traceback" not in err
+            assert len(err) < len(str(path)) + 200
 
 
 def test_verify_empty_directory(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 import tgs.enumeration
 from tgs.core import (GammaStructure, ResourceLimitError, InputError,
-                      _serialize_tables, apply_permutation, canonical_form,
-                      zero_fixing_permutations)
+                      _relabel_tables, _serialize_tables, apply_permutation,
+                      canonical_form, zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
                              render_classification_text, _structure_summary)
@@ -149,6 +149,25 @@ def test_classify_pool_bounded_by_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(tgs.enumeration.os, "cpu_count", lambda: None)
     classify(3, 1, jobs=4)
     assert sizes == [4, 8, 3]  # one worker runs in-process
+
+
+def test_orbit_stabilizer_identity(corpus):
+    # per addition A, with G its 0-fixing automorphisms: the search finds each
+    # G-orbit of labeled tables whole, once, so the tables found for A number
+    # the sum of |G| / |Stab_G(T)| over the representatives T found for A
+    found = {}
+    for n, m, s in corpus:
+        found.setdefault((n, m, s.addition), []).append(s)
+    for (n, m, add), tables in found.items():
+        group = [sigma for sigma in zero_fixing_permutations(n)
+                 if _relabel_tables(sigma, add)[0] == add]
+        reps = {canonical_form(t): t for t in tables}
+        orbits = 0
+        for t in reps.values():
+            stab = sum(1 for sigma in group
+                       if _relabel_tables(sigma, add, t.ternary)[1] == t.ternary)
+            orbits += len(group) // stab
+        assert len(tables) == orbits, (n, m, add)
 
 
 def test_search_output_equals_validated_construction():

@@ -7,12 +7,11 @@ from oracles import naive_module_actions
 from tgs.core import InputError, ResourceLimitError
 from tgs.enumeration import enumerate_additive_monoids
 from tgs.fixtures import DERIVED
-from tgs.gamma_modules import (PRINTED_ASSOC_NOTE, ModuleAction, annihilator,
-                               dumps_module, enumerate_module_actions,
-                               enumerate_submodules, find_module_homomorphisms,
-                               find_primitive_ideals, image_mask,
-                               is_simple_module, is_submodule, kernel_mask,
-                               module_from_dict, regular_module,
+from tgs.gamma_modules import (ModuleAction, annihilator, dumps_module,
+                               enumerate_module_actions, enumerate_submodules,
+                               find_module_homomorphisms, find_primitive_ideals,
+                               image_mask, is_simple_module, is_submodule,
+                               kernel_mask, module_from_dict, regular_module,
                                verify_module_axioms, zero_module)
 
 SUBMODULES = {
@@ -33,15 +32,11 @@ def test_regular_module_passes_and_submodules_frozen(name):
     assert is_simple_module(r) == SIMPLE[name]
 
 
-def test_printed_assoc_law_is_not_evaluated():
-    rep = verify_module_axioms(regular_module(DERIVED["B2"]),
-                               assoc_law="printed")
-    assert rep.passed is None
-    assert not rep.assoc_evaluated
-    assert rep.assoc_note == PRINTED_ASSOC_NOTE
-    assert rep.to_dict()["passed"] is None
-    with pytest.raises(InputError):
-        verify_module_axioms(regular_module(DERIVED["B2"]), assoc_law="left")
+def test_module_report_is_a_plain_verdict():
+    rep = verify_module_axioms(regular_module(DERIVED["B2"]))
+    assert type(rep.passed) is bool
+    assert list(rep.to_dict()) == ["carrier_monoid", "additivity",
+                                   "absorbing_zero", "associativity", "passed"]
 
 
 def _mutable_regular(name):

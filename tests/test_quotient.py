@@ -1,8 +1,9 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from tgs.core import ConsistencyError, canonical_form, verify_axioms
+from tgs.core import ConsistencyError, GammaStructure, canonical_form, verify_axioms
 from tgs.fixtures import DERIVED, mod_mul_structure
 from tgs.ideals import enumerate_ideals, is_ideal
 from tgs.quotient import (bourne_congruence, congruence_to_ideal,
@@ -164,8 +165,24 @@ def test_quotients_pass_axioms(corpus):
 
 
 def test_quotient_rejects_non_congruence():
-    with pytest.raises(ConsistencyError):
-        quotient_structure(DERIVED["L3"], (0, 1, 0))
+    s = replace(DERIVED["L3"])
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            quotient_structure(s, (0, 1, 0))
+    assert ("quotient", (0, 1, 0)) not in s.__dict__.get("_memo", {})
+
+
+def test_memoized_quotient_equals_validated_construction(corpus_reps):
+    for reps in corpus_reps.values():
+        for s in reps:
+            for rho in enumerate_congruences(s):
+                q = quotient_structure(s, rho)
+                checked = GammaStructure(
+                    order=q.order, gamma_size=q.gamma_size,
+                    addition=[list(row) for row in q.addition],
+                    ternary=q.ternary, names=list(q.names))
+                assert q == checked and hash(q) == hash(checked)
+                assert quotient_structure(s, list(rho)) is q
 
 
 def test_partition_helpers():
