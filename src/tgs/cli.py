@@ -21,8 +21,8 @@ import sys
 
 from .analysis import (analyze, evaluate_all_claims, render_text,
                        run_asserted_suite, run_reported_suite)
-from .core import (InputError, ResourceLimitError, dumps_structure,
-                   load_structure, verify_axioms)
+from .core import (InputError, ResourceLimitError, _check_order,
+                   dumps_structure, load_structure, verify_axioms)
 from .enumeration import classify, render_classification_text
 from .fixtures import DERIVED
 from .ideals import lattice_dot
@@ -75,8 +75,18 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _load(path, exhaustive: bool = True):
+    """The structure in path. Exhaustive commands (analyze, export, the
+    theorem suites) refuse one above the order cap; the axiom check is
+    polynomial and takes any order."""
+    s = load_structure(path)
+    if exhaustive:
+        _check_order(s.order, f"{path}: order")
+    return s
+
+
 def cmd_analyze(args) -> int:
-    s = load_structure(args.file)
+    s = _load(args.file)
     report = analyze(s)
     if args.format == "json":
         _write_or_print(_dump_json(report), args.out)
@@ -142,22 +152,30 @@ def _verify_fixtures() -> int:
 
 def cmd_verify(args) -> int:
     target = args.target
+    exhaustive = args.suite == "all"
     if os.path.isdir(target):
         files = sorted(f for f in os.listdir(target)
                        if f.endswith(".json") and f != "report.json")
         if not files:
             raise InputError(f"no structure files in {target}")
         worst = EXIT_OK
-        # precedence: input error, then axiom failure, then assertion failure
-        rank = {EXIT_INPUT: 3, EXIT_AXIOMS: 2, EXIT_ASSERT: 1, EXIT_OK: 0}
+        # every file is verified; the exit code is the gravest outcome:
+        # input error, then resource cap, axiom failure, assertion failure
+        rank = {EXIT_INPUT: 4, EXIT_RESOURCE: 3, EXIT_AXIOMS: 2, EXIT_ASSERT: 1,
+                EXIT_OK: 0}
         for fname in files:
-            s = load_structure(os.path.join(target, fname))
-            code = _verify_structure(s, args.suite, fname)
+            try:
+                s = _load(os.path.join(target, fname), exhaustive)
+            except (InputError, ResourceLimitError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_RESOURCE
+            else:
+                code = _verify_structure(s, args.suite, fname)
             if rank[code] > rank[worst]:
                 worst = code
         return worst
     if os.path.exists(target):
-        s = load_structure(target)
+        s = _load(target, exhaustive)
         return _verify_structure(s, args.suite, target)
     if target == "fixtures":
         return _verify_fixtures()
@@ -165,7 +183,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    s = load_structure(args.file)
+    s = _load(args.file)
     dot = lattice_dot(s) if args.target == "ideals" else spectrum_dot(s)
     _write_or_print(dot, args.out)
     return EXIT_OK

@@ -7,8 +7,8 @@ Ternary tables follow, filled orbit by orbit: commutativity ties symmetric
 cells together, zero absorption pins every cell with a zero argument, and
 each distributivity instance is replayed as soon as its last free cell is
 placed. gamma_modules fills module actions with the same engine and the
-same additivity buckets. Ternary associativity spans five elements and
-prunes poorly, so completed tables go through the full axiom check instead.
+same additivity buckets. Ternary associativity is not a hook: every
+completed table goes through the full axiom check, verify_axioms.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
-                   ResourceLimitError, _as_grid, _default_names, _prevalidated,
-                   _relabel_tables, canonical_form, mask_size, max_order,
+                   ResourceLimitError, _as_grid, _check_order, _default_names,
+                   _prevalidated, _relabel_tables, canonical_form, mask_size,
                    structure_from_bytes, verify_axioms,
                    zero_fixing_permutations)
 from .ideals import classify_ideal, enumerate_ideals, full_mask
@@ -43,9 +43,7 @@ CLAIMED_TABLE = {
 def _check_caps(n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise InputError(f"order and gamma size must be positive, got {n}, {m}")
-    if n > max_order():
-        raise ResourceLimitError(
-            f"order {n} exceeds cap {max_order()} (set TGS_MAX_ORDER to raise)")
+    _check_order(n)
     if m > DEFAULT_MAX_GAMMA:
         raise ResourceLimitError(
             f"gamma size {m} exceeds cap {DEFAULT_MAX_GAMMA}")

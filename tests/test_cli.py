@@ -10,6 +10,13 @@ from tgs.ideals import lattice_dot
 from tgs.spectrum import spectrum_dot
 
 
+@pytest.fixture
+def order6(monkeypatch):
+    """M6 has order 6, one above the default cap of the exhaustive commands
+    (analyze, export, verify --suite all); raise the cap to take it."""
+    monkeypatch.setenv("TGS_MAX_ORDER", "6")
+
+
 def _write(tmp_path, name, s):
     path = tmp_path / f"{name}.json"
     path.write_text(dumps_structure(s))
@@ -41,7 +48,7 @@ def test_classify_report_identical_across_jobs(tmp_path, capsys):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
-def test_analyze_text(tmp_path, capsys):
+def test_analyze_text(tmp_path, capsys, order6):
     path = _write(tmp_path, "m6", DERIVED["M6"])
     assert main(["analyze", path]) == 0
     text = capsys.readouterr().out
@@ -51,7 +58,7 @@ def test_analyze_text(tmp_path, capsys):
     assert "[FAIL] idempotent-count-equals-component-count" in text
 
 
-def test_analyze_json(tmp_path, capsys):
+def test_analyze_json(tmp_path, capsys, order6):
     path = _write(tmp_path, "m6", DERIVED["M6"])
     dest = tmp_path / "report.json"
     assert main(["analyze", path, "--format", "json",
@@ -83,7 +90,7 @@ def test_analyze_invalid_json(tmp_path, capsys):
     assert "invalid JSON at line 1 column 2" in capsys.readouterr().err
 
 
-def test_verify_single_file_codes(tmp_path, capsys):
+def test_verify_single_file_codes(tmp_path, capsys, order6):
     ok = _write(tmp_path, "m6", DERIVED["M6"])
     assert main(["verify", ok]) == 0
 
@@ -111,13 +118,27 @@ def test_verify_axioms_suite_skips_theorems(tmp_path, capsys):
     assert exc.value.code == 1
 
 
-def test_verify_directory_severity(tmp_path, capsys):
+def test_verify_directory_severity(tmp_path, capsys, order6):
     _write(tmp_path, "a_m6", DERIVED["M6"])
     _write(tmp_path, "b_n3", DERIVED["N3"])
     assert main(["verify", str(tmp_path)]) == 4
     _write(tmp_path, "c_add3", CLAIMED["add3"])
     assert main(["verify", str(tmp_path)]) == 3
     capsys.readouterr()
+
+
+def test_verify_directory_goes_past_malformed_file(tmp_path, capsys, order6):
+    for i, s in enumerate(DERIVED.values()):
+        _write(tmp_path, f"s{i}", s)
+    text = dumps_structure(DERIVED["B2"])
+    (tmp_path / "s0a.json").write_text(text[:len(text) // 2])
+    # the input error outranks the assertion failure of N3
+    assert main(["verify", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    for i in range(len(DERIVED)):
+        assert f"s{i}.json: axioms pass" in out
+    assert err.startswith(f"error: {tmp_path / 's0a.json'}: invalid JSON")
+    assert err.count("error:") == 1
 
 
 def test_malformed_structure_exits_1_without_traceback(tmp_path, capsys):
@@ -165,7 +186,7 @@ def test_verify_fixtures_report(capsys):
     assert "not-evaluable" in text
 
 
-def test_export_targets(tmp_path, capsys):
+def test_export_targets(tmp_path, capsys, order6):
     m6 = _write(tmp_path, "m6", DERIVED["M6"])
     assert main(["export", m6, "--target", "ideals"]) == 0
     assert capsys.readouterr().out == lattice_dot(DERIVED["M6"])
@@ -179,7 +200,7 @@ def test_export_targets(tmp_path, capsys):
         'digraph spectrum {\n  rankdir=BT;\n  p0 [label="{0}"];\n}\n')
 
 
-def test_export_byte_stable(tmp_path, capsys):
+def test_export_byte_stable(tmp_path, capsys, order6):
     m6 = _write(tmp_path, "m6", DERIVED["M6"])
     outs = []
     for _ in range(2):
@@ -202,3 +223,20 @@ def test_resource_cap_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TGS_MAX_ORDER", "2")
     assert main(["classify", "--order", "3"]) == 2
     assert "TGS_MAX_ORDER" in capsys.readouterr().err
+
+    # the exhaustive commands refuse an order above the cap; the axiom
+    # check is polynomial and takes any order
+    monkeypatch.delenv("TGS_MAX_ORDER")
+    path = _write(tmp_path, "m6", DERIVED["M6"])
+    exhaustive = (["analyze", path], ["export", path, "--target", "spec"],
+                  ["verify", path], ["verify", str(tmp_path)])
+    for argv in exhaustive:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: order 6 exceeds cap 5"
+                       " (set TGS_MAX_ORDER to raise)\n")
+    assert main(["verify", path, "--suite", "axioms"]) == 0
+    monkeypatch.setenv("TGS_MAX_ORDER", "6")
+    for argv in exhaustive:
+        assert main(argv) == 0
+    capsys.readouterr()

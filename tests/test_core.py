@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -8,6 +10,8 @@ from tgs.core import (GammaStructure, InputError, apply_permutation,
                       structure_from_dict, structures_isomorphic,
                       subset_sort_key, ternary_product, verify_axioms,
                       zero_fixing_permutations)
+from tgs.enumeration import (_additive_tables, _orbit_layout,
+                             enumerate_additive_monoids)
 from tgs.fixtures import CLAIMED, DERIVED
 
 from oracles import naive_axiom_check
@@ -49,6 +53,44 @@ def test_violation_witness_replays():
     assert not naive_axiom_check(bad)
     for v in rep.failures():
         assert v.lhs != v.rhs
+
+
+def _mutants(passing, rng):
+    """Each table with one, two and three random cells overwritten."""
+    for s in passing:
+        n = s.order
+        for k in (1, 2, 3):
+            add = [list(row) for row in s.addition]
+            tern = [[[[list(row) for row in plane] for plane in cube] for cube in layer]
+                    for layer in s.ternary]
+            rows = add + [row for layer in tern for cube in layer
+                          for plane in cube for row in plane]
+            for _ in range(k):
+                rng.choice(rows)[rng.randrange(n)] = rng.randrange(n)
+            yield GammaStructure(order=n, gamma_size=s.gamma_size,
+                                 addition=add, ternary=tern)
+
+
+def test_frozen_witnesses():
+    # every table the ternary search completes at (<=4,1) and (2,2), then
+    # seeded mutations of the passing ones: together they fail each of the
+    # ten laws; the digest was taken while every law was still checked by a
+    # full element-wise scan in its documented order
+    tables = [GammaStructure(order=n, gamma_size=m, addition=add, ternary=tern)
+              for n, m in ((1, 1), (2, 1), (3, 1), (4, 1), (2, 2))
+              for add in enumerate_additive_monoids(n)
+              for tern in _additive_tables(_orbit_layout(n, m), m, (n,) * 3,
+                                           (add,) * 3, add)]
+    passing = [s for s in tables if verify_axioms(s).passed]
+    mutants = list(_mutants(passing, random.Random(7)))
+    reports = [verify_axioms(s).to_dict() for s in tables + mutants]
+    assert (len(tables), len(passing), len(mutants)) == (1467, 246, 738)
+    assert len({v["law"] for r in reports for v in r.values()
+                if isinstance(v, dict)}) == 10
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+        "91e23e742e001574638126e682efa996b895ff32a2be50e9b737c8c820726a80")
+    for s in mutants:
+        assert verify_axioms(s).passed == naive_axiom_check(s)
 
 
 def test_ternary_product_accessor():

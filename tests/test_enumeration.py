@@ -156,7 +156,8 @@ def test_orbit_stabilizer_identity(corpus):
     # G-orbit of labeled tables whole, once, so the tables found for A number
     # the sum of |G| / |Stab_G(T)| over the representatives T found for A
     found = {}
-    for n, m, s in corpus:
+    shape_3_2 = ((3, 2, s) for s in enumerate_structures(3, 2))
+    for n, m, s in (*corpus, *shape_3_2):
         found.setdefault((n, m, s.addition), []).append(s)
     for (n, m, add), tables in found.items():
         group = [sigma for sigma in zero_fixing_permutations(n)
