@@ -192,6 +192,11 @@ def memo(s, key, compute):
     return store[key]
 
 
+def memoized(s, key):
+    """The value memo(s, key, ...) stored, or None before its first call."""
+    return s.__dict__.get("_memo", {}).get(key)
+
+
 _INT = {int}  # exact type: bools and floats are not table entries
 
 
@@ -353,25 +358,32 @@ def _check_absorbing_zero(s: GammaStructure) -> Optional[Violation]:
     return None
 
 
+def _non_additive(maps, dom, cod) -> set:
+    """The maps f among maps (tuples indexed by the elements of dom) with
+    f(x + y) != f(x) + f(y) for some x, y, the sums taken in the addition
+    tables dom and cod. f is additive when f∘dom[x] == cod[f(x)]∘f as maps of
+    y, for every x."""
+    shifts = [itemgetter(*row) for row in dom]  # shifts[x](f) is f∘dom[x]
+
+    def additive(f) -> bool:
+        after = itemgetter(*f)  # after(g) is g∘f
+        return all(shift(f) == after(cod[fx]) for shift, fx in zip(shifts, f))
+
+    return {f for f in maps if not additive(f)}
+
+
 def _check_distributive(s: GammaStructure) -> Optional[Violation]:
     n, m = s.order, s.gamma_size
     add = s.addition
     t = s.ternary
     cubes = [cube for layer in t for cube in layer]
     # Position i holds when every map f: x -> t(..x..) with x in slot i is
-    # additive: f(x + y) == f(x) + f(y), i.e. f∘add[x] == add[f(x)]∘f as maps
-    # of y. Each distinct map is tested once; only a position holding a
+    # additive. Each distinct map is tested once; only a position holding a
     # failing map is scanned for its first witness.
     at = ({f for cube in cubes for b in range(n) for f in zip(*(plane[b] for plane in cube))},
           {f for cube in cubes for plane in cube for f in zip(*plane)},
           {row for cube in cubes for plane in cube for row in plane})
-    shifts = [itemgetter(*row) for row in add]  # shifts[x](f) is f∘add[x]
-
-    def additive(f) -> bool:
-        after = itemgetter(*f)  # after(g) is g∘f
-        return all(shift(f) == after(add[fx]) for shift, fx in zip(shifts, f))
-
-    failing = {f for f in set().union(*at) if not additive(f)}
+    failing = _non_additive(set().union(*at), add, add)
     for pos in range(3):
         if failing.isdisjoint(at[pos]):
             continue

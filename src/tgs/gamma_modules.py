@@ -8,6 +8,26 @@ parse under a ternary product, so the law checked is its well-typed
 surrogate, the exchange law a (b m c) d = b (a m d) c (parameters following
 their scalars).
 
+Witnesses are the first violating tuple in each law's scan order, as
+written in its check. Each law is first decided on whole maps or planes, and
+the element-wise scan runs only where the law fails, so the witness is the
+one the full scan would find:
+
+    carrier monoid      the identity row, the table against its transpose,
+                        and row a + b against (a + -)∘(b + -); scanned only
+                        if one differs
+    additivity          each distinct map through a slot is tested once
+                        (x -> x m b and x -> a m x from the scalars,
+                        m -> a m b on the carrier); the scan runs at the
+                        first (al, be) and slot holding a failing map
+    absorbing zero      the planes 0 m b and the maps m -> a m 0 are
+                        compared with zero; scanned only if one differs
+    exchange law        with P = a (-) d and Q = b (-) c as carrier maps the
+                        law reads P∘Q == Q∘P; each two distinct maps are
+                        tested once, and the walk over (al, be, ga, de, a, b,
+                        c, d) takes the first m of the first pair that does
+                        not commute
+
 Actions are enumerated by the table-completion engine of enumeration, with
 additivity in all three slots replayed as cells land, so every generated
 action is additive by construction.
@@ -18,13 +38,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, _as_grid, _as_layers, _param_dict, _param_grid,
-                   _positive_int, _prevalidated, full_mask, mask_elements,
-                   max_order, structure_from_dict, structure_to_dict,
-                   subset_sort_key)
+                   Violation, _as_grid, _as_layers, _check_order, _non_additive,
+                   _param_dict, _param_grid, _positive_int, _prevalidated,
+                   full_mask, mask_elements, max_order, structure_from_dict,
+                   structure_to_dict, subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
 
@@ -73,6 +94,12 @@ def zero_module(s: GammaStructure, carrier_order: int = 1,
 # axioms
 
 def _check_carrier_monoid(madd, k: int) -> Optional[Violation]:
+    # identity row, symmetry, and (a + b) + - == (a + -)∘(b + -) as maps,
+    # which holds already when a or b is the identity 0
+    if (madd[0] == tuple(range(k)) and madd == tuple(zip(*madd))
+            and all(madd[madd[a][b]] == tuple(map(madd[a].__getitem__, madd[b]))
+                    for a in range(1, k) for b in range(1, k))):
+        return None
     for a in range(k):
         if madd[0][a] != a:
             return Violation("carrier-identity", (a,), madd[0][a], a)
@@ -116,13 +143,31 @@ class ModuleAxiomReport:
         return out
 
 
-def _check_module_additivity(a_: ModuleAction) -> Optional[Violation]:
+def _scalar_slot_maps(cubes) -> tuple:
+    """The maps x -> cube[x][mm][b] through slot 0 and x -> cube[a][mm][x]
+    through slot 2 of the given action cubes, as two sets."""
+    return ({f for cube in cubes for rows in zip(*cube) for f in zip(*rows)},
+            {row for cube in cubes for plane in cube for row in plane})
+
+
+def _check_module_additivity(a_: ModuleAction, cubes, slot1,
+                             carrier_maps) -> Optional[Violation]:
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
     madd = a_.carrier_addition
-    for al in range(m):
-        for be in range(m):
-            cube = a_.action[al][be]
+    # Slot i of a cube holds when every map through slot i is additive: maps
+    # from the scalars through slots 0 and 2, carrier maps through slot 1.
+    # Each distinct map is tested once; only the first cube and slot holding
+    # a failing map is scanned for its first witness.
+    from_scalars = _non_additive(set.union(*_scalar_slot_maps(cubes)),
+                                 s.addition, madd)
+    on_carrier = _non_additive(carrier_maps, madd, madd)
+    if not (from_scalars or on_carrier):
+        return None
+    for i, cube in enumerate(cubes):
+        al, be = divmod(i, m)
+        at0, at2 = _scalar_slot_maps((cube,))
+        if not from_scalars.isdisjoint(at0):
             for x in range(n):
                 for y in range(n):
                     xy = s.addition[x][y]
@@ -133,6 +178,7 @@ def _check_module_additivity(a_: ModuleAction) -> Optional[Violation]:
                             if lhs != rhs:
                                 return Violation("module-additivity-0",
                                                  (x, y, mm, b, al, be), lhs, rhs)
+        if not on_carrier.isdisjoint(f for maps in slot1[i] for f in maps):
             for a in range(n):
                 for m1 in range(k):
                     for m2 in range(k):
@@ -143,6 +189,7 @@ def _check_module_additivity(a_: ModuleAction) -> Optional[Violation]:
                             if lhs != rhs:
                                 return Violation("module-additivity-1",
                                                  (a, m1, m2, b, al, be), lhs, rhs)
+        if not from_scalars.isdisjoint(at2):
             for a in range(n):
                 for mm in range(k):
                     for x in range(n):
@@ -156,11 +203,17 @@ def _check_module_additivity(a_: ModuleAction) -> Optional[Violation]:
     return None
 
 
-def _check_module_zero(a_: ModuleAction) -> Optional[Violation]:
+def _check_module_zero(a_: ModuleAction, cubes, slot1) -> Optional[Violation]:
     # zero pins the scalar slots only; the printed law says nothing about
     # a zero in the middle
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
+    # a zero first scalar selects the plane cube[0]; a zero second scalar the
+    # slot-1 maps slot1[i][a][0]
+    zero_plane, zero_map = ((0,) * n,) * k, (0,) * k
+    if (all(cube[0] == zero_plane for cube in cubes)
+            and all(maps[0] == zero_map for cube1 in slot1 for maps in cube1)):
+        return None
     for al in range(m):
         for be in range(m):
             cube = a_.action[al][be]
@@ -177,38 +230,52 @@ def _check_module_zero(a_: ModuleAction) -> Optional[Violation]:
     return None
 
 
-def _check_module_assoc_surrogate(a_: ModuleAction) -> Optional[Violation]:
-    s, k = a_.scalar, a_.carrier_order
-    n, m = s.order, s.gamma_size
-    act = a_.action
-    for al in range(m):
-        for be in range(m):
-            for ga in range(m):
-                for de in range(m):
-                    for a in range(n):
-                        for b in range(n):
-                            for c in range(n):
-                                for d in range(n):
-                                    for mm in range(k):
-                                        inner = act[ga][de][b][mm][c]
-                                        lhs = act[al][be][a][inner][d]
-                                        inner2 = act[al][be][a][mm][d]
-                                        rhs = act[ga][de][b][inner2][c]
-                                        if lhs != rhs:
-                                            return Violation(
-                                                "module-assoc-surrogate",
-                                                (a, b, c, d, mm, al, be, ga, de),
-                                                lhs, rhs)
+def _check_module_assoc_surrogate(a_: ModuleAction, slot1,
+                                  carrier_maps) -> Optional[Violation]:
+    m = a_.scalar.gamma_size
+    # With P = slot1[al,be][a][d] and Q = slot1[ga,de][b][c] the law reads
+    # P∘Q == Q∘P, so it holds when every two distinct slot-1 maps commute.
+    # Each pair is tested once; the scan walks (al, be, ga, de, a, b, c, d)
+    # to the first non-commuting pair and takes its first mm.
+    maps = [(f, itemgetter(*f)) for f in carrier_maps]  # (P, g with g(Q) = Q∘P)
+    clash = set()
+    for i, (f, after_f) in enumerate(maps):
+        for g, after_g in maps[:i]:
+            if after_g(f) != after_f(g):
+                clash.update(((f, g), (g, f)))
+    if not clash:
+        return None
+    for p, p_cube in enumerate(slot1):
+        for q, q_cube in enumerate(slot1):
+            for a, p_row in enumerate(p_cube):
+                for b, q_row in enumerate(q_cube):
+                    for c, right in enumerate(q_row):
+                        for d, left in enumerate(p_row):
+                            if (left, right) not in clash:
+                                continue
+                            mm, lhs, rhs = next(
+                                (mm, left[r], right[l])
+                                for mm, (l, r) in enumerate(zip(left, right))
+                                if left[r] != right[l])
+                            al, be = divmod(p, m)
+                            ga, de = divmod(q, m)
+                            return Violation("module-assoc-surrogate",
+                                             (a, b, c, d, mm, al, be, ga, de),
+                                             lhs, rhs)
     return None
 
 
 def verify_module_axioms(a_: ModuleAction) -> ModuleAxiomReport:
     """Exhaustive check; first witness per family, scan order as written."""
+    cubes = [cube for layer in a_.action for cube in layer]  # (al, be) at al*m + be
+    # slot1[i][a][b] is the map mm -> cubes[i][a][mm][b]
+    slot1 = [[tuple(zip(*plane)) for plane in cube] for cube in cubes]
+    carrier_maps = {f for cube1 in slot1 for maps in cube1 for f in maps}
     return ModuleAxiomReport(
         carrier_monoid=_check_carrier_monoid(a_.carrier_addition, a_.carrier_order),
-        additivity=_check_module_additivity(a_),
-        absorbing_zero=_check_module_zero(a_),
-        associativity=_check_module_assoc_surrogate(a_),
+        additivity=_check_module_additivity(a_, cubes, slot1, carrier_maps),
+        absorbing_zero=_check_module_zero(a_, cubes, slot1),
+        associativity=_check_module_assoc_surrogate(a_, slot1, carrier_maps),
     )
 
 
@@ -302,14 +369,18 @@ def _actions_for_carrier(s: GammaStructure, k: int, madd) -> Iterator[ModuleActi
 
 def enumerate_module_actions(s: GammaStructure, carrier_order: int,
                              carrier_addition=None) -> Iterator[ModuleAction]:
-    """All additivity-satisfying actions on carriers of the given order."""
+    """All additivity-satisfying actions on carriers of the given order.
+
+    The arguments and the order cap, max_order(), are checked at the call,
+    before any search starts."""
     _positive_int(carrier_order, "carrier order")
+    _check_order(carrier_order, "carrier order")
     if carrier_addition is not None:
         carriers = (_as_grid(carrier_addition, carrier_order, "carrier addition"),)
     else:
         carriers = enumerate_additive_monoids(carrier_order)
-    for madd in carriers:
-        yield from _actions_for_carrier(s, carrier_order, madd)
+    return (action for madd in carriers
+            for action in _actions_for_carrier(s, carrier_order, madd))
 
 
 def find_primitive_ideals(s: GammaStructure,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (GammaStructure, InputError, Verdict, _check_bits, full_mask,
-                   mask_elements, memo, subset_sort_key)
+                   mask_elements, memo, memoized, subset_sort_key)
 
 
 def is_ideal(s: GammaStructure, mask: int) -> Verdict:
@@ -44,6 +44,16 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
                         if not mask >> s.ternary[al][be][a][b][c] & 1:
                             return Verdict(False, ("absorption", a, b, c, al, be))
     return Verdict(True)
+
+
+def _ideal_verdict(s: GammaStructure, mask: int) -> Verdict:
+    """is_ideal(s, mask), answered for an ideal from the enumerate_ideals(s)
+    list once that is memoized; a non-ideal is scanned for its witness. The
+    list is not computed here, so a caller that is otherwise polynomial
+    stays so."""
+    if mask in (memoized(s, "ideals") or ()):
+        return Verdict(True)
+    return is_ideal(s, mask)
 
 
 def generated_ideal(s: GammaStructure, seed: int = 0) -> int:

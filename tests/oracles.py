@@ -331,3 +331,37 @@ def _naive_action_ok(s, k, madd, act) -> bool:
                             if act[al][be][a][m12][b] != madd[act[al][be][a][m1][b]][act[al][be][a][m2][b]]:
                                 return False
     return True
+
+
+def naive_module_check(a_) -> bool:
+    """Every module law of an action, by plain loops: carrier monoid,
+    additivity in all three slots, scalar-slot zero absorption and the
+    exchange law a (b m c) d = b (a m d) c."""
+    s, k = a_.scalar, a_.carrier_order
+    n, m = s.order, s.gamma_size
+    madd, act = a_.carrier_addition, a_.action
+    for x in range(k):
+        if madd[0][x] != x:
+            return False
+        for y in range(k):
+            if madd[x][y] != madd[y][x]:
+                return False
+            for z in range(k):
+                if madd[madd[x][y]][z] != madd[x][madd[y][z]]:
+                    return False
+    if not _naive_action_ok(s, k, madd, act):
+        return False
+    for al in range(m):
+        for be in range(m):
+            for ga in range(m):
+                for de in range(m):
+                    for a in range(n):
+                        for b in range(n):
+                            for c in range(n):
+                                for d in range(n):
+                                    for mm in range(k):
+                                        lhs = act[al][be][a][act[ga][de][b][mm][c]][d]
+                                        rhs = act[ga][de][b][act[al][be][a][mm][d]][c]
+                                        if lhs != rhs:
+                                            return False
+    return True

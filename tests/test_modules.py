@@ -1,9 +1,10 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from oracles import naive_module_actions
+from oracles import naive_module_actions, naive_module_check
 from tgs.core import InputError, ResourceLimitError
 from tgs.enumeration import enumerate_additive_monoids
 from tgs.fixtures import DERIVED
@@ -147,21 +148,71 @@ def _flat(x):
             yield from _flat(y)
 
 
-def test_action_stream_digest(corpus_reps):
-    # the ordered output of the action search, frozen: carriers k = 2, 3 over
-    # the (<=3, 1) representatives and k = 2 over the (2, 2) ones
+def _search_loads(corpus_reps):
+    # carriers k = 2, 3 over the (<=3, 1) representatives and k = 2 over the
+    # (2, 2) ones
     loads = [(s, k) for shape in ((1, 1), (2, 1), (3, 1))
              for s in corpus_reps[shape] for k in (2, 3)]
-    loads += [(s, 2) for s in corpus_reps[(2, 2)]]
+    return loads + [(s, 2) for s in corpus_reps[(2, 2)]]
+
+
+def test_action_stream_digest(corpus_reps):
+    # the ordered output of the action search, frozen
     h = hashlib.sha256()
     count = 0
-    for s, k in loads:
+    for s, k in _search_loads(corpus_reps):
         for a in enumerate_module_actions(s, k):
             h.update(bytes(_flat(a.carrier_addition)) + bytes(_flat(a.action)))
             count += 1
     assert count == 8849
     assert h.hexdigest() == (
         "beed0653eeb06f7f46675f28c3ebb55cbaa9f76949b8cc481d270e456fb4b570")
+
+
+def _module_mutants(actions, rng):
+    """Each action with one, two and three random action cells overwritten,
+    then with one, two and three carrier-addition cells overwritten."""
+    for a in actions:
+        s, k = a.scalar, a.carrier_order
+        for cells in (1, 2, 3):
+            act = [[[[list(row) for row in plane] for plane in cube]
+                    for cube in layer] for layer in a.action]
+            rows = [row for layer in act for cube in layer
+                    for plane in cube for row in plane]
+            for _ in range(cells):
+                rng.choice(rows)[rng.randrange(s.order)] = rng.randrange(k)
+            yield ModuleAction(scalar=s, carrier_order=k,
+                               carrier_addition=a.carrier_addition, action=act)
+        for cells in (1, 2, 3):
+            madd = [list(row) for row in a.carrier_addition]
+            for _ in range(cells):
+                madd[rng.randrange(k)][rng.randrange(k)] = rng.randrange(k)
+            yield ModuleAction(scalar=s, carrier_order=k,
+                               carrier_addition=madd, action=a.action)
+
+
+def test_frozen_module_witnesses(corpus_reps):
+    # every action the search yields on the stream-digest corpus, the regular
+    # modules of every representative and derived fixture, then seeded
+    # mutations of the regular modules and of a sample of the actions:
+    # together they fail each of the eight module laws; the digest was taken
+    # while every law was still checked by a full element-wise scan in its
+    # documented order
+    actions = [a for s, k in _search_loads(corpus_reps)
+               for a in enumerate_module_actions(s, k)]
+    regular = [regular_module(s) for reps in corpus_reps.values() for s in reps]
+    regular += [regular_module(DERIVED[name]) for name in sorted(DERIVED)]
+    rng = random.Random(11)
+    mutants = list(_module_mutants(regular + rng.sample(actions, 300), rng))
+    reports = [verify_module_axioms(a).to_dict()
+               for a in actions + regular + mutants]
+    assert (len(actions), len(regular), len(mutants)) == (8849, 221, 3126)
+    laws = {v["law"] for r in reports for v in r.values() if isinstance(v, dict)}
+    assert len(laws) == 8
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+        "c4cff0949fd5254289dbdd800bef4e3fe44b8b0a9e8860cbbf724eb5ea7a4240")
+    for a in mutants:
+        assert verify_module_axioms(a).passed == naive_module_check(a)
 
 
 def test_action_search_equals_validated_construction():
@@ -182,6 +233,19 @@ def test_action_search_validates_its_arguments():
         list(enumerate_module_actions(s, 0, []))
     with pytest.raises(InputError, match="carrier addition"):
         list(enumerate_module_actions(s, 2, [[0, 1], [1, 2]]))
+
+
+def test_action_search_order_cap(monkeypatch):
+    # both carrier paths refuse an order above the cap at the call, before
+    # any search starts
+    s = DERIVED["B2"]
+    madd = [[(a + b) % 6 for b in range(6)] for a in range(6)]
+    monkeypatch.delenv("TGS_MAX_ORDER", raising=False)
+    for carrier in (None, madd):
+        with pytest.raises(ResourceLimitError, match="carrier order 6"):
+            enumerate_module_actions(s, 6, carrier)
+    monkeypatch.setenv("TGS_MAX_ORDER", "6")
+    enumerate_module_actions(s, 6, madd)
 
 
 def test_annihilator_regular_m3():
