@@ -18,8 +18,8 @@ from .core import (GammaStructure, canonical_form, full_mask, mask_elements,
                    mask_of, memo, verify_axioms)
 from .fixtures import CLAIMS, claim_structure
 from .gamma_modules import regular_module, verify_module_axioms
-from .ideals import (_ideal_verdict, enumerate_ideals, ideal_lattice,
-                     is_maximal, is_primary, is_prime, is_semiprime)
+from .ideals import (enumerate_ideals, ideal_lattice, is_ideal, is_maximal,
+                     is_primary, is_prime, is_semiprime)
 from .quotient import (bourne_congruence, congruence_to_ideal,
                        enumerate_congruences, has_nonzero_zero_divisors,
                        is_congruence, partition_blocks, quotient_structure,
@@ -155,7 +155,7 @@ def run_asserted_suite(s: GammaStructure) -> list:
     wit = []
     for rho in congruences:
         z = congruence_to_ideal(s, rho)
-        v = _ideal_verdict(s, z)
+        v = is_ideal(s, z)
         if not v.ok:
             wit.append((list(rho), list(v.witness)))
     checks.append(SuiteCheck("congruence-zero-class-is-ideal", True,
@@ -188,7 +188,7 @@ def run_asserted_suite(s: GammaStructure) -> list:
         q_top = full_mask(q.order)
         for qi in enumerate_ideals(q):
             back = pullback_ideal(pi, qi)
-            if not _ideal_verdict(s, back).ok:
+            if not is_ideal(s, back).ok:
                 wit.append((list(rho), _elems(qi), "pullback-not-ideal"))
             if qi != q_top and is_prime(q, qi).ok:
                 if not is_prime(s, back).ok:
@@ -343,7 +343,7 @@ def run_reported_suite(s: GammaStructure) -> list:
 def _claim_ideal_ready(s: GammaStructure, elements) -> tuple:
     """(mask, problem) where problem explains why the set is not an ideal."""
     mask = mask_of(elements)
-    v = _ideal_verdict(s, mask)
+    v = is_ideal(s, mask)
     if not v.ok:
         return mask, list(v.witness)
     return mask, None

@@ -21,10 +21,15 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
 
     Witnesses: ("missing-zero",), ("additive-closure", a, b),
     ("absorption", a, b, c, al, be) with at least one argument in the subset.
+    Once enumerate_ideals(s) is memoized a member of it is answered from the
+    list; that list is never computed here, so only a non-ideal, or any
+    subset before the list exists, is scanned.
     """
     if mask == 0:
         raise InputError("subset is empty")
     _check_bits(s, mask, "subset")
+    if mask in (memoized(s, "ideals") or ()):
+        return Verdict(True)
     if not mask & 1:
         return Verdict(False, ("missing-zero",))
     members = mask_elements(mask)
@@ -44,16 +49,6 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
                         if not mask >> s.ternary[al][be][a][b][c] & 1:
                             return Verdict(False, ("absorption", a, b, c, al, be))
     return Verdict(True)
-
-
-def _ideal_verdict(s: GammaStructure, mask: int) -> Verdict:
-    """is_ideal(s, mask), answered for an ideal from the enumerate_ideals(s)
-    list once that is memoized; a non-ideal is scanned for its witness. The
-    list is not computed here, so a caller that is otherwise polynomial
-    stays so."""
-    if mask in (memoized(s, "ideals") or ()):
-        return Verdict(True)
-    return is_ideal(s, mask)
 
 
 def generated_ideal(s: GammaStructure, seed: int = 0) -> int:

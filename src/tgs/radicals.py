@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GammaStructure, _check_bits, full_mask, mask_elements, memo
-from .ideals import (_ideal_verdict, enumerate_ideals, is_maximal,
-                     spectrum_points)
+from .ideals import enumerate_ideals, is_ideal, is_maximal, spectrum_points
 
 
 def radical_by_primes(s: GammaStructure, mask: int) -> int:
@@ -73,7 +72,7 @@ def radical_report(s: GammaStructure, mask: int) -> RadicalReport:
     return RadicalReport(ideal=mask,
                          by_primes=radical_by_primes(s, mask),
                          by_elements=by_elements,
-                         by_elements_is_ideal=_ideal_verdict(s, by_elements).ok)
+                         by_elements_is_ideal=is_ideal(s, by_elements).ok)
 
 
 def jacobson_radical(s: GammaStructure) -> int:

@@ -14,8 +14,7 @@ from typing import Optional
 
 from .core import (GammaStructure, InputError, Verdict, _check_bits, full_mask,
                    mask_elements, memo, subset_sort_key)
-from .ideals import (_ideal_verdict, enumerate_ideals, generated_ideal,
-                     spectrum_points)
+from .ideals import enumerate_ideals, generated_ideal, is_ideal, spectrum_points
 from .quotient import bourne_congruence, normalize_partition, quotient_structure
 from .radicals import radical_by_primes
 
@@ -337,7 +336,7 @@ def crt_check(s: GammaStructure, ideals) -> CrtReport:
     for i in ideals:
         if i == top:
             raise InputError("ideals must be proper")
-        verdict = _ideal_verdict(s, i)
+        verdict = is_ideal(s, i)
         if not verdict.ok:
             raise InputError(f"subset {s.set_label(i)} is not an ideal: {verdict.witness}")
     comax = Verdict(True)

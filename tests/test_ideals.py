@@ -2,9 +2,9 @@ import pytest
 
 from tgs.core import GammaStructure, InputError, Verdict, full_mask, memoized
 from tgs.fixtures import DERIVED
-from tgs.ideals import (_ideal_verdict, classify_ideal, enumerate_ideals,
-                        generated_ideal, ideal_lattice, is_ideal, is_maximal,
-                        is_primary, is_prime, is_semiprime, lattice_dot)
+from tgs.ideals import (classify_ideal, enumerate_ideals, generated_ideal,
+                        ideal_lattice, is_ideal, is_maximal, is_primary,
+                        is_prime, is_semiprime, lattice_dot)
 
 from oracles import naive_ideals, naive_is_prime, naive_is_prime_ideal_triples
 
@@ -31,19 +31,18 @@ def test_ideal_scan_matches_oracle_on_corpus(corpus_reps):
             assert list(enumerate_ideals(s)) == naive_ideals(s)
 
 
-def test_ideal_verdict_reads_the_memoized_list():
-    # the same verdict and witness as is_ideal for every subset, before the
-    # ideal list exists (it is not computed) and after
+def test_is_ideal_reads_the_memoized_list():
+    # the same verdict and witness for every subset before the ideal list
+    # exists (it is not computed) and after, when members come from the list
     for name in sorted(DERIVED):
         d = DERIVED[name]
         s = GammaStructure(order=d.order, gamma_size=d.gamma_size,
                            addition=d.addition, ternary=d.ternary)
         masks = range(1, 1 << s.order)
         want = [is_ideal(s, mask) for mask in masks]
-        assert [_ideal_verdict(s, mask) for mask in masks] == want
         assert memoized(s, "ideals") is None
         enumerate_ideals(s)
-        assert [_ideal_verdict(s, mask) for mask in masks] == want
+        assert [is_ideal(s, mask) for mask in masks] == want
 
 
 def test_is_ideal_witnesses():

@@ -148,23 +148,22 @@ def _flat(x):
             yield from _flat(y)
 
 
-def _search_loads(corpus_reps):
-    # carriers k = 2, 3 over the (<=3, 1) representatives and k = 2 over the
-    # (2, 2) ones
+@pytest.fixture(scope="module")
+def search_actions(corpus_reps):
+    """The action search's output, in order, on carriers k = 2, 3 over the
+    (<=3, 1) representatives and k = 2 over the (2, 2) ones."""
     loads = [(s, k) for shape in ((1, 1), (2, 1), (3, 1))
              for s in corpus_reps[shape] for k in (2, 3)]
-    return loads + [(s, 2) for s in corpus_reps[(2, 2)]]
+    loads += [(s, 2) for s in corpus_reps[(2, 2)]]
+    return [a for s, k in loads for a in enumerate_module_actions(s, k)]
 
 
-def test_action_stream_digest(corpus_reps):
+def test_action_stream_digest(search_actions):
     # the ordered output of the action search, frozen
     h = hashlib.sha256()
-    count = 0
-    for s, k in _search_loads(corpus_reps):
-        for a in enumerate_module_actions(s, k):
-            h.update(bytes(_flat(a.carrier_addition)) + bytes(_flat(a.action)))
-            count += 1
-    assert count == 8849
+    for a in search_actions:
+        h.update(bytes(_flat(a.carrier_addition)) + bytes(_flat(a.action)))
+    assert len(search_actions) == 8849
     assert h.hexdigest() == (
         "beed0653eeb06f7f46675f28c3ebb55cbaa9f76949b8cc481d270e456fb4b570")
 
@@ -191,22 +190,21 @@ def _module_mutants(actions, rng):
                                carrier_addition=madd, action=a.action)
 
 
-def test_frozen_module_witnesses(corpus_reps):
+def test_frozen_module_witnesses(corpus_reps, search_actions):
     # every action the search yields on the stream-digest corpus, the regular
     # modules of every representative and derived fixture, then seeded
     # mutations of the regular modules and of a sample of the actions:
     # together they fail each of the eight module laws; the digest was taken
     # while every law was still checked by a full element-wise scan in its
     # documented order
-    actions = [a for s, k in _search_loads(corpus_reps)
-               for a in enumerate_module_actions(s, k)]
     regular = [regular_module(s) for reps in corpus_reps.values() for s in reps]
     regular += [regular_module(DERIVED[name]) for name in sorted(DERIVED)]
     rng = random.Random(11)
-    mutants = list(_module_mutants(regular + rng.sample(actions, 300), rng))
+    sample = rng.sample(search_actions, 300)
+    mutants = list(_module_mutants(regular + sample, rng))
     reports = [verify_module_axioms(a).to_dict()
-               for a in actions + regular + mutants]
-    assert (len(actions), len(regular), len(mutants)) == (8849, 221, 3126)
+               for a in search_actions + regular + mutants]
+    assert len(regular) == 221 and len(mutants) == 3126
     laws = {v["law"] for r in reports for v in r.values() if isinstance(v, dict)}
     assert len(laws) == 8
     assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
