@@ -15,13 +15,12 @@ export (DOT graphs). Exit codes are disjoint by failure class:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .analysis import (analyze, evaluate_all_claims, render_text,
                        run_asserted_suite, run_reported_suite)
-from .core import (InputError, ResourceLimitError, _check_order,
+from .core import (InputError, ResourceLimitError, _check_order, _json_text,
                    dumps_structure, load_structure, verify_axioms)
 from .enumeration import classify, render_classification_text
 from .fixtures import DERIVED
@@ -52,10 +51,6 @@ def _write_or_print(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_classify(args) -> int:
     report = classify(args.order, args.gamma, jobs=args.jobs)
     text = render_classification_text(report)
@@ -67,7 +62,7 @@ def cmd_classify(args) -> int:
                 fh.write(dumps_structure(s))
         with open(os.path.join(args.out, "report.json"), "w",
                   encoding="utf-8") as fh:
-            fh.write(_dump_json(report.to_dict()))
+            fh.write(_json_text(report.to_dict()))
         with open(os.path.join(args.out, "report.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(text)
@@ -89,7 +84,7 @@ def cmd_analyze(args) -> int:
     s = _load(args.file)
     report = analyze(s)
     if args.format == "json":
-        _write_or_print(_dump_json(report), args.out)
+        _write_or_print(_json_text(report), args.out)
     else:
         _write_or_print(render_text(report), args.out)
     return EXIT_OK if report["axioms"]["passed"] else EXIT_AXIOMS

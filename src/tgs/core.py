@@ -23,7 +23,8 @@ monoid tests identity, then commutativity, then associativity.
 
 Each law is first decided on whole maps or planes, and the element-wise scan
 in the documented order runs only inside the first block where the law
-fails, so the witness is the one the full scan would find:
+fails, so the witness is the one the full scan would find. The distinct maps
+through each element slot are extracted once per call and shared:
 
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
                         elements must commute; each distinct L is tested once
@@ -32,9 +33,11 @@ fails, so the witness is the one the full scan would find:
     distributive        per position, each distinct map x -> t(..x..) through
                         it is tested for additivity once; the scan over
                         (x, y, b, c, al, be) runs at the first failing position
-    absorbing_zero,     whole planes are compared with zero or with their
-    commutative         transposes; the scan runs only if one differs
-    additive_monoid     scanned element-wise (it spans at most n^3 entries)
+    absorbing_zero      each distinct map through a slot must send 0 to 0;
+                        the scan runs only if one does not
+    commutative         whole planes are compared with their transposes;
+                        the scan runs only if one differs
+    additive_monoid     decided on its rows as maps; scanned only if they fail
 """
 
 from __future__ import annotations
@@ -129,10 +132,6 @@ class Violation:
     lhs: int
     rhs: int
 
-    def describe(self) -> str:
-        cells = ",".join(str(a) for a in self.args)
-        return f"{self.law}({cells}): {self.lhs} != {self.rhs}"
-
     def to_dict(self) -> dict:
         return {"law": self.law, "args": list(self.args),
                 "lhs": self.lhs, "rhs": self.rhs}
@@ -148,8 +147,29 @@ class Verdict(NamedTuple):
         return self.ok
 
 
+class _LawReport:
+    """Base of the per-law reports: each field holds the first Violation of
+    one law, or None; _KEYS is the to_dict key order, "passed" included."""
+
+    def failures(self) -> tuple:
+        """The violations found, in field order (the instance dict of a
+        dataclass holds its fields, in order)."""
+        return tuple(v for v in vars(self).values() if v is not None)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
+
+    def to_dict(self) -> dict:
+        out = {}
+        for name in self._KEYS:
+            v = getattr(self, name)
+            out[name] = v.to_dict() if isinstance(v, Violation) else v
+        return out
+
+
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_LawReport):
     """Per-axiom verdicts; None means the axiom holds."""
 
     additive_monoid: Optional[Violation]
@@ -158,22 +178,11 @@ class AxiomReport:
     absorbing_zero: Optional[Violation]
     commutative: Optional[Violation]
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
+    _KEYS = ("passed", "additive_monoid", "ternary_assoc", "distributive",
+             "absorbing_zero", "commutative")
 
     def failures(self) -> list[Violation]:
-        return [v for v in (self.additive_monoid, self.ternary_assoc,
-                            self.distributive, self.absorbing_zero,
-                            self.commutative) if v is not None]
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in ("passed", "additive_monoid", "ternary_assoc",
-                     "distributive", "absorbing_zero", "commutative"):
-            v = getattr(self, name)
-            out[name] = v.to_dict() if isinstance(v, Violation) else v
-        return out
+        return list(super().failures())
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +321,20 @@ def ternary_product(s: GammaStructure, a: int, alpha: int, b: int, beta: int, c:
 # ---------------------------------------------------------------------------
 # axiom verification
 
+def _is_commutative_monoid(add) -> bool:
+    """Whether the table add (nested tuples) is a commutative monoid with
+    identity 0: row 0 is the identity, add equals its transpose, and row
+    a + b is (a + -)∘(b + -), which holds already when a or b is 0."""
+    k = len(add)
+    return (add[0] == tuple(range(k)) and add == tuple(zip(*add))
+            and all(add[add[a][b]] == tuple(map(add[a].__getitem__, add[b]))
+                    for a in range(1, k) for b in range(1, k)))
+
+
 def _check_additive_monoid(s: GammaStructure) -> Optional[Violation]:
     add = s.addition
+    if _is_commutative_monoid(add):
+        return None
     n = s.order
     for a in range(n):
         if add[0][a] != a:
@@ -334,16 +355,11 @@ def _check_additive_monoid(s: GammaStructure) -> Optional[Violation]:
     return None
 
 
-def _check_absorbing_zero(s: GammaStructure) -> Optional[Violation]:
+def _check_absorbing_zero(s: GammaStructure, at) -> Optional[Violation]:
     n, m = s.order, s.gamma_size
     t = s.ternary
-    zeros = (0,) * n
-    # a zero first argument selects the plane cube[0], a zero second one the
-    # row plane[0] of each plane, a zero third one the first entry of each row
-    planes = [plane for layer in t for cube in layer for plane in cube]
-    if (all(cube[0] == (zeros,) * n for layer in t for cube in layer)
-            and all(plane[0] == zeros for plane in planes)
-            and not any(row[0] for plane in planes for row in plane)):
+    # a zero in slot i gives f(0) for the maps f in at[i]
+    if not any(f[0] for maps in at for f in maps):
         return None
     for a in range(n):
         for b in range(n):
@@ -372,17 +388,21 @@ def _non_additive(maps, dom, cod) -> set:
     return {f for f in maps if not additive(f)}
 
 
-def _check_distributive(s: GammaStructure) -> Optional[Violation]:
+def _slot_maps(cubes) -> tuple:
+    """The distinct maps through each slot of the given cubes, as three sets:
+    x -> cube[x][b][c], x -> cube[a][x][c] and x -> cube[a][b][x]."""
+    return ({f for cube in cubes for rows in zip(*cube) for f in zip(*rows)},
+            {f for cube in cubes for plane in cube for f in zip(*plane)},
+            {row for cube in cubes for plane in cube for row in plane})
+
+
+def _check_distributive(s: GammaStructure, at) -> Optional[Violation]:
     n, m = s.order, s.gamma_size
     add = s.addition
     t = s.ternary
-    cubes = [cube for layer in t for cube in layer]
-    # Position i holds when every map f: x -> t(..x..) with x in slot i is
-    # additive. Each distinct map is tested once; only a position holding a
-    # failing map is scanned for its first witness.
-    at = ({f for cube in cubes for b in range(n) for f in zip(*(plane[b] for plane in cube))},
-          {f for cube in cubes for plane in cube for f in zip(*plane)},
-          {row for cube in cubes for plane in cube for row in plane})
+    # Position i holds when every map in at[i], the maps x -> t(..x..) with x
+    # in slot i, is additive. Each distinct map is tested once; only a
+    # position holding a failing map is scanned for its first witness.
     failing = _non_additive(set().union(*at), add, add)
     for pos in range(3):
         if failing.isdisjoint(at[pos]):
@@ -411,24 +431,20 @@ def _check_distributive(s: GammaStructure) -> Optional[Violation]:
     return None
 
 
-def _check_ternary_assoc(s: GammaStructure) -> Optional[Violation]:
+def _check_ternary_assoc(s: GammaStructure, lefts, rights) -> Optional[Violation]:
     n, m = s.order, s.gamma_size
     t = s.ternary
     # With L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on elements, the
-    # law reads L∘R == R∘L. Each distinct L is tested once against the
-    # distinct Rs; only the first (a, b) with a failing L is scanned for its
-    # witness.
-    rights = [(r, itemgetter(*r)) for r in  # (R, getter g with g(f) = f∘R)
-              {r for layer in t for cube in layer
-               for d in range(n) for r in zip(*(plane[d] for plane in cube))}]
+    # law reads L∘R == R∘L: lefts are the distinct maps through slot 2,
+    # rights those through slot 0. Each L is tested once against every R;
+    # only the first (a, b) with a failing L is scanned for its witness.
+    rights = [(r, itemgetter(*r)) for r in rights]  # (R, g with g(f) = f∘R)
 
     def commutes(left) -> bool:
         after = itemgetter(*left)  # after(g) is g∘L
         return all(before(left) == after(r) for r, before in rights)
 
-    failing = {left for left in {row for layer in t for cube in layer
-                                 for plane in cube for row in plane}
-               if not commutes(left)}
+    failing = {left for left in lefts if not commutes(left)}
     for a in range(n):
         for b in range(n):
             if failing.isdisjoint(t[al][be][a][b] for al in range(m) for be in range(m)):
@@ -478,11 +494,12 @@ def _check_commutative(s: GammaStructure) -> Optional[Violation]:
 
 def verify_axioms(s: GammaStructure) -> AxiomReport:
     """Check every axiom over the whole table; first lex witness per axiom."""
+    at = _slot_maps([cube for layer in s.ternary for cube in layer])
     return AxiomReport(
         additive_monoid=_check_additive_monoid(s),
-        ternary_assoc=_check_ternary_assoc(s),
-        distributive=_check_distributive(s),
-        absorbing_zero=_check_absorbing_zero(s),
+        ternary_assoc=_check_ternary_assoc(s, at[2], at[0]),
+        distributive=_check_distributive(s, at),
+        absorbing_zero=_check_absorbing_zero(s, at),
         commutative=_check_commutative(s),
     )
 
@@ -631,9 +648,13 @@ def structure_from_dict(d: dict) -> GammaStructure:
                           ternary=tern, names=() if names is None else names)
 
 
-def dumps_structure(s: GammaStructure) -> str:
+def _json_text(doc) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(structure_to_dict(s), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def dumps_structure(s: GammaStructure) -> str:
+    return _json_text(structure_to_dict(s))
 
 
 def parse_structure(text: str) -> GammaStructure:

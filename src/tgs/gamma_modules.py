@@ -11,17 +11,17 @@ their scalars).
 Witnesses are the first violating tuple in each law's scan order, as
 written in its check. Each law is first decided on whole maps or planes, and
 the element-wise scan runs only where the law fails, so the witness is the
-one the full scan would find:
+one the full scan would find. As in verify_axioms, the distinct maps through
+each slot are extracted once per call and shared:
 
-    carrier monoid      the identity row, the table against its transpose,
-                        and row a + b against (a + -)∘(b + -); scanned only
-                        if one differs
+    carrier monoid      decided on its rows as maps, as the additive monoid
+                        is in verify_axioms; scanned only if that test fails
     additivity          each distinct map through a slot is tested once
                         (x -> x m b and x -> a m x from the scalars,
                         m -> a m b on the carrier); the scan runs at the
                         first (al, be) and slot holding a failing map
-    absorbing zero      the planes 0 m b and the maps m -> a m 0 are
-                        compared with zero; scanned only if one differs
+    absorbing zero      each distinct map through a scalar slot must send 0
+                        to 0; scanned only if one does not
     exchange law        with P = a (-) d and Q = b (-) c as carrier maps the
                         law reads P∘Q == Q∘P; each two distinct maps are
                         tested once, and the walk over (al, be, ga, de, a, b,
@@ -35,19 +35,20 @@ action is additive by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, _as_grid, _as_layers, _check_order, _non_additive,
+                   Violation, _as_grid, _as_layers, _check_order,
+                   _is_commutative_monoid, _json_text, _LawReport, _non_additive,
                    _param_dict, _param_grid, _positive_int, _prevalidated,
-                   full_mask, mask_elements, max_order, structure_from_dict,
-                   structure_to_dict, subset_sort_key)
+                   _slot_maps, full_mask, mask_elements, max_order,
+                   structure_from_dict, structure_to_dict, subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
+from .spectrum import _zero_fixing_maps
 
 _SUBMODULE_SCAN_CAP = 16
 
@@ -71,8 +72,8 @@ class ModuleAction:
 
 def regular_module(s: GammaStructure) -> ModuleAction:
     """The structure acting on itself through its own ternary product."""
-    return ModuleAction(scalar=s, carrier_order=s.order,
-                        carrier_addition=s.addition, action=s.ternary)
+    return _prevalidated(ModuleAction, scalar=s, carrier_order=s.order,
+                         carrier_addition=s.addition, action=s.ternary)
 
 
 def zero_module(s: GammaStructure, carrier_order: int = 1,
@@ -94,11 +95,7 @@ def zero_module(s: GammaStructure, carrier_order: int = 1,
 # axioms
 
 def _check_carrier_monoid(madd, k: int) -> Optional[Violation]:
-    # identity row, symmetry, and (a + b) + - == (a + -)∘(b + -) as maps,
-    # which holds already when a or b is the identity 0
-    if (madd[0] == tuple(range(k)) and madd == tuple(zip(*madd))
-            and all(madd[madd[a][b]] == tuple(map(madd[a].__getitem__, madd[b]))
-                    for a in range(1, k) for b in range(1, k))):
+    if _is_commutative_monoid(madd):
         return None
     for a in range(k):
         if madd[0][a] != a:
@@ -119,39 +116,17 @@ def _check_carrier_monoid(madd, k: int) -> Optional[Violation]:
 
 
 @dataclass(frozen=True)
-class ModuleAxiomReport:
+class ModuleAxiomReport(_LawReport):
     carrier_monoid: Optional[Violation]
     additivity: Optional[Violation]
     absorbing_zero: Optional[Violation]
     associativity: Optional[Violation]
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> tuple:
-        return tuple(v for v in (self.carrier_monoid, self.additivity,
-                                 self.absorbing_zero, self.associativity)
-                     if v is not None)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in ("carrier_monoid", "additivity", "absorbing_zero",
-                     "associativity", "passed"):
-            v = getattr(self, name)
-            out[name] = v.to_dict() if isinstance(v, Violation) else v
-        return out
+    _KEYS = ("carrier_monoid", "additivity", "absorbing_zero", "associativity",
+             "passed")
 
 
-def _scalar_slot_maps(cubes) -> tuple:
-    """The maps x -> cube[x][mm][b] through slot 0 and x -> cube[a][mm][x]
-    through slot 2 of the given action cubes, as two sets."""
-    return ({f for cube in cubes for rows in zip(*cube) for f in zip(*rows)},
-            {row for cube in cubes for plane in cube for row in plane})
-
-
-def _check_module_additivity(a_: ModuleAction, cubes, slot1,
-                             carrier_maps) -> Optional[Violation]:
+def _check_module_additivity(a_: ModuleAction, cubes, at) -> Optional[Violation]:
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
     madd = a_.carrier_addition
@@ -159,14 +134,13 @@ def _check_module_additivity(a_: ModuleAction, cubes, slot1,
     # from the scalars through slots 0 and 2, carrier maps through slot 1.
     # Each distinct map is tested once; only the first cube and slot holding
     # a failing map is scanned for its first witness.
-    from_scalars = _non_additive(set.union(*_scalar_slot_maps(cubes)),
-                                 s.addition, madd)
-    on_carrier = _non_additive(carrier_maps, madd, madd)
+    from_scalars = _non_additive(at[0] | at[2], s.addition, madd)
+    on_carrier = _non_additive(at[1], madd, madd)
     if not (from_scalars or on_carrier):
         return None
     for i, cube in enumerate(cubes):
         al, be = divmod(i, m)
-        at0, at2 = _scalar_slot_maps((cube,))
+        at0, at1, at2 = _slot_maps((cube,))
         if not from_scalars.isdisjoint(at0):
             for x in range(n):
                 for y in range(n):
@@ -178,7 +152,7 @@ def _check_module_additivity(a_: ModuleAction, cubes, slot1,
                             if lhs != rhs:
                                 return Violation("module-additivity-0",
                                                  (x, y, mm, b, al, be), lhs, rhs)
-        if not on_carrier.isdisjoint(f for maps in slot1[i] for f in maps):
+        if not on_carrier.isdisjoint(at1):
             for a in range(n):
                 for m1 in range(k):
                     for m2 in range(k):
@@ -203,16 +177,13 @@ def _check_module_additivity(a_: ModuleAction, cubes, slot1,
     return None
 
 
-def _check_module_zero(a_: ModuleAction, cubes, slot1) -> Optional[Violation]:
+def _check_module_zero(a_: ModuleAction, at) -> Optional[Violation]:
     # zero pins the scalar slots only; the printed law says nothing about
     # a zero in the middle
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
-    # a zero first scalar selects the plane cube[0]; a zero second scalar the
-    # slot-1 maps slot1[i][a][0]
-    zero_plane, zero_map = ((0,) * n,) * k, (0,) * k
-    if (all(cube[0] == zero_plane for cube in cubes)
-            and all(maps[0] == zero_map for cube1 in slot1 for maps in cube1)):
+    # a zero in scalar slot i gives f(0) for the maps f in at[i]
+    if not any(f[0] for maps in (at[0], at[2]) for f in maps):
         return None
     for al in range(m):
         for be in range(m):
@@ -268,14 +239,14 @@ def _check_module_assoc_surrogate(a_: ModuleAction, slot1,
 def verify_module_axioms(a_: ModuleAction) -> ModuleAxiomReport:
     """Exhaustive check; first witness per family, scan order as written."""
     cubes = [cube for layer in a_.action for cube in layer]  # (al, be) at al*m + be
+    at = _slot_maps(cubes)
     # slot1[i][a][b] is the map mm -> cubes[i][a][mm][b]
     slot1 = [[tuple(zip(*plane)) for plane in cube] for cube in cubes]
-    carrier_maps = {f for cube1 in slot1 for maps in cube1 for f in maps}
     return ModuleAxiomReport(
         carrier_monoid=_check_carrier_monoid(a_.carrier_addition, a_.carrier_order),
-        additivity=_check_module_additivity(a_, cubes, slot1, carrier_maps),
-        absorbing_zero=_check_module_zero(a_, cubes, slot1),
-        associativity=_check_module_assoc_surrogate(a_, slot1, carrier_maps),
+        additivity=_check_module_additivity(a_, cubes, at),
+        absorbing_zero=_check_module_zero(a_, at),
+        associativity=_check_module_assoc_surrogate(a_, slot1, at[1]),
     )
 
 
@@ -417,10 +388,8 @@ def find_module_homomorphisms(src: ModuleAction, dst: ModuleAction,
     s = src.scalar
     n, m = s.order, s.gamma_size
     out = []
-    for tail in iproduct(range(dst.carrier_order), repeat=src.carrier_order - 1):
-        f = (0,) + tail
-        if surjective_only and len(set(f)) != dst.carrier_order:
-            continue
+    for f in _zero_fixing_maps(src.carrier_order, dst.carrier_order,
+                               surjective_only):
         if any(f[src.carrier_addition[x][y]]
                != dst.carrier_addition[f[x]][f[y]]
                for x in range(src.carrier_order)
@@ -481,4 +450,4 @@ def module_from_dict(d: dict) -> ModuleAction:
 
 
 def dumps_module(a_: ModuleAction) -> str:
-    return json.dumps(module_to_dict(a_), indent=2, sort_keys=True) + "\n"
+    return _json_text(module_to_dict(a_))

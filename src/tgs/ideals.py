@@ -85,6 +85,8 @@ def enumerate_ideals(s: GammaStructure) -> tuple[int, ...]:
 
 
 def _require_proper(s: GammaStructure, mask: int, what: str) -> None:
+    if mask == 0:
+        raise InputError("subset is empty")
     if mask == full_mask(s.order):
         raise InputError(f"{what} is only defined for proper subsets")
     _check_bits(s, mask, "subset")
@@ -224,18 +226,23 @@ def spectrum_points(s: GammaStructure) -> tuple[int, ...]:
         i for i in enumerate_ideals(s) if i != top and is_prime(s, i).ok))
 
 
+def _dot(graph: str, prefix: str, labels, edges) -> str:
+    """A DOT digraph drawn bottom to top: node prefix<i> carries labels[i]
+    with its quotes escaped, and each (i, j) in edges is an edge i -> j."""
+    lines = [f"digraph {graph} {{", "  rankdir=BT;"]
+    for i, label in enumerate(labels):
+        label = label.replace('"', '\\"')
+        lines.append(f'  {prefix}{i} [label="{label}"];')
+    lines.extend(f"  {prefix}{i} -> {prefix}{j};" for i, j in edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def lattice_dot(s: GammaStructure) -> str:
     """Hasse diagram of the ideal lattice in DOT, stable node order."""
     lat = ideal_lattice(s)
-    lines = ["digraph ideal_lattice {", "  rankdir=BT;"]
-    for i, info in enumerate(lat.info):
-        label = s.set_label(info.mask)
+    labels = []
+    for info in lat.info:
         badges = " ".join(info.tags())
-        if badges:
-            label = f"{label}\\n{badges}"
-        label = label.replace('"', '\\"')
-        lines.append(f'  n{i} [label="{label}"];')
-    for i, j in lat.covers:
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        labels.append(s.set_label(info.mask) + (f"\\n{badges}" if badges else ""))
+    return _dot("ideal_lattice", "n", labels, lat.covers)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, Verdict, _check_bits, full_mask,
                    mask_elements, memo, subset_sort_key)
-from .ideals import enumerate_ideals, generated_ideal, is_ideal, spectrum_points
+from .ideals import (_dot, enumerate_ideals, generated_ideal, is_ideal,
+                     spectrum_points)
 from .quotient import bourne_congruence, normalize_partition, quotient_structure
 from .radicals import radical_by_primes
 
@@ -260,6 +261,16 @@ class HomomorphismMap:
         return len(set(self.element_map)) == self.target.order
 
 
+def _zero_fixing_maps(k: int, codomain: int, onto: bool) -> Iterator[tuple]:
+    """Every map from 0..k-1 into 0..codomain-1 sending 0 to 0, in
+    lexicographic order; only the surjective ones when onto is set. The
+    candidates of find_homomorphisms and of the module homomorphisms."""
+    for tail in iproduct(range(codomain), repeat=k - 1):
+        f = (0,) + tail
+        if not onto or len(set(f)) == codomain:
+            yield f
+
+
 def find_homomorphisms(src: GammaStructure, dst: GammaStructure,
                        surjective_only: bool = False) -> list[HomomorphismMap]:
     """Exhaustive scan over element maps fixing 0, identity parameter map.
@@ -269,15 +280,9 @@ def find_homomorphisms(src: GammaStructure, dst: GammaStructure,
     if src.gamma_size != dst.gamma_size:
         return []
     pm = tuple(range(src.gamma_size))
-    out = []
-    for tail in iproduct(range(dst.order), repeat=src.order - 1):
-        f = (0,) + tail
-        if surjective_only and len(set(f)) != dst.order:
-            continue
-        cand = HomomorphismMap(src, dst, f, pm)
-        if cand.validate().ok:
-            out.append(cand)
-    return out
+    maps = (HomomorphismMap(src, dst, f, pm)
+            for f in _zero_fixing_maps(src.order, dst.order, surjective_only))
+    return [h for h in maps if h.validate().ok]
 
 
 def pullback_ideal(f: HomomorphismMap, mask: int) -> int:
@@ -410,13 +415,6 @@ def prime_spectrum(s: GammaStructure) -> SpectrumView:
 def spectrum_dot(s: GammaStructure) -> str:
     """Points with containment edges, in DOT, stable node order."""
     points = spectrum_points(s)
-    lines = ["digraph spectrum {", "  rankdir=BT;"]
-    for i, p in enumerate(points):
-        label = s.set_label(p).replace('"', '\\"')
-        lines.append(f'  p{i} [label="{label}"];')
-    for i, p in enumerate(points):
-        for j, q in enumerate(points):
-            if p != q and p & q == p:
-                lines.append(f"  p{i} -> p{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("spectrum", "p", [s.set_label(p) for p in points],
+                [(i, j) for i, p in enumerate(points) for j, q in enumerate(points)
+                 if p != q and p & q == p])

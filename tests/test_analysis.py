@@ -5,13 +5,17 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 import tgs.analysis
 import tgs.quotient
 from tgs.analysis import (analyze, evaluate_all_claims, evaluate_claim,
                           render_text, run_asserted_suite,
                           run_reported_suite)
-from tgs.core import GammaStructure
+from tgs.core import GammaStructure, mask_of
 from tgs.fixtures import CLAIMS, DERIVED, mod_mul_structure
+
+from oracles import naive_ideals, naive_is_prime
 
 
 def _klein_with_zero_product():
@@ -106,6 +110,66 @@ def test_claim_on_non_ideal_subset_is_refuted_with_witness():
                           "elements": [0, 1], "text": "x"})
     assert row["verdict"] == "refuted"
     assert "not-an-ideal" in row["witness"]
+
+
+# One claim per kind that reaches a predicate, a quotient, a decomposition
+# or a product map: the shipped claims all stop earlier, at a subset that is
+# not an ideal. Verdicts follow from the definitions. M6 is Z6 with product
+# abc, ideals {0}, {0,3}, {0,2,4} and Z6; M4 is Z4 with ideals {0}, {0,2}
+# and Z4; L3 is the chain 0 < 1 < 2 under max and min, ideals {0}, {0,1}
+# and L3.
+DERIVED_CLAIMS = [
+    # abc even forces an even factor; 2.3.1 = 0 with no factor 0
+    ("M6", "prime", {"elements": [0, 2, 4]}, "confirmed"),
+    ("M6", "prime", {"elements": [0]}, "refuted"),
+    ("M6", "not-prime", {"elements": [0]}, "confirmed"),
+    ("M6", "not-prime", {"elements": [0, 3]}, "refuted"),
+    # a^3 = 0 mod 6 only at a = 0; 2^3 = 0 mod 4
+    ("M6", "semiprime", {"elements": [0]}, "confirmed"),
+    ("M4", "semiprime", {"elements": [0]}, "refuted"),
+    # nothing lies between {0,3} and Z6; {0,1} lies between {0} and L3
+    ("M6", "maximal", {"elements": [0, 3]}, "confirmed"),
+    ("L3", "maximal", {"elements": [0]}, "refuted"),
+    # min(a,b,c) = 0 forces a factor 0, and {0} < {0,1}; {0,2,4} is maximal
+    ("L3", "prime-not-maximal", {"elements": [0]}, "confirmed"),
+    ("M6", "prime-not-maximal", {"elements": [0, 2, 4]}, "refuted"),
+    # abc = 0 mod 4 with a != 0 forces b or c even, so b^3 or c^3 is 0, but
+    # 2.2.1 = 0; a prime ideal is primary, so {0,3} is not primary-not-prime
+    ("M4", "primary-not-prime", {"elements": [0]}, "confirmed"),
+    ("M6", "primary-not-prime", {"elements": [0, 3]}, "refuted"),
+    # the whole carrier is no proper subset
+    ("M3", "prime", {"elements": [0, 1, 2]}, "refuted"),
+    # the cosets of 2Z6 and 3Z6: two and three classes
+    ("M6", "quotient-order", {"elements": [0, 2, 4], "order": 2}, "confirmed"),
+    ("M6", "quotient-order", {"elements": [0, 3], "order": 2}, "refuted"),
+    # 2^3 = 0 in Z4, so 2 is no idempotent
+    ("M4", "decomposition", {"element": 2, "left": [0, 2], "right": [0]},
+     "refuted"),
+    # Z6 = Z6/2Z6 x Z6/3Z6; {0} + {0,2} generates {0,2}, not Z4
+    ("M6", "crt", {"ideals": [[0, 2, 4], [0, 3]]}, "confirmed"),
+    ("M4", "crt", {"ideals": [[0], [0, 2]]}, "refuted"),
+]
+
+
+@pytest.mark.parametrize("fixture,kind,payload,verdict", DERIVED_CLAIMS)
+def test_claims_on_derived_ideals(fixture, kind, payload, verdict):
+    s = DERIVED[fixture]
+    # every subset named is an ideal, so the claim gets past that check
+    ideals = naive_ideals(s)
+    for elems in payload.get("ideals", [payload.get("elements", [0])]):
+        assert mask_of(elems) in ideals
+    if kind in ("prime", "not-prime") and len(payload["elements"]) < s.order:
+        holds = naive_is_prime(s, mask_of(payload["elements"]))
+        assert holds == ((verdict == "confirmed") == (kind == "prime"))
+    row = evaluate_claim({"id": "x", "fixture": fixture, "kind": kind,
+                          "text": "x", **payload})
+    assert row["verdict"] == verdict
+    if kind == "decomposition":
+        assert row["witness"] == {"not-idempotent": 2}
+    if payload.get("elements") == [0, 1, 2]:
+        assert row["witness"] == {"not-proper": [0, 1, 2]}
+    if kind == "crt":
+        assert row["witness"]["comaximal"] == (fixture == "M6")
 
 
 def test_unknown_fixture_claim_not_evaluable():

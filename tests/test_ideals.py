@@ -124,6 +124,16 @@ def test_properness_required():
             fn(s, full_mask(3))
 
 
+def test_empty_subset_refused():
+    # the empty subset is no ideal: every predicate on ideals refuses it
+    # with the error is_ideal gives, rather than passing it as prime
+    s = DERIVED["M3"]
+    for fn in (is_ideal, is_prime, is_semiprime, is_maximal, is_primary,
+               classify_ideal):
+        with pytest.raises(InputError, match="subset is empty"):
+            fn(s, 0)
+
+
 def test_generated_ideal_frozen():
     s = DERIVED["M6"]
     assert generated_ideal(s, 0b001000) == 9  # {3} -> {0,3}
