@@ -14,8 +14,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (GammaStructure, canonical_form, full_mask, mask_elements,
-                   mask_of, memo, verify_axioms)
+from .core import (GammaStructure, _meet, canonical_form, full_mask,
+                   mask_elements, mask_of, memo, verify_axioms)
 from .fixtures import CLAIMS, claim_structure
 from .gamma_modules import regular_module, verify_module_axioms
 from .ideals import (enumerate_ideals, ideal_lattice, is_ideal, is_maximal,
@@ -66,8 +66,7 @@ def _proper_ideals(s: GammaStructure) -> list:
 
 def _projection_map(s: GammaStructure, partition) -> HomomorphismMap:
     q = quotient_structure(s, partition)
-    return HomomorphismMap(source=s, target=q, element_map=tuple(partition),
-                           param_map=tuple(range(s.gamma_size)))
+    return HomomorphismMap(source=s, target=q, element_map=tuple(partition))
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +99,7 @@ def run_asserted_suite(s: GammaStructure) -> list:
             if meet != top and not is_semiprime(s, meet).ok:
                 wit.append((_elems(semis[a]), _elems(semis[b]), _elems(meet)))
     if len(semis) > 2:
-        meet = top
-        for q in semis:
-            meet &= q
+        meet = _meet(s, semis)
         if meet != top and not is_semiprime(s, meet).ok:
             wit.append(("family", _elems(meet)))
     checks.append(SuiteCheck("semiprime-intersections", True, not wit, tuple(wit)))
@@ -519,8 +516,7 @@ def analyze(s: GammaStructure) -> dict:
         "ideal_count": len(lattice.ideals),
     }
 
-    view = prime_spectrum(s)
-    report["spectrum"] = view.to_dict(s)
+    report["spectrum"] = prime_spectrum(s).to_dict()
     report["topology"] = [
         {"name": t.name, "ok": t.ok,
          "witness": None if t.witness is None else list(t.witness)}

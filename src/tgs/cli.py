@@ -57,15 +57,11 @@ def cmd_classify(args) -> int:
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         for idx, s in enumerate(report.representatives):
-            path = os.path.join(args.out, f"structure_{idx:03d}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dumps_structure(s))
-        with open(os.path.join(args.out, "report.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(_json_text(report.to_dict()))
-        with open(os.path.join(args.out, "report.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
+            _write_or_print(dumps_structure(s),
+                            os.path.join(args.out, f"structure_{idx:03d}.json"))
+        _write_or_print(_json_text(report.to_dict()),
+                        os.path.join(args.out, "report.json"))
+        _write_or_print(text, os.path.join(args.out, "report.txt"))
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -45,8 +45,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 DEFAULT_MAX_ORDER = 5
@@ -104,6 +105,11 @@ def mask_size(mask: int) -> int:
 def subset_sort_key(mask: int) -> tuple[int, int]:
     # ascending by size, ties by bitmask value
     return (mask.bit_count(), mask)
+
+
+def _meet(s, masks) -> int:
+    """Intersection of the given subsets of s; the whole carrier if none."""
+    return reduce(and_, masks, full_mask(s.order))
 
 
 def _check_order(n: int, what: str = "order") -> None:
@@ -555,14 +561,28 @@ def zero_fixing_permutations(n: int):
         yield (0,) + tail
 
 
+def _canonical_tables(n: int, m: int, addition, ternary=()) -> bytes:
+    """Lexicographically minimal table serialization over all 0-fixing
+    relabelings. With m = 0 and no ternary tables it serializes an addition
+    table alone, behind the constant header (n, 0)."""
+    return min(_serialize_tables(n, m, *_relabel_tables(sigma, addition, ternary))
+               for sigma in zero_fixing_permutations(n))
+
+
 def canonical_form(s: GammaStructure) -> bytes:
     """Lexicographically minimal table serialization over all 0-fixing relabelings.
 
     Parameters are treated as labeled: gamma permutations do not act.
     """
-    n, m = s.order, s.gamma_size
-    return min(_serialize_tables(n, m, *_relabel_tables(sigma, s.addition, s.ternary))
-               for sigma in zero_fixing_permutations(n))
+    return _canonical_tables(s.order, s.gamma_size, s.addition, s.ternary)
+
+
+def _nest(flat, shape) -> tuple:
+    """The row-major sequence flat as nested tuples of the given shape, whose
+    dimensions must be positive."""
+    for d in reversed(shape[1:]):
+        flat = [tuple(flat[i:i + d]) for i in range(0, len(flat), d)]
+    return tuple(flat)
 
 
 def structure_from_bytes(data: bytes) -> GammaStructure:
@@ -573,19 +593,10 @@ def structure_from_bytes(data: bytes) -> GammaStructure:
     need = 2 + n * n + m * m * n * n * n
     if len(data) != need:
         raise InputError(f"serialized structure has {len(data)} bytes, expected {need}")
-    pos = 2
-    addition = tuple(tuple(data[pos + a * n + b] for b in range(n)) for a in range(n))
-    pos += n * n
-    cubes = []
-    for _ in range(m * m):
-        cube = tuple(
-            tuple(tuple(data[pos + a * n * n + b * n + c] for c in range(n))
-                  for b in range(n))
-            for a in range(n))
-        cubes.append(cube)
-        pos += n * n * n
-    ternary = tuple(tuple(cubes[al * m + be] for be in range(m)) for al in range(m))
-    return GammaStructure(order=n, gamma_size=m, addition=addition, ternary=ternary)
+    _positive_int(n, "order")
+    _positive_int(m, "gamma size")
+    return GammaStructure(order=n, gamma_size=m, addition=_nest(data[2:2 + n * n], (n, n)),
+                          ternary=_nest(data[2 + n * n:], (m, m, n, n, n)))
 
 
 def structures_isomorphic(s1: GammaStructure, s2: GammaStructure) -> bool:

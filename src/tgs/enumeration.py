@@ -9,6 +9,11 @@ each distributivity instance is replayed as soon as its last free cell is
 placed. gamma_modules fills module actions with the same engine and the
 same additivity buckets. Ternary associativity is not a hook: every
 completed table goes through the full axiom check, verify_axioms.
+
+classify splits the search of each monoid by the value of the first ternary
+cell, which _backtrack pins through first=. The split is what lets --jobs
+pay off: at (3,2) one of the 5 monoids takes about 94 % of the search time,
+and its largest part about 64 %.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
-                   ResourceLimitError, _as_grid, _check_order, _default_names,
-                   _prevalidated, _relabel_tables, canonical_form, mask_size,
-                   structure_from_bytes, verify_axioms,
-                   zero_fixing_permutations)
-from .ideals import classify_ideal, enumerate_ideals, full_mask
+                   ResourceLimitError, _as_grid, _canonical_tables,
+                   _check_order, _default_names, _nest, _prevalidated,
+                   canonical_form, mask_size, structure_from_bytes,
+                   verify_axioms)
+from .ideals import (enumerate_ideals, full_mask, is_maximal, is_semiprime,
+                     spectrum_points)
 from .quotient import enumerate_congruences, roundtrip_failures
 from .radicals import is_semisimple, jacobson_radical
 from .spectrum import connected_components, find_idempotents, is_simple
@@ -112,15 +118,7 @@ def _additive_tables(index: dict, m: int, dims, adds, op,
     keys = tuple(index.values())
     shape = (m, m) + dims
     for vals in _backtrack(count, range(len(op)), ok, first):
-        flat = [vals[i] for i in keys]
-        for d in reversed(shape):
-            flat = [tuple(flat[i:i + d]) for i in range(0, len(flat), d)]
-        yield flat[0]
-
-
-def _monoid_canonical(grid, n: int) -> bytes:
-    return min(bytes(v for row in _relabel_tables(sigma, grid)[0] for v in row)
-               for sigma in zero_fixing_permutations(n))
+        yield _nest([vals[i] for i in keys], shape)
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +156,8 @@ def enumerate_additive_monoids(n: int) -> tuple:
     reps = {}
     for _ in _backtrack(len(cells), range(n), ok):
         grid = tuple(tuple(row) for row in table)
-        reps.setdefault(_monoid_canonical(grid, n), grid)
-    return tuple(tuple(tuple(canon[a * n:(a + 1) * n]) for a in range(n))
-                 for canon in sorted(reps))
+        reps.setdefault(_canonical_tables(n, 0, grid), grid)
+    return tuple(_nest(canon[2:], (n, n)) for canon in sorted(reps))
 
 
 @lru_cache(maxsize=None)
@@ -232,12 +229,11 @@ def _structure_summary(s: GammaStructure) -> dict:
     ideals = enumerate_ideals(s)
     top = full_mask(s.order)
     proper = [i for i in ideals if i != top]
-    infos = [classify_ideal(s, i) for i in proper]
     return {
         "ideals": len(ideals),
-        "primes": sum(1 for i in infos if i.prime.ok),
-        "semiprimes": sum(1 for i in infos if i.semiprime.ok),
-        "maximals": sum(1 for i in infos if i.maximal.ok),
+        "primes": len(spectrum_points(s)),
+        "semiprimes": sum(1 for i in proper if is_semiprime(s, i).ok),
+        "maximals": sum(1 for i in proper if is_maximal(s, i).ok),
         "jacobson_size": mask_size(jacobson_radical(s)),
         "idempotents": len(find_idempotents(s)),
         "simple": is_simple(s),

@@ -44,7 +44,7 @@ from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
                    Violation, _as_grid, _as_layers, _check_order,
                    _is_commutative_monoid, _json_text, _LawReport, _non_additive,
                    _param_dict, _param_grid, _positive_int, _prevalidated,
-                   _slot_maps, full_mask, mask_elements, max_order,
+                   _slot_maps, full_mask, mask_elements, mask_of, max_order,
                    structure_from_dict, structure_to_dict, subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
@@ -201,13 +201,14 @@ def _check_module_zero(a_: ModuleAction, at) -> Optional[Violation]:
     return None
 
 
-def _check_module_assoc_surrogate(a_: ModuleAction, slot1,
+def _check_module_assoc_surrogate(a_: ModuleAction, cubes,
                                   carrier_maps) -> Optional[Violation]:
     m = a_.scalar.gamma_size
-    # With P = slot1[al,be][a][d] and Q = slot1[ga,de][b][c] the law reads
+    # With P = a (-) d at (al, be) and Q = b (-) c at (ga, de) the law reads
     # P∘Q == Q∘P, so it holds when every two distinct slot-1 maps commute.
     # Each pair is tested once; the scan walks (al, be, ga, de, a, b, c, d)
-    # to the first non-commuting pair and takes its first mm.
+    # to the first non-commuting pair and takes its first mm. A plane's
+    # maps, its columns, are taken only when the scan reaches it.
     maps = [(f, itemgetter(*f)) for f in carrier_maps]  # (P, g with g(Q) = Q∘P)
     clash = set()
     for i, (f, after_f) in enumerate(maps):
@@ -216,12 +217,12 @@ def _check_module_assoc_surrogate(a_: ModuleAction, slot1,
                 clash.update(((f, g), (g, f)))
     if not clash:
         return None
-    for p, p_cube in enumerate(slot1):
-        for q, q_cube in enumerate(slot1):
-            for a, p_row in enumerate(p_cube):
-                for b, q_row in enumerate(q_cube):
-                    for c, right in enumerate(q_row):
-                        for d, left in enumerate(p_row):
+    for p, p_cube in enumerate(cubes):
+        for q, q_cube in enumerate(cubes):
+            for a, p_plane in enumerate(p_cube):
+                for b, q_plane in enumerate(q_cube):
+                    for c, right in enumerate(zip(*q_plane)):
+                        for d, left in enumerate(zip(*p_plane)):
                             if (left, right) not in clash:
                                 continue
                             mm, lhs, rhs = next(
@@ -240,13 +241,11 @@ def verify_module_axioms(a_: ModuleAction) -> ModuleAxiomReport:
     """Exhaustive check; first witness per family, scan order as written."""
     cubes = [cube for layer in a_.action for cube in layer]  # (al, be) at al*m + be
     at = _slot_maps(cubes)
-    # slot1[i][a][b] is the map mm -> cubes[i][a][mm][b]
-    slot1 = [[tuple(zip(*plane)) for plane in cube] for cube in cubes]
     return ModuleAxiomReport(
         carrier_monoid=_check_carrier_monoid(a_.carrier_addition, a_.carrier_order),
         additivity=_check_module_additivity(a_, cubes, at),
         absorbing_zero=_check_module_zero(a_, at),
-        associativity=_check_module_assoc_surrogate(a_, slot1, at[1]),
+        associativity=_check_module_assoc_surrogate(a_, cubes, at[1]),
     )
 
 
@@ -304,7 +303,7 @@ class AnnihilatorResult:
 
 def annihilator(a_: ModuleAction) -> AnnihilatorResult:
     """First-slot annihilator; primeness evaluated only for simple modules
-    with a proper annihilator, reported rather than assumed."""
+    with a proper, nonempty annihilator, reported rather than assumed."""
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
     mask = 0
@@ -315,10 +314,12 @@ def annihilator(a_: ModuleAction) -> AnnihilatorResult:
             mask |= 1 << a
     proper = mask != full_mask(n)
     prime = None
-    if proper and is_simple_module(a_):
+    if mask and proper and is_simple_module(a_):
         prime = is_prime(s, mask)
-    return AnnihilatorResult(mask=mask, proper=proper,
-                             ideal=is_ideal(s, mask), prime=prime)
+    # an empty annihilator lacks 0; is_ideal refuses the empty subset, so its
+    # witness for a subset without 0 is given here
+    ideal = is_ideal(s, mask) if mask else Verdict(False, ("missing-zero",))
+    return AnnihilatorResult(mask=mask, proper=proper, ideal=ideal, prime=prime)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +355,14 @@ def enumerate_module_actions(s: GammaStructure, carrier_order: int,
             for action in _actions_for_carrier(s, carrier_order, madd))
 
 
-def find_primitive_ideals(s: GammaStructure,
-                          carrier_cap: Optional[int] = None) -> tuple:
+def find_primitive_ideals(s: GammaStructure) -> tuple:
     """Proper annihilators of simple module actions, deduplicated.
 
-    Carriers of order 2 up to carrier_cap are searched. carrier_cap defaults
-    to the scalar order and may not exceed the global order cap, max_order().
+    Carriers of order 2 up to the scalar order, and at most the order cap
+    max_order(), are searched.
     """
-    limit = max_order()
-    if carrier_cap is None:
-        carrier_cap = min(s.order, limit)
-    if carrier_cap > limit:
-        raise ResourceLimitError(
-            f"carrier cap {carrier_cap} exceeds limit {limit}")
     found = set()
-    for k in range(2, carrier_cap + 1):
+    for k in range(2, min(s.order, max_order()) + 1):
         for action in enumerate_module_actions(s, k):
             result = annihilator(action)
             if result.proper and is_simple_module(action):
@@ -406,14 +400,11 @@ def find_module_homomorphisms(src: ModuleAction, dst: ModuleAction,
 
 
 def kernel_mask(f) -> int:
-    return sum(1 << i for i, v in enumerate(f) if v == 0)
+    return mask_of(i for i, v in enumerate(f) if v == 0)
 
 
 def image_mask(f) -> int:
-    out = 0
-    for v in f:
-        out |= 1 << v
-    return out
+    return mask_of(f)
 
 
 def is_submodule(a_: ModuleAction, mask: int) -> bool:

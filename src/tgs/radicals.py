@@ -9,18 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GammaStructure, _check_bits, full_mask, mask_elements, memo
+from .core import (GammaStructure, _check_bits, _meet, full_mask, mask_elements,
+                   memo)
 from .ideals import enumerate_ideals, is_ideal, is_maximal, spectrum_points
 
 
 def radical_by_primes(s: GammaStructure, mask: int) -> int:
     """Intersection of all prime ideals containing the subset; carrier if none."""
     _check_bits(s, mask, "subset")
-    out = full_mask(s.order)
-    for p in spectrum_points(s):
-        if p & mask == mask:
-            out &= p
-    return out
+    return _meet(s, (p for p in spectrum_points(s) if p & mask == mask))
 
 
 def radical_by_elements(s: GammaStructure, mask: int) -> int:
@@ -77,14 +74,9 @@ def radical_report(s: GammaStructure, mask: int) -> RadicalReport:
 
 def jacobson_radical(s: GammaStructure) -> int:
     """Intersection of all maximal ideals; carrier if there are none. Once per structure."""
-    def meet() -> int:
-        top = full_mask(s.order)
-        out = top
-        for ideal in enumerate_ideals(s):
-            if ideal != top and is_maximal(s, ideal).ok:
-                out &= ideal
-        return out
-    return memo(s, "jacobson", meet)
+    top = full_mask(s.order)
+    return memo(s, "jacobson", lambda: _meet(s, (
+        i for i in enumerate_ideals(s) if i != top and is_maximal(s, i).ok)))
 
 
 def is_semisimple(s: GammaStructure) -> bool:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterator, Optional
 
-from .core import (GammaStructure, InputError, Verdict, _check_bits, full_mask,
-                   mask_elements, memo, subset_sort_key)
+from .core import (GammaStructure, InputError, Verdict, _check_bits, _meet,
+                   full_mask, mask_elements, memo, subset_sort_key)
 from .ideals import (_dot, enumerate_ideals, generated_ideal, is_ideal,
                      spectrum_points)
 from .quotient import bourne_congruence, normalize_partition, quotient_structure
@@ -105,14 +105,8 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
     pair_check("t0-separation", points, points,
                lambda p, q: p != q and closures[p] == closures[q])
 
-    bad = None
-    for i in ideals:
-        meet = full_mask(s.order)
-        for p in vmap[i]:
-            meet &= p
-        if meet != radical_by_primes(s, i):
-            bad = (i,)
-            break
+    bad = next(((i,) for i in ideals if _meet(s, vmap[i]) != radical_by_primes(s, i)),
+               None)
     checks.append(TopologyCheck("closed-set-meet-is-radical", bad is None, bad))
     return tuple(checks)
 
@@ -124,13 +118,7 @@ def connected_components(s: GammaStructure) -> tuple[tuple[int, ...], ...]:
     every = frozenset(points)
     family = {closed_set(s, i) for i in enumerate_ideals(s)}
     clopen = [c for c in family if (every - c) in family]
-    comp = {}
-    for p in points:
-        cur = every
-        for c in clopen:
-            if p in c:
-                cur = cur & c
-        comp[p] = cur
+    comp = {p: _closure_of_point(clopen, p, every) for p in points}
     seen = []
     for p in points:
         canon = tuple(sorted(comp[p], key=subset_sort_key))
@@ -222,24 +210,21 @@ def is_simple(s: GammaStructure) -> bool:
 
 @dataclass(frozen=True)
 class HomomorphismMap:
-    """Element map between structures with a parameter relabeling."""
+    """Element map between structures; each parameter maps to itself."""
 
     source: GammaStructure
     target: GammaStructure
     element_map: tuple
-    param_map: tuple
 
     def validate(self) -> Verdict:
         src, dst = self.source, self.target
-        f, pm = self.element_map, self.param_map
+        f = self.element_map
         if len(f) != src.order:
             raise InputError(f"element map must have {src.order} entries")
-        if len(pm) != src.gamma_size:
-            raise InputError(f"param map must have {src.gamma_size} entries")
         if any(not 0 <= v < dst.order for v in f):
             raise InputError("element map image out of range")
-        if any(not 0 <= v < dst.gamma_size for v in pm):
-            raise InputError("param map image out of range")
+        if src.gamma_size > dst.gamma_size:
+            raise InputError("target has fewer parameters than the source")
         if f[0] != 0:
             return Verdict(False, ("zero", 0))
         for a in range(src.order):
@@ -252,7 +237,7 @@ class HomomorphismMap:
                     for al in range(src.gamma_size):
                         for be in range(src.gamma_size):
                             lhs = f[src.ternary[al][be][a][b][c]]
-                            rhs = dst.ternary[pm[al]][pm[be]][f[a]][f[b]][f[c]]
+                            rhs = dst.ternary[al][be][f[a]][f[b]][f[c]]
                             if lhs != rhs:
                                 return Verdict(False, ("tern", a, b, c, al, be))
         return Verdict(True)
@@ -279,8 +264,7 @@ def find_homomorphisms(src: GammaStructure, dst: GammaStructure,
     """
     if src.gamma_size != dst.gamma_size:
         return []
-    pm = tuple(range(src.gamma_size))
-    maps = (HomomorphismMap(src, dst, f, pm)
+    maps = (HomomorphismMap(src, dst, f)
             for f in _zero_fixing_maps(src.order, dst.order, surjective_only))
     return [h for h in maps if h.validate().ok]
 
@@ -361,9 +345,6 @@ def crt_check(s: GammaStructure, ideals) -> CrtReport:
     zero_tuple = tuple(0 for _ in parts)
     kernel_zero = sum(1 << a for a in range(s.order)
                       if tuple(p[a] for p in parts) == zero_tuple)
-    meet = top
-    for i in ideals:
-        meet &= i
     return CrtReport(
         ideals=ideals,
         comaximal=comax,
@@ -372,7 +353,7 @@ def crt_check(s: GammaStructure, ideals) -> CrtReport:
         surjective=len(images) == prod_size,
         injective=len(images) == s.order,
         kernel_zero_class=kernel_zero,
-        intersection=meet,
+        intersection=_meet(s, ideals),
     )
 
 
@@ -390,7 +371,7 @@ class SpectrumView:
     closed_sets: tuple          # (ideal_mask, sorted point masks) per ideal
     components: tuple
 
-    def to_dict(self, s: GammaStructure) -> dict:
+    def to_dict(self) -> dict:
         return {
             "points": [list(mask_elements(p)) for p in self.points],
             "closed_sets": [

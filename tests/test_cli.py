@@ -1,10 +1,12 @@
 import json
 import os
+import random
 
 import pytest
 
 from tgs.cli import main
-from tgs.core import dumps_structure
+from tgs.core import (InputError, dumps_structure, parse_structure,
+                      structure_from_bytes)
 from tgs.fixtures import CLAIMED, DERIVED
 from tgs.ideals import lattice_dot
 from tgs.spectrum import spectrum_dot
@@ -160,6 +162,88 @@ def test_malformed_structure_exits_1_without_traceback(tmp_path, capsys):
             assert err.startswith("error:")
             assert "Traceback" not in err
             assert len(err) < len(str(path)) + 200
+
+
+def _malformed_documents(rng, doc, count):
+    """count seeded corruptions of the structure document doc: a wrong shape
+    or order, a bool or float entry, a missing key, or names of the wrong
+    length."""
+    n = doc["order"]
+    out = []
+    while len(out) < count:
+        bad = json.loads(json.dumps(doc))
+        key = rng.choice(sorted(bad["ternary"]))
+        cube = bad["ternary"][key]
+        kind = rng.randrange(8)
+        if kind == 0:  # a row one entry short or long
+            row = rng.choice(bad["addition"] + [rng.choice(rng.choice(cube))])
+            if rng.random() < 0.5:
+                row.append(0)
+            else:
+                row.pop()
+        elif kind == 1:  # a table one row or plane short
+            rng.choice([bad["addition"], cube, rng.choice(cube)]).pop()
+        elif kind == 2:  # a list replaced by a scalar
+            plane = rng.choice(cube)
+            plane[rng.randrange(n)] = rng.choice([0, "0", None])
+        elif kind == 3:  # an order that does not match the tables
+            bad["order"] = rng.choice([n - 1, n + 1, 256, 0, -1])
+        elif kind == 4:  # a bool or float entry
+            row = rng.choice(bad["addition"] + [rng.choice(rng.choice(cube))])
+            i = rng.randrange(n)
+            row[i] = rng.choice([True, False, float(row[i]), 0.5])
+        elif kind == 5:  # a bool or float order or gamma
+            bad[rng.choice(["order", "gamma"])] = rng.choice([True, 1.0, 2.0])
+        elif kind == 6:  # a missing key, at the top or among the cubes
+            if rng.random() < 0.3:
+                del bad["ternary"][key]
+            else:
+                del bad[rng.choice(["order", "gamma", "addition", "ternary"])]
+        else:  # names of the wrong length
+            bad["names"] = [str(i) for i in range(rng.choice([1, n - 1, n + 1]))]
+        out.append(bad)
+    return out
+
+
+def test_loader_fuzz_raises_input_error_and_exits_1(tmp_path, capsys):
+    rng = random.Random(20261018)
+    docs = []
+    for s in (DERIVED["M3"], DERIVED["M4"]):
+        docs += _malformed_documents(rng, json.loads(dumps_structure(s)), 40)
+    s22 = json.loads(dumps_structure(DERIVED["B2"]))
+    s22["gamma"] = 2
+    s22["ternary"] = {f"{al},{be}": s22["ternary"]["0,0"]
+                      for al in range(2) for be in range(2)}
+    parse_structure(json.dumps(s22))  # the uncorrupted document loads
+    docs += _malformed_documents(rng, s22, 40)
+    for i, doc in enumerate(docs):
+        text = json.dumps(doc)
+        with pytest.raises(InputError):
+            parse_structure(text)
+        path = tmp_path / f"bad_{i}.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_structure_bytes_of_every_length_near_the_expected():
+    rng = random.Random(7)
+    # the two short encodings that reach the nesting with a zero dimension
+    for data in (bytes([0, 1]), bytes([2, 0, 0, 1, 1, 0])):
+        with pytest.raises(InputError):
+            structure_from_bytes(data)
+    for n, m in ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (2, 1),
+                 (3, 1), (2, 2)):
+        need = 2 + n * n + m * m * n ** 3
+        for length in range(max(0, need - 4), need + 5):
+            data = bytes([n, m] + [rng.randrange(max(n, 1))
+                                   for _ in range(length - 2)])[:length]
+            if length == need and n and m:
+                assert structure_from_bytes(data).order == n
+                continue
+            with pytest.raises(InputError):
+                structure_from_bytes(data)
 
 
 def test_verify_empty_directory(tmp_path, capsys):

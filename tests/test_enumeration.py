@@ -117,6 +117,12 @@ def test_classify_deterministic_across_jobs():
     assert render_classification_text(a) == render_classification_text(b)
 
 
+def test_classify_gamma2_identical_across_jobs():
+    one = json.dumps(classify(3, 2, jobs=1).to_dict(), indent=2, sort_keys=True)
+    two = json.dumps(classify(3, 2, jobs=2).to_dict(), indent=2, sort_keys=True)
+    assert one == two
+
+
 def test_classify_pool_bounded_by_tasks_and_cpus(monkeypatch):
     sizes = []
 

@@ -264,17 +264,25 @@ def test_annihilator_zero_module():
     assert a.prime is None
 
 
+def test_annihilator_when_no_scalar_kills_the_carrier():
+    # every product is 1, so not even the scalar 0 kills the carrier and the
+    # annihilator is empty; is_ideal refuses the empty subset
+    cube = [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]
+    action = ModuleAction(scalar=DERIVED["B2"], carrier_order=2,
+                          carrier_addition=((0, 1), (1, 0)), action=[[cube]])
+    assert verify_module_axioms(action).absorbing_zero.args[0] == 0
+    a = annihilator(action)
+    assert (a.mask, a.proper, a.prime) == (0, True, None)
+    assert a.ideal == (False, ("missing-zero",))
+    assert a.to_dict()["ideal_witness"] == ["missing-zero"]
+
+
 def test_primitive_ideals_frozen():
-    assert find_primitive_ideals(DERIVED["M3"], carrier_cap=3) == (1,)
-    assert find_primitive_ideals(DERIVED["B2"], carrier_cap=2) == (1,)
+    assert find_primitive_ideals(DERIVED["M3"]) == (1,)
+    assert find_primitive_ideals(DERIVED["B2"]) == (1,)
     from tgs.enumeration import enumerate_structures
     one = next(iter(enumerate_structures(1, 1)))
     assert find_primitive_ideals(one) == ()
-
-
-def test_primitive_ideal_cap():
-    with pytest.raises(ResourceLimitError):
-        find_primitive_ideals(DERIVED["B2"], carrier_cap=9)
 
 
 def test_module_homs_m3():

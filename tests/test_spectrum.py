@@ -144,7 +144,7 @@ def test_quotient_by_ideal_shortcut():
 def test_spectrum_view_shape():
     view = prime_spectrum(DERIVED["M6"])
     assert view.points == (9, 21)
-    doc = view.to_dict(DERIVED["M6"])
+    doc = view.to_dict()
     assert doc["points"] == [[0, 3], [0, 2, 4]]
     assert len(doc["closed_sets"]) == len(enumerate_ideals(DERIVED["M6"]))
     assert doc["components"] == [[[0, 3]], [[0, 2, 4]]]
@@ -181,7 +181,7 @@ def test_hom_gamma_size_must_match():
 
 def test_hom_validate_witness():
     bad = HomomorphismMap(source=DERIVED["M3"], target=DERIVED["M3"],
-                          element_map=(0, 1, 1), param_map=(0,))
+                          element_map=(0, 1, 1))
     v = bad.validate()
     assert not v.ok
     assert v.witness[0] in ("add", "tern")
@@ -191,8 +191,7 @@ def test_prime_pullback_along_quotient_projection():
     s = DERIVED["M6"]
     rho = bourne_congruence(s, 9)
     q = quotient_structure(s, rho)
-    pi = HomomorphismMap(source=s, target=q, element_map=rho,
-                         param_map=(0,))
+    pi = HomomorphismMap(source=s, target=q, element_map=rho)
     assert pi.validate().ok
     assert pi.is_surjective()
     back = pullback_ideal(pi, 1)  # zero class of the quotient
