@@ -22,8 +22,9 @@ from .gamma_modules import (AnnihilatorResult, ModuleAction, ModuleAxiomReport,
                             is_simple_module, regular_module,
                             verify_module_axioms, zero_module)
 from .ideals import (IdealInfo, IdealLattice, classify_ideal, enumerate_ideals,
-                     generated_ideal, ideal_lattice, is_ideal, is_maximal,
-                     is_primary, is_prime, is_semiprime, lattice_dot)
+                     generated_ideal, ideal_classes, ideal_lattice, is_ideal,
+                     is_maximal, is_primary, is_prime, is_semiprime,
+                     lattice_dot)
 from .quotient import (bourne_congruence, congruence_to_ideal,
                        enumerate_congruences, has_nonzero_zero_divisors,
                        is_congruence, normalize_partition, quotient_structure)

@@ -18,8 +18,8 @@ from .core import (GammaStructure, _meet, canonical_form, full_mask,
                    mask_elements, mask_of, memo, verify_axioms)
 from .fixtures import CLAIMS, claim_structure
 from .gamma_modules import regular_module, verify_module_axioms
-from .ideals import (enumerate_ideals, ideal_lattice, is_ideal, is_maximal,
-                     is_primary, is_prime, is_semiprime)
+from .ideals import (enumerate_ideals, ideal_classes, ideal_lattice, is_ideal,
+                     is_prime, is_semiprime)
 from .quotient import (bourne_congruence, congruence_to_ideal,
                        enumerate_congruences, has_nonzero_zero_divisors,
                        is_congruence, partition_blocks, quotient_structure,
@@ -59,11 +59,6 @@ def _elems(mask: int) -> list:
     return list(mask_elements(mask))
 
 
-def _proper_ideals(s: GammaStructure) -> list:
-    top = full_mask(s.order)
-    return [i for i in enumerate_ideals(s) if i != top]
-
-
 def _projection_map(s: GammaStructure, partition) -> HomomorphismMap:
     q = quotient_structure(s, partition)
     return HomomorphismMap(source=s, target=q, element_map=tuple(partition))
@@ -76,22 +71,18 @@ def run_asserted_suite(s: GammaStructure) -> list:
     checks = []
     top = full_mask(s.order)
     ideals = enumerate_ideals(s)
-    proper = _proper_ideals(s)
+    classes = ideal_classes(s)
     group = s.is_additive_group()
 
     for name, premise, conclusion in (
-            ("maximal-implies-prime", is_maximal, is_prime),
-            ("prime-implies-primary", is_prime, is_primary),
-            ("prime-implies-semiprime", is_prime, is_semiprime)):
-        wit = []
-        for i in proper:
-            if premise(s, i).ok:
-                v = conclusion(s, i)
-                if not v.ok:
-                    wit.append((_elems(i), list(v.witness)))
+            ("maximal-implies-prime", "maximal", "prime"),
+            ("prime-implies-primary", "prime", "primary"),
+            ("prime-implies-semiprime", "prime", "semiprime")):
+        wit = [(_elems(c.mask), list(getattr(c, conclusion).witness))
+               for c in classes if getattr(c, premise) and not getattr(c, conclusion)]
         checks.append(SuiteCheck(name, True, not wit, tuple(wit)))
 
-    semis = [i for i in proper if is_semiprime(s, i).ok]
+    semis = [c.mask for c in classes if c.semiprime]
     wit = []
     for a in range(len(semis)):
         for b in range(a + 1, len(semis)):
@@ -193,10 +184,9 @@ def run_asserted_suite(s: GammaStructure) -> list:
     checks.append(SuiteCheck("prime-pullback-along-projections", True,
                              not wit, tuple(wit)))
 
-    maximals = [i for i in proper if is_maximal(s, i).ok]
+    maximals = [c for c in classes if c.maximal]
     jac = jacobson_radical(s)
-    hypothesis = (maximals and jac != top
-                  and all(is_prime(s, i).ok for i in maximals))
+    hypothesis = maximals and jac != top and all(c.prime for c in maximals)
     if hypothesis:
         v = is_semiprime(s, jac)
         checks.append(SuiteCheck("jacobson-semiprime-when-maximals-prime", True,
@@ -228,12 +218,13 @@ def _quotient_characterizations(s: GammaStructure, asserted: bool) -> list:
                     "monoid addition: inflation is possible")]
 
     wit = []
-    for p in _proper_ideals(s):
-        left = is_prime(s, p).ok
-        q = quotient_by_ideal(s, p)
-        right = not has_nonzero_zero_divisors(q).ok
+    for c in ideal_classes(s):
+        if not c.proper:
+            continue
+        left = c.prime.ok
+        right = not has_nonzero_zero_divisors(quotient_by_ideal(s, c.mask)).ok
         if left != right:
-            wit.append((_elems(p), "prime" if left else "not-prime",
+            wit.append((_elems(c.mask), "prime" if left else "not-prime",
                         "zero-divisor-free" if right else "has-zero-divisors"))
     checks.append(check("prime-iff-quotient-zero-divisor-free", wit,
                         "coset argument needs subtraction"))
@@ -254,7 +245,7 @@ def _crt_reports(s: GammaStructure) -> tuple:
 
 
 def _crt_checks(s: GammaStructure) -> tuple:
-    maximals = [i for i in _proper_ideals(s) if is_maximal(s, i).ok]
+    maximals = [c.mask for c in ideal_classes(s) if c.maximal]
     out = []
     for a in range(len(maximals)):
         for b in range(a + 1, len(maximals)):
@@ -271,7 +262,6 @@ def run_reported_suite(s: GammaStructure) -> list:
     checks = []
     top = full_mask(s.order)
     ideals = enumerate_ideals(s)
-    proper = _proper_ideals(s)
     group = s.is_additive_group()
 
     wit = []
@@ -288,13 +278,13 @@ def run_reported_suite(s: GammaStructure) -> list:
                              tuple(flags)))
 
     wit = []
-    for q in proper:
-        if is_primary(s, q).ok:
-            rad = radical_by_primes(s, q)
+    for c in ideal_classes(s):
+        if c.primary:
+            rad = radical_by_primes(s, c.mask)
             if rad == top:
-                wit.append((_elems(q), "radical-not-proper"))
+                wit.append((_elems(c.mask), "radical-not-proper"))
             elif not is_prime(s, rad).ok:
-                wit.append((_elems(q), _elems(rad)))
+                wit.append((_elems(c.mask), _elems(rad)))
     checks.append(SuiteCheck("primary-radical-prime", False, not wit, tuple(wit)))
 
     wit = [(list(rho), list(back)) for rho, back in roundtrip_failures(s)]
@@ -394,24 +384,16 @@ def evaluate_claim(claim: dict) -> dict:
             return done(False, {"not-an-ideal": problem})
         if mask == top:
             return done(False, {"not-proper": _elems(mask)})
-        if kind == "prime":
-            v = is_prime(s, mask)
-            return done(v.ok, None if v.ok else list(v.witness))
-        if kind == "not-prime":
-            v = is_prime(s, mask)
-            return done(not v.ok, list(v.witness) if not v.ok else None)
-        if kind == "semiprime":
-            v = is_semiprime(s, mask)
-            return done(v.ok, None if v.ok else list(v.witness))
-        if kind == "maximal":
-            v = is_maximal(s, mask)
-            return done(v.ok, None if v.ok else list(v.witness))
-        if kind == "prime-not-maximal":
-            p, m = is_prime(s, mask), is_maximal(s, mask)
-            return done(p.ok and not m.ok,
-                        {"prime": p.ok, "maximal": m.ok})
-        p, q = is_prime(s, mask), is_primary(s, mask)
-        return done(q.ok and not p.ok, {"primary": q.ok, "prime": p.ok})
+        info = ideal_classes(s)[enumerate_ideals(s).index(mask)]
+        if "-not-" in kind:  # prime-not-maximal, primary-not-prime
+            holds, fails = kind.split("-not-")
+            a, b = getattr(info, holds).ok, getattr(info, fails).ok
+            return done(a and not b, {holds: a, fails: b})
+        # prime, semiprime, maximal, and not-prime: the witness is the
+        # counterexample whenever the property fails
+        v = getattr(info, kind.removeprefix("not-"))
+        return done(v.ok != kind.startswith("not-"),
+                    None if v.ok else list(v.witness))
     if kind == "primes-exactly":
         claimed = sorted(mask_of(e) for e in claim["ideals"])
         computed = sorted(spectrum_points(s))

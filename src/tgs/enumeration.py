@@ -31,8 +31,7 @@ from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
                    _check_order, _default_names, _nest, _prevalidated,
                    canonical_form, mask_size, structure_from_bytes,
                    verify_axioms)
-from .ideals import (enumerate_ideals, full_mask, is_maximal, is_semiprime,
-                     spectrum_points)
+from .ideals import ideal_classes
 from .quotient import enumerate_congruences, roundtrip_failures
 from .radicals import is_semisimple, jacobson_radical
 from .spectrum import connected_components, find_idempotents, is_simple
@@ -226,14 +225,12 @@ def _enumeration_worker(task) -> list:
 # classification
 
 def _structure_summary(s: GammaStructure) -> dict:
-    ideals = enumerate_ideals(s)
-    top = full_mask(s.order)
-    proper = [i for i in ideals if i != top]
+    classes = ideal_classes(s)
     return {
-        "ideals": len(ideals),
-        "primes": len(spectrum_points(s)),
-        "semiprimes": sum(1 for i in proper if is_semiprime(s, i).ok),
-        "maximals": sum(1 for i in proper if is_maximal(s, i).ok),
+        "ideals": len(classes),
+        "primes": sum(1 for c in classes if c.prime),
+        "semiprimes": sum(1 for c in classes if c.semiprime),
+        "maximals": sum(1 for c in classes if c.maximal),
         "jacobson_size": mask_size(jacobson_radical(s)),
         "idempotents": len(find_idempotents(s)),
         "simple": is_simple(s),

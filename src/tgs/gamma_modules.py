@@ -138,42 +138,27 @@ def _check_module_additivity(a_: ModuleAction, cubes, at) -> Optional[Violation]
     on_carrier = _non_additive(at[1], madd, madd)
     if not (from_scalars or on_carrier):
         return None
+    failing = (from_scalars, on_carrier, from_scalars)
+    adds = (s.addition, madd, s.addition)
     for i, cube in enumerate(cubes):
         al, be = divmod(i, m)
-        at0, at1, at2 = _slot_maps((cube,))
-        if not from_scalars.isdisjoint(at0):
-            for x in range(n):
-                for y in range(n):
-                    xy = s.addition[x][y]
-                    for mm in range(k):
-                        for b in range(n):
-                            lhs = cube[xy][mm][b]
-                            rhs = madd[cube[x][mm][b]][cube[y][mm][b]]
-                            if lhs != rhs:
-                                return Violation("module-additivity-0",
-                                                 (x, y, mm, b, al, be), lhs, rhs)
-        if not on_carrier.isdisjoint(at1):
-            for a in range(n):
-                for m1 in range(k):
-                    for m2 in range(k):
-                        ms = madd[m1][m2]
-                        for b in range(n):
-                            lhs = cube[a][ms][b]
-                            rhs = madd[cube[a][m1][b]][cube[a][m2][b]]
-                            if lhs != rhs:
-                                return Violation("module-additivity-1",
-                                                 (a, m1, m2, b, al, be), lhs, rhs)
-        if not from_scalars.isdisjoint(at2):
-            for a in range(n):
-                for mm in range(k):
-                    for x in range(n):
-                        for y in range(n):
-                            xy = s.addition[x][y]
-                            lhs = cube[a][mm][xy]
-                            rhs = madd[cube[a][mm][x]][cube[a][mm][y]]
-                            if lhs != rhs:
-                                return Violation("module-additivity-2",
-                                                 (a, mm, x, y, al, be), lhs, rhs)
+        for slot, maps in enumerate(_slot_maps((cube,))):
+            if failing[slot].isdisjoint(maps):
+                continue
+            # the scan walks the cube's coordinates with the slot's own
+            # doubled in place into the pair (x, y): (x, y, mm, b),
+            # (a, m1, m2, b) or (a, mm, x, y)
+            ranges = [range(d) for d in (n, k, n)]
+            ranges.insert(slot, ranges[slot])
+            for args in iproduct(*ranges):
+                x, y = args[slot:slot + 2]
+                lhs, fx, fy = (cube[a][mm][b] for a, mm, b in (
+                    args[:slot] + (v,) + args[slot + 2:]
+                    for v in (adds[slot][x][y], x, y)))
+                rhs = madd[fx][fy]
+                if lhs != rhs:
+                    return Violation(f"module-additivity-{slot}", args + (al, be),
+                                     lhs, rhs)
     return None
 
 
@@ -344,11 +329,17 @@ def enumerate_module_actions(s: GammaStructure, carrier_order: int,
     """All additivity-satisfying actions on carriers of the given order.
 
     The arguments and the order cap, max_order(), are checked at the call,
-    before any search starts."""
+    before any search starts; a given carrier addition must be a commutative
+    monoid with identity 0."""
     _positive_int(carrier_order, "carrier order")
     _check_order(carrier_order, "carrier order")
     if carrier_addition is not None:
         carriers = (_as_grid(carrier_addition, carrier_order, "carrier addition"),)
+        # the search replays additivity only for y >= x, which covers the
+        # other half only on a commutative monoid with identity 0
+        if not _is_commutative_monoid(carriers[0]):
+            raise InputError("carrier addition must be a commutative monoid "
+                             "with identity 0")
     else:
         carriers = enumerate_additive_monoids(carrier_order)
     return (action for madd in carriers

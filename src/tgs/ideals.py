@@ -5,6 +5,13 @@ must contain 0, be closed under addition, and absorb ternary products when
 any single argument lies in it. Classification predicates return Verdicts
 whose witness is the first counterexample in the documented scan order, so
 outputs are reproducible.
+
+The four predicates (prime, semiprime, maximal, primary) run on the ideals of
+a structure in one place: ideal_classes(s) classifies each ideal once per
+structure, and the prime spectrum, the Jacobson radical, the summaries and
+the analysis suites read their lists and verdicts from it. Elsewhere they run
+only on subsets that need not be in that list: meets, radicals, pullbacks,
+ideals of a quotient, and annihilators.
 """
 
 from __future__ import annotations
@@ -170,14 +177,15 @@ class IdealInfo:
     primary: Optional[Verdict]
 
     def tags(self) -> tuple[str, ...]:
+        # a Verdict is truthy iff it holds, and None (the carrier) is falsy
         out = []
-        if self.prime and self.prime.ok:
+        if self.prime:
             out.append("P")
-        if self.semiprime and self.semiprime.ok:
+        if self.semiprime:
             out.append("SP")
-        if self.maximal and self.maximal.ok:
+        if self.maximal:
             out.append("MAX")
-        if self.primary and self.primary.ok:
+        if self.primary:
             out.append("PRI")
         return tuple(out)
 
@@ -191,6 +199,12 @@ def classify_ideal(s: GammaStructure, mask: int) -> IdealInfo:
                      semiprime=is_semiprime(s, mask),
                      maximal=is_maximal(s, mask),
                      primary=is_primary(s, mask))
+
+
+def ideal_classes(s: GammaStructure) -> tuple[IdealInfo, ...]:
+    """classify_ideal over enumerate_ideals(s), in its order; once per structure."""
+    return memo(s, "classes", lambda: tuple(
+        classify_ideal(s, mask) for mask in enumerate_ideals(s)))
 
 
 @dataclass(frozen=True)
@@ -214,16 +228,14 @@ def ideal_lattice(s: GammaStructure) -> IdealLattice:
                        for k, mid in enumerate(ideals)):
                     continue
                 covers.append((i, j))
-        info = tuple(classify_ideal(s, mask) for mask in ideals)
-        return IdealLattice(ideals=ideals, covers=tuple(sorted(covers)), info=info)
+        return IdealLattice(ideals=ideals, covers=tuple(sorted(covers)),
+                            info=ideal_classes(s))
     return memo(s, "lattice", build)
 
 
 def spectrum_points(s: GammaStructure) -> tuple[int, ...]:
-    """All prime ideals, ascending by size then bitmask; once per structure."""
-    top = full_mask(s.order)
-    return memo(s, "primes", lambda: tuple(
-        i for i in enumerate_ideals(s) if i != top and is_prime(s, i).ok))
+    """All prime ideals, ascending by size then bitmask."""
+    return tuple(info.mask for info in ideal_classes(s) if info.prime)
 
 
 def _dot(graph: str, prefix: str, labels, edges) -> str:

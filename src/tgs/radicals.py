@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (GammaStructure, _check_bits, _meet, full_mask, mask_elements,
-                   memo)
-from .ideals import enumerate_ideals, is_ideal, is_maximal, spectrum_points
+from .core import GammaStructure, _check_bits, _meet, mask_elements
+from .ideals import ideal_classes, is_ideal, spectrum_points
 
 
 def radical_by_primes(s: GammaStructure, mask: int) -> int:
@@ -73,10 +72,8 @@ def radical_report(s: GammaStructure, mask: int) -> RadicalReport:
 
 
 def jacobson_radical(s: GammaStructure) -> int:
-    """Intersection of all maximal ideals; carrier if there are none. Once per structure."""
-    top = full_mask(s.order)
-    return memo(s, "jacobson", lambda: _meet(s, (
-        i for i in enumerate_ideals(s) if i != top and is_maximal(s, i).ok)))
+    """Intersection of all maximal ideals; carrier if there are none."""
+    return _meet(s, (info.mask for info in ideal_classes(s) if info.maximal))
 
 
 def is_semisimple(s: GammaStructure) -> bool:

@@ -16,12 +16,13 @@ from .core import (GammaStructure, InputError, Verdict, _check_bits, _meet,
                    full_mask, mask_elements, memo, subset_sort_key)
 from .ideals import (_dot, enumerate_ideals, generated_ideal, is_ideal,
                      spectrum_points)
-from .quotient import bourne_congruence, normalize_partition, quotient_structure
+from .quotient import bourne_congruence, quotient_structure
 from .radicals import radical_by_primes
 
 
 def closed_set(s: GammaStructure, mask: int) -> frozenset:
     """Primes containing the given subset."""
+    _check_bits(s, mask, "subset")
     return frozenset(p for p in spectrum_points(s) if p & mask == mask)
 
 
@@ -97,7 +98,7 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
     bad = None
     closures = {p: _closure_of_point(family, p, every) for p in points}
     for p in points:
-        if closures[p] != vmap.get(p, closed_set(s, p)):
+        if closures[p] != vmap[p]:
             bad = (p,)
             break
     checks.append(TopologyCheck("point-closure-is-containment-set", bad is None, bad))
@@ -142,7 +143,11 @@ class Decomposition:
     idempotent: int
     left: int
     right: Optional[int]
-    mixed_products_zero: bool
+
+    @property
+    def mixed_products_zero(self) -> bool:
+        # a complement is accepted only when every mixed product is 0
+        return self.right is not None
 
     @property
     def nontrivial(self) -> bool:
@@ -194,8 +199,8 @@ def decompose_by_idempotent(s: GammaStructure, e: int) -> Decomposition:
         if generated_ideal(s, left | j) != top:
             continue
         if mixed_zero(j):
-            return Decomposition(e, left, j, True)
-    return Decomposition(e, left, None, False)
+            return Decomposition(e, left, j)
+    return Decomposition(e, left, None)
 
 
 def is_simple(s: GammaStructure) -> bool:
@@ -336,7 +341,7 @@ def crt_check(s: GammaStructure, ideals) -> CrtReport:
                 break
         if not comax.ok:
             break
-    parts = [normalize_partition(bourne_congruence(s, i)) for i in ideals]
+    parts = [bourne_congruence(s, i) for i in ideals]  # restricted growth form
     orders = tuple(max(p) + 1 for p in parts)
     images = {tuple(p[a] for p in parts) for a in range(s.order)}
     prod_size = 1

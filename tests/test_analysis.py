@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -12,8 +13,12 @@ import tgs.quotient
 from tgs.analysis import (analyze, evaluate_all_claims, evaluate_claim,
                           render_text, run_asserted_suite,
                           run_reported_suite)
-from tgs.core import GammaStructure, mask_of
+from tgs.core import GammaStructure, mask_elements, mask_of
+from tgs.enumeration import _structure_summary
 from tgs.fixtures import CLAIMS, DERIVED, mod_mul_structure
+from tgs.ideals import ideal_classes
+from tgs.radicals import jacobson_radical
+from tgs.spectrum import spectrum_points
 
 from oracles import naive_ideals, naive_is_prime
 
@@ -280,3 +285,53 @@ def test_quotients_built_once_per_partition(monkeypatch):
         built.clear()
         analyze(replace(DERIVED[name]))
         assert built and set(built.values()) == {1}
+
+
+PREDICATES = ("is_prime", "is_semiprime", "is_maximal", "is_primary")
+PREDICATE_KINDS = ("prime", "not-prime", "semiprime", "maximal",
+                   "prime-not-maximal", "primary-not-prime")
+
+
+def _count_predicate_calls(monkeypatch) -> Counter:
+    """Wrap the four predicates in every tgs module namespace that binds
+    them; the counter gets one entry per call, by predicate name."""
+    calls = Counter()
+    for key, mod in sorted(sys.modules.items()):
+        if key != "tgs" and not key.startswith("tgs."):
+            continue
+        for name in PREDICATES:
+            fn = getattr(mod, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_ideal_lists_read_the_one_classification(monkeypatch):
+    calls = _count_predicate_calls(monkeypatch)
+    for name in sorted(DERIVED):
+        # a fresh object classifies each proper ideal once, one call per
+        # predicate
+        fresh = replace(DERIVED[name])
+        proper = len(ideal_classes(fresh)) - 1
+        assert calls == Counter(dict.fromkeys(PREDICATES, proper)), name
+        calls.clear()
+        # once built, the spectrum, the Jacobson radical, the summary and the
+        # predicate claims (on the fixture object itself) run no predicate
+        s = DERIVED[name]
+        classes = ideal_classes(s)
+        calls.clear()
+        spectrum_points(s)
+        jacobson_radical(s)
+        _structure_summary(s)
+        for info in classes[:-1]:
+            for kind in PREDICATE_KINDS:
+                row = evaluate_claim({"id": "x", "fixture": name, "kind": kind,
+                                      "text": "x",
+                                      "elements": list(mask_elements(info.mask))})
+                assert row["verdict"] in ("confirmed", "refuted")
+        assert calls == Counter(), name

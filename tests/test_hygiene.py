@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with the stdlib ast module: no module
-imports a name it never uses, and no module-level private function goes
-unreferenced."""
+imports a name it never uses, no module-level private function goes
+unreferenced, and no per-structure memo key is set in two places."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tgs"
@@ -46,3 +47,20 @@ def test_every_private_function_is_referenced():
                     and node.name.startswith("_")
                     and node.name not in used]
     assert unreferenced == []
+
+
+def test_each_memo_key_is_set_in_one_place():
+    # memo(s, key, compute): the key is a string literal, or a tuple whose
+    # first item is one; two call sites with one key would share a slot
+    sites = Counter()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "memo"):
+                key = node.args[1]
+                if isinstance(key, ast.Tuple):
+                    key = key.elts[0]
+                assert isinstance(key, ast.Constant), f"{module}: {ast.dump(key)}"
+                sites[key.value] += 1
+    assert sites
+    assert [key for key, count in sites.items() if count > 1] == []

@@ -233,6 +233,15 @@ def test_action_search_validates_its_arguments():
         list(enumerate_module_actions(s, 2, [[0, 1], [1, 2]]))
 
 
+def test_action_search_refuses_a_carrier_that_is_no_monoid():
+    # the search replays additivity for y >= x only; on this carrier, where
+    # 1 + 0 = 0, it used to yield four actions, three of them failing
+    # module-additivity-0
+    s = DERIVED["B2"]
+    with pytest.raises(InputError, match="commutative monoid"):
+        enumerate_module_actions(s, 2, [[0, 1], [0, 1]])
+
+
 def test_action_search_order_cap(monkeypatch):
     # both carrier paths refuse an order above the cap at the call, before
     # any search starts

@@ -65,6 +65,8 @@ def test_closed_set_values():
     assert closed_set(s, 1) == frozenset({9, 21})
     assert closed_set(s, 9) == frozenset({9})
     assert closed_set(s, full_mask(6)) == frozenset()
+    with pytest.raises(InputError, match="beyond order 6"):
+        closed_set(s, 1 << 6)
     # meet of a closed set recovers the radical
     assert 9 & 21 == radical_by_primes(s, 1)
 
