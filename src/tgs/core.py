@@ -28,8 +28,12 @@ through each element slot are extracted once per call and shared:
 
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
                         elements must commute; each distinct L is tested once
-                        against the distinct Rs, and the scan runs over
-                        (c, d, e, al, be, ga, de) at the first (a, b) whose L fails
+                        against the distinct Rs. At the first (a, b) whose L
+                        fails, each (c, d) in turn compares, for every
+                        (al, be, ga, de), both sides as whole rows over e;
+                        the witness is the least (e, al, be, ga, de) among
+                        the rows that differ, the element the scan over
+                        (c, d, e, al, be, ga, de) would reach first
     distributive        per position, each distinct map x -> t(..x..) through
                         it is tested for additivity once; the scan over
                         (x, y, b, c, al, be) runs at the first failing position
@@ -451,24 +455,27 @@ def _check_ternary_assoc(s: GammaStructure, lefts, rights) -> Optional[Violation
         return all(before(left) == after(r) for r, before in rights)
 
     failing = {left for left in lefts if not commutes(left)}
+    pairs = [(al, be) for al in range(m) for be in range(m)]
     for a in range(n):
         for b in range(n):
-            if failing.isdisjoint(t[al][be][a][b] for al in range(m) for be in range(m)):
+            ls = [(al, be, t[al][be][a][b]) for al, be in pairs]
+            if failing.isdisjoint(left for _, _, left in ls):
                 continue
             for c in range(n):
                 for d in range(n):
-                    for e in range(n):
-                        for al in range(m):
-                            for be in range(m):
-                                inner_l = t[al][be][a][b][c]
-                                for ga in range(m):
-                                    for de in range(m):
-                                        lhs = t[ga][de][inner_l][d][e]
-                                        rhs = t[al][be][a][b][t[ga][de][c][d][e]]
-                                        if lhs != rhs:
-                                            return Violation(
-                                                "ternary-associativity",
-                                                (a, b, c, d, e, al, be, ga, de), lhs, rhs)
+                    found = []
+                    for al, be, left in ls:
+                        for ga, de in pairs:
+                            cube = t[ga][de]
+                            lhs = cube[left[c]][d]
+                            rhs = tuple(map(left.__getitem__, cube[c][d]))
+                            if lhs != rhs:
+                                e = next(e for e in range(n) if lhs[e] != rhs[e])
+                                found.append(((e, al, be, ga, de), lhs[e], rhs[e]))
+                    if found:
+                        (e, al, be, ga, de), lhs, rhs = min(found)
+                        return Violation("ternary-associativity",
+                                         (a, b, c, d, e, al, be, ga, de), lhs, rhs)
     return None
 
 
@@ -561,20 +568,31 @@ def zero_fixing_permutations(n: int):
         yield (0,) + tail
 
 
-def _canonical_tables(n: int, m: int, addition, ternary=()) -> bytes:
-    """Lexicographically minimal table serialization over all 0-fixing
-    relabelings. With m = 0 and no ternary tables it serializes an addition
-    table alone, behind the constant header (n, 0)."""
-    return min(_serialize_tables(n, m, *_relabel_tables(sigma, addition, ternary))
-               for sigma in zero_fixing_permutations(n))
+def _addition_images(addition) -> dict:
+    """The tables that the 0-fixing relabelings make of an addition table,
+    each mapped to the list of relabelings that make it."""
+    images = {}
+    for sigma in zero_fixing_permutations(len(addition)):
+        images.setdefault(_relabel_tables(sigma, addition)[0], []).append(sigma)
+    return images
 
 
 def canonical_form(s: GammaStructure) -> bytes:
     """Lexicographically minimal table serialization over all 0-fixing relabelings.
 
     Parameters are treated as labeled: gamma permutations do not act.
+
+    The serialization puts the addition table right after the header
+    (order, gamma size), which every relabeling shares, and before the
+    ternary tables. So the least serialization comes from a relabeling whose
+    relabeled addition is least, and only those relabelings, the
+    automorphisms of the least addition composed with one of them (usually
+    1 or 2 of the (n-1)!), relabel the ternary tables.
     """
-    return _canonical_tables(s.order, s.gamma_size, s.addition, s.ternary)
+    images = _addition_images(s.addition)
+    return min(_serialize_tables(s.order, s.gamma_size,
+                                 *_relabel_tables(sigma, s.addition, s.ternary))
+               for sigma in images[min(images)])
 
 
 def _nest(flat, shape) -> tuple:

@@ -2,7 +2,11 @@
 
 Every table here is completed by one backtracking engine, _backtrack: cells
 take values in lexicographic order and a hook accepts or rejects each
-placement. Additive monoids come first, with associativity as the hook.
+placement. Additive monoids come first, with associativity as the hook;
+it checks only the triples that read the cell just placed. The first
+labeled monoid found of each relabeling class puts all its 0-fixing
+relabelings into a set, so every later member of the class costs one set
+lookup, and the class keeps the least of them, its canonical form.
 Ternary tables follow, filled orbit by orbit: commutativity ties symmetric
 cells together, zero absorption pins every cell with a zero argument, and
 each distributivity instance is replayed as soon as its last free cell is
@@ -27,10 +31,10 @@ from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
-                   ResourceLimitError, _as_grid, _canonical_tables,
+                   ResourceLimitError, _addition_images, _as_grid,
                    _check_order, _default_names, _nest, _prevalidated,
-                   canonical_form, mask_size, structure_from_bytes,
-                   verify_axioms)
+                   _serialize_tables, canonical_form, mask_size,
+                   structure_from_bytes, verify_axioms)
 from .ideals import ideal_classes
 from .quotient import enumerate_congruences, roundtrip_failures
 from .radicals import is_semisimple, jacobson_radical
@@ -131,32 +135,48 @@ def enumerate_additive_monoids(n: int) -> tuple:
         table[0][a] = a
         table[a][0] = a
 
+    units = range(1, n)
+
+    def holds(x: int, y: int, z: int) -> bool:
+        # (x + y) + z == x + (y + z), or some lookup is not placed yet
+        s1, u1 = table[x][y], table[y][z]
+        if s1 is None or u1 is None:
+            return True
+        lhs, rhs = table[s1][z], table[x][u1]
+        return lhs is None or rhs is None or lhs == rhs
+
     def ok(vals, k: int) -> bool:
-        # place cell k and clear the later ones, left over from other
-        # branches; then check the triples whose four lookups are placed
+        # Place cell k and clear the later ones, left over from other
+        # branches. Then check the triples that read the cell just placed:
+        # every other triple whose lookups are all placed was checked when
+        # its last lookup landed. The table is symmetric, so (x, y, z) and
+        # (z, y, x) state one equation, and it suffices to take the triples
+        # that read the cell as x + y or as s + z with s = x + y. A triple
+        # with a 0 in it holds by the identity row.
         for j in range(k, len(cells)):
             a, b = cells[j]
             table[a][b] = table[b][a] = vals[k] if j == k else None
-        for x in range(n):
-            for y in range(n):
-                s1 = table[x][y]
-                if s1 is None:
-                    continue
-                for z in range(n):
-                    lhs = table[s1][z]
-                    u1 = table[y][z]
-                    if lhs is None or u1 is None:
-                        continue
-                    rhs = table[x][u1]
-                    if rhs is not None and lhs != rhs:
+        p, q = cells[k]
+        for u, w in ((p, q), (q, p)):
+            if not all(holds(u, w, z) for z in units):
+                return False
+            for x in units:
+                for y in units:
+                    if table[x][y] == u and not holds(x, y, w):
                         return False
         return True
 
-    reps = {}
+    # seen holds serializations, far smaller than nested tuples; the least
+    # relabeling is the canonical one, as the serialization (n, 0, rows...)
+    # orders tables the way tuples of rows do
+    seen = set()
+    reps = []
     for _ in _backtrack(len(cells), range(n), ok):
-        grid = tuple(tuple(row) for row in table)
-        reps.setdefault(_canonical_tables(n, 0, grid), grid)
-    return tuple(_nest(canon[2:], (n, n)) for canon in sorted(reps))
+        if _serialize_tables(n, 0, table, ()) not in seen:
+            images = _addition_images(table)
+            seen.update(_serialize_tables(n, 0, g, ()) for g in images)
+            reps.append(min(images))
+    return tuple(sorted(reps))
 
 
 @lru_cache(maxsize=None)

@@ -171,9 +171,14 @@ def decompose_by_idempotent(s: GammaStructure, e: int) -> Decomposition:
     and every mixed product x y t (x in left, y in J, t anywhere) equal 0.
     The printed complement construction uses an element 1 - e that a general
     structure does not have, so the search scans all ideals in size order.
+    Each decomposition is computed once per structure and idempotent.
     """
     if e not in find_idempotents(s):
         raise InputError(f"element {e} is not a ternary idempotent")
+    return memo(s, ("decomposition", e), lambda: _decompose(s, e))
+
+
+def _decompose(s: GammaStructure, e: int) -> Decomposition:
     n, m = s.order, s.gamma_size
     seed = 0
     for a in range(n):

@@ -7,7 +7,7 @@ the test files were frozen from these oracles before the implementations
 were trusted.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from tgs.core import GammaStructure, canonical_form
 
@@ -145,6 +145,33 @@ def naive_structures_fully(n):
 
 def canonical_set(structures):
     return {canonical_form(s) for s in structures}
+
+
+def naive_canonical_form(s) -> bytes:
+    """The least serialization over every relabeling that fixes 0, each
+    relabeling built whole: the bytes n and m, the addition rows, then the
+    rows of each ternary cube, parameter pairs in lexicographic order."""
+    n, m = s.order, s.gamma_size
+    best = None
+    for tail in permutations(range(1, n)):
+        sigma = (0,) + tail
+        add = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                add[sigma[a]][sigma[b]] = sigma[s.addition[a][b]]
+        out = [n, m] + [v for row in add for v in row]
+        for al in range(m):
+            for be in range(m):
+                cube = [[[0] * n for _ in range(n)] for _ in range(n)]
+                for a in range(n):
+                    for b in range(n):
+                        for c in range(n):
+                            v = s.ternary[al][be][a][b][c]
+                            cube[sigma[a]][sigma[b]][sigma[c]] = sigma[v]
+                out += [v for plane in cube for row in plane for v in row]
+        if best is None or bytes(out) < best:
+            best = bytes(out)
+    return best
 
 
 # ---------------------------------------------------------------------------

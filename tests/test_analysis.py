@@ -10,6 +10,7 @@ import pytest
 
 import tgs.analysis
 import tgs.quotient
+import tgs.spectrum
 from tgs.analysis import (analyze, evaluate_all_claims, evaluate_claim,
                           render_text, run_asserted_suite,
                           run_reported_suite)
@@ -18,7 +19,7 @@ from tgs.enumeration import _structure_summary
 from tgs.fixtures import CLAIMS, DERIVED, mod_mul_structure
 from tgs.ideals import ideal_classes
 from tgs.radicals import jacobson_radical
-from tgs.spectrum import spectrum_points
+from tgs.spectrum import find_idempotents, spectrum_points
 
 from oracles import naive_ideals, naive_is_prime
 
@@ -285,6 +286,22 @@ def test_quotients_built_once_per_partition(monkeypatch):
         built.clear()
         analyze(replace(DERIVED[name]))
         assert built and set(built.values()) == {1}
+
+
+def test_decompositions_built_once_per_idempotent(monkeypatch):
+    built = Counter()
+    inner = tgs.spectrum._decompose
+
+    def count(s, e):
+        built[e] += 1
+        return inner(s, e)
+
+    monkeypatch.setattr(tgs.spectrum, "_decompose", count)
+    for name in ("M6", "N3", "L3"):
+        built.clear()
+        s = replace(DERIVED[name])
+        analyze(s)
+        assert built == Counter(dict.fromkeys(find_idempotents(s), 1))
 
 
 PREDICATES = ("is_prime", "is_semiprime", "is_maximal", "is_primary")

@@ -14,7 +14,7 @@ from tgs.enumeration import (_additive_tables, _orbit_layout,
                              enumerate_additive_monoids)
 from tgs.fixtures import CLAIMED, DERIVED
 
-from oracles import naive_axiom_check
+from oracles import naive_axiom_check, naive_canonical_form
 
 
 @pytest.mark.parametrize("name", sorted(DERIVED))
@@ -71,26 +71,60 @@ def _mutants(passing, rng):
                                  addition=add, ternary=tern)
 
 
+def _completed_tables(n, m, adds):
+    """Every table the ternary search completes over the given additions."""
+    return [GammaStructure(order=n, gamma_size=m, addition=add, ternary=tern)
+            for add in adds
+            for tern in _additive_tables(_orbit_layout(n, m), m, (n,) * 3,
+                                         (add,) * 3, add)]
+
+
+def _witness_reports(tables, seed):
+    """The verify_axioms reports of the tables, then of seeded mutations of
+    the passing ones, with the three counts."""
+    passing = [s for s in tables if verify_axioms(s).passed]
+    mutants = list(_mutants(passing, random.Random(seed)))
+    for s in mutants:
+        assert verify_axioms(s).passed == naive_axiom_check(s)
+    reports = [verify_axioms(s).to_dict() for s in tables + mutants]
+    return reports, (len(tables), len(passing), len(mutants))
+
+
+def _digest(reports) -> str:
+    return hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+
+
 def test_frozen_witnesses():
     # every table the ternary search completes at (<=4,1) and (2,2), then
     # seeded mutations of the passing ones: together they fail each of the
     # ten laws; the digest was taken while every law was still checked by a
     # full element-wise scan in its documented order
-    tables = [GammaStructure(order=n, gamma_size=m, addition=add, ternary=tern)
-              for n, m in ((1, 1), (2, 1), (3, 1), (4, 1), (2, 2))
-              for add in enumerate_additive_monoids(n)
-              for tern in _additive_tables(_orbit_layout(n, m), m, (n,) * 3,
-                                           (add,) * 3, add)]
-    passing = [s for s in tables if verify_axioms(s).passed]
-    mutants = list(_mutants(passing, random.Random(7)))
-    reports = [verify_axioms(s).to_dict() for s in tables + mutants]
-    assert (len(tables), len(passing), len(mutants)) == (1467, 246, 738)
+    tables = [s for n, m in ((1, 1), (2, 1), (3, 1), (4, 1), (2, 2))
+              for s in _completed_tables(n, m, enumerate_additive_monoids(n))]
+    reports, counts = _witness_reports(tables, 7)
+    assert counts == (1467, 246, 738)
     assert len({v["law"] for r in reports for v in r.values()
                 if isinstance(v, dict)}) == 10
-    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+    assert _digest(reports) == (
         "91e23e742e001574638126e682efa996b895ff32a2be50e9b737c8c820726a80")
-    for s in mutants:
-        assert verify_axioms(s).passed == naive_axiom_check(s)
+
+
+def test_frozen_witnesses_at_gamma_2_and_order_5():
+    # every table completed at (3,2), where two parameters order the
+    # associativity witnesses by (e, al, be, ga, de) within each (c, d), and
+    # for the order-5 additions 0 and 4, then seeded mutations of the
+    # passing ones; the digest was taken while the associativity witness
+    # was still found by the element-wise scan
+    monoids5 = enumerate_additive_monoids(5)
+    tables = (_completed_tables(3, 2, enumerate_additive_monoids(3))
+              + _completed_tables(5, 1, (monoids5[0], monoids5[4])))
+    reports, counts = _witness_reports(tables, 11)
+    assert counts == (3802, 218, 654)
+    witnesses = [r["ternary_assoc"]["args"] for r in reports if r["ternary_assoc"]]
+    assert len(witnesses) == 4103
+    assert any(any(w[5:]) for w in witnesses)  # a nonzero parameter
+    assert _digest(reports) == (
+        "aabffe72eee68aa4067aa6aed164192a2d7136aafa54cf92a23845e043cdb656")
 
 
 def test_ternary_product_accessor():
@@ -166,6 +200,39 @@ def test_canonical_form_permutation_invariance():
         base = canonical_form(s)
         for sigma in zero_fixing_permutations(s.order):
             assert canonical_form(apply_permutation(s, sigma)) == base
+
+
+def test_canonical_form_equals_brute_force_minimum(corpus):
+    for _, _, s in corpus:
+        assert canonical_form(s) == naive_canonical_form(s)
+
+
+def test_canonical_form_on_random_tables():
+    # tables checked against no axiom; the all-zero addition, the one with
+    # x + y = 1 off the zero row and column, and many monoids have
+    # non-trivial 0-fixing automorphisms, so several relabelings tie on the
+    # addition and the ternary tables decide among them
+    rng = random.Random(5)
+    ties = 0
+    for n in range(1, 6):
+        adds = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                for _ in range(4)]
+        adds.append([[0] * n for _ in range(n)])
+        adds.append([[b if a == 0 else a if b == 0 else 1 for b in range(n)]
+                     for a in range(n)])
+        adds += [list(map(list, add)) for add in enumerate_additive_monoids(n)[-4:]]
+        for add in adds:
+            autos = sum(1 for sigma in zero_fixing_permutations(n)
+                        if all(add[sigma[a]][sigma[b]] == sigma[add[a][b]]
+                               for a in range(n) for b in range(n)))
+            ties += autos > 1
+            for m in (1, 2, 2):
+                tern = [[[[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                          for _ in range(n)] for _ in range(m)] for _ in range(m)]
+                s = GammaStructure(order=n, gamma_size=m, addition=add,
+                                   ternary=tern)
+                assert canonical_form(s) == naive_canonical_form(s), (n, m)
+    assert ties == 10
 
 
 def test_canonical_bytes_round_trip():
