@@ -95,9 +95,11 @@ def run_asserted_suite(s: GammaStructure) -> list:
             wit.append(("family", _elems(meet)))
     checks.append(SuiteCheck("semiprime-intersections", True, not wit, tuple(wit)))
 
+    # each radical is an ideal, so a key of rads
+    rads = {i: radical_by_primes(s, i) for i in ideals}
     wit = []
     for i in ideals:
-        rad = radical_by_primes(s, i)
+        rad = rads[i]
         if rad != top and not is_semiprime(s, rad).ok:
             wit.append((_elems(i), _elems(rad)))
     checks.append(SuiteCheck("radical-semiprime-when-proper", True, not wit,
@@ -105,8 +107,8 @@ def run_asserted_suite(s: GammaStructure) -> list:
 
     wit = []
     for i in ideals:
-        rad = radical_by_primes(s, i)
-        again = radical_by_primes(s, rad)
+        rad = rads[i]
+        again = rads[rad]
         if rad != again:
             wit.append((_elems(i), _elems(rad), _elems(again)))
     checks.append(SuiteCheck("radical-idempotent", True, not wit, tuple(wit)))
@@ -115,7 +117,7 @@ def run_asserted_suite(s: GammaStructure) -> list:
     for i in ideals:
         for j in ideals:
             if i & j == i:
-                ri, rj = radical_by_primes(s, i), radical_by_primes(s, j)
+                ri, rj = rads[i], rads[j]
                 if ri & rj != ri:
                     wit.append((_elems(i), _elems(j)))
     checks.append(SuiteCheck("radical-monotone", True, not wit, tuple(wit)))

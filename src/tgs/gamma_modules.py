@@ -291,12 +291,10 @@ def annihilator(a_: ModuleAction) -> AnnihilatorResult:
     with a proper, nonempty annihilator, reported rather than assumed."""
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
-    mask = 0
-    for a in range(n):
-        if all(a_.action[al][be][a][mm][b] == 0
-               for al in range(m) for be in range(m)
-               for mm in range(k) for b in range(n)):
-            mask |= 1 << a
+    mask = mask_of(a for a in range(n)
+                   if all(a_.action[al][be][a][mm][b] == 0
+                          for al in range(m) for be in range(m)
+                          for mm in range(k) for b in range(n)))
     proper = mask != full_mask(n)
     prime = None
     if mask and proper and is_simple_module(a_):

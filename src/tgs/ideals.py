@@ -6,6 +6,11 @@ any single argument lies in it. Classification predicates return Verdicts
 whose witness is the first counterexample in the documented scan order, so
 outputs are reproducible.
 
+is_ideal is the one statement of those axioms. enumerate_ideals(s) applies it
+to every subset once per structure, and generated_ideal reads the least ideal
+containing a seed from that list instead of closing the seed itself, so it
+costs one ideal enumeration per structure (2^(n-1) subsets) the first time.
+
 The four predicates (prime, semiprime, maximal, primary) run on the ideals of
 a structure in one place: ideal_classes(s) classifies each ideal once per
 structure, and the prime spectrum, the Jacobson radical, the summaries and
@@ -59,29 +64,16 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
 
 
 def generated_ideal(s: GammaStructure, seed: int = 0) -> int:
-    """Least ideal containing the seed subset: close over 0, sums, absorption."""
+    """Least ideal containing the seed subset, read from enumerate_ideals(s).
+
+    Ideals are closed under intersection and the carrier is one, so the
+    least ideal containing the seed exists and every ideal containing the
+    seed contains it; the list is sorted by size, then mask, so it is the
+    first one there that contains the seed. The first call on a structure
+    enumerates its ideals (2^(n-1) subsets, memoized).
+    """
     _check_bits(s, seed, "seed")
-    n, m = s.order, s.gamma_size
-    cur = seed | 1
-    while True:
-        nxt = cur
-        members = mask_elements(cur)
-        for a in members:
-            row = s.addition[a]
-            for b in members:
-                nxt |= 1 << row[b]
-        for al in range(m):
-            for be in range(m):
-                cube = s.ternary[al][be]
-                for x in members:
-                    for a in range(n):
-                        for b in range(n):
-                            nxt |= 1 << cube[x][a][b]
-                            nxt |= 1 << cube[a][x][b]
-                            nxt |= 1 << cube[a][b][x]
-        if nxt == cur:
-            return cur
-        cur = nxt
+    return next(i for i in enumerate_ideals(s) if i & seed == seed)
 
 
 def enumerate_ideals(s: GammaStructure) -> tuple[int, ...]:

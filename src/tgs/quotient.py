@@ -17,7 +17,7 @@ those representatives.
 from __future__ import annotations
 
 from .core import (ConsistencyError, GammaStructure, InputError, Verdict,
-                   _check_bits, _prevalidated, mask_elements, memo)
+                   _check_bits, _prevalidated, mask_elements, mask_of, memo)
 
 Partition = tuple
 
@@ -147,7 +147,7 @@ def _bourne_classes(s: GammaStructure, mask: int) -> Partition:
 def congruence_to_ideal(s: GammaStructure, p) -> int:
     """Bitmask of the class of 0. Whether it is an ideal is the caller's check."""
     p = _checked_partition(s, p)
-    return sum(1 << i for i, v in enumerate(p) if v == 0)
+    return mask_of(i for i, v in enumerate(p) if v == 0)
 
 
 def roundtrip_failures(s: GammaStructure) -> list:

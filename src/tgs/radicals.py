@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GammaStructure, _check_bits, _meet, mask_elements
+from .core import GammaStructure, _check_bits, _meet, mask_elements, mask_of
 from .ideals import ideal_classes, is_ideal, spectrum_points
 
 
@@ -24,9 +24,9 @@ def radical_by_elements(s: GammaStructure, mask: int) -> int:
     subset: exactly one self-cubing, as the characterization is printed."""
     _check_bits(s, mask, "subset")
     m = s.gamma_size
-    return sum(1 << a for a in range(s.order)
-               if any(mask >> s.ternary[al][be][a][a][a] & 1
-                      for al in range(m) for be in range(m)))
+    return mask_of(a for a in range(s.order)
+                   if any(mask >> s.ternary[al][be][a][a][a] & 1
+                          for al in range(m) for be in range(m)))
 
 
 @dataclass(frozen=True)

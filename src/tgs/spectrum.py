@@ -13,7 +13,7 @@ from itertools import product as iproduct
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, Verdict, _check_bits, _meet,
-                   full_mask, mask_elements, memo, subset_sort_key)
+                   full_mask, mask_elements, mask_of, memo, subset_sort_key)
 from .ideals import (_dot, enumerate_ideals, generated_ideal, is_ideal,
                      spectrum_points)
 from .quotient import bourne_congruence, quotient_structure
@@ -180,12 +180,8 @@ def decompose_by_idempotent(s: GammaStructure, e: int) -> Decomposition:
 
 def _decompose(s: GammaStructure, e: int) -> Decomposition:
     n, m = s.order, s.gamma_size
-    seed = 0
-    for a in range(n):
-        for al in range(m):
-            for be in range(m):
-                seed |= 1 << s.ternary[al][be][a][e][e]
-    left = generated_ideal(s, seed)
+    left = generated_ideal(s, mask_of(s.ternary[al][be][a][e][e] for a in range(n)
+                                      for al in range(m) for be in range(m)))
     top = full_mask(n)
 
     def mixed_zero(j_mask: int) -> bool:
@@ -282,8 +278,8 @@ def find_homomorphisms(src: GammaStructure, dst: GammaStructure,
 def pullback_ideal(f: HomomorphismMap, mask: int) -> int:
     """Preimage of a target subset under the element map."""
     _check_bits(f.target, mask, "subset")
-    return sum(1 << a for a in range(f.source.order)
-               if mask >> f.element_map[a] & 1)
+    return mask_of(a for a in range(f.source.order)
+                   if mask >> f.element_map[a] & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +349,8 @@ def crt_check(s: GammaStructure, ideals) -> CrtReport:
     for k in orders:
         prod_size *= k
     zero_tuple = tuple(0 for _ in parts)
-    kernel_zero = sum(1 << a for a in range(s.order)
-                      if tuple(p[a] for p in parts) == zero_tuple)
+    kernel_zero = mask_of(a for a in range(s.order)
+                          if tuple(p[a] for p in parts) == zero_tuple)
     return CrtReport(
         ideals=ideals,
         comaximal=comax,

@@ -205,6 +205,31 @@ def naive_ideals(s):
     return sorted(found)
 
 
+def naive_generated_ideal(s, seed):
+    """Close the seed and 0 under sums and one-argument absorption until
+    nothing new arrives."""
+    n, m = s.order, s.gamma_size
+    cur = seed | 1
+    while True:
+        nxt = cur
+        members = [x for x in range(n) if cur >> x & 1]
+        for a in members:
+            for b in members:
+                nxt |= 1 << s.addition[a][b]
+        for al in range(m):
+            for be in range(m):
+                cube = s.ternary[al][be]
+                for i in members:
+                    for x in range(n):
+                        for y in range(n):
+                            nxt |= 1 << cube[i][x][y]
+                            nxt |= 1 << cube[x][i][y]
+                            nxt |= 1 << cube[x][y][i]
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
 def naive_is_prime(s, mask) -> bool:
     """Element form: abc in P implies one of a, b, c in P."""
     n, m = s.order, s.gamma_size

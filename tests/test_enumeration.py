@@ -225,6 +225,8 @@ def test_caps():
         list(enumerate_structures(2, 3))
     with pytest.raises(InputError):
         list(enumerate_structures(0, 1))
+    with pytest.raises(InputError, match="jobs must be positive"):
+        classify(3, jobs=0)
 
 
 def test_cap_env_override(monkeypatch):

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
 from tgs.core import GammaStructure, InputError, Verdict, full_mask, memoized
-from tgs.fixtures import DERIVED
+from tgs.fixtures import CLAIMED, DERIVED
 from tgs.ideals import (classify_ideal, enumerate_ideals, generated_ideal,
                         ideal_lattice, is_ideal, is_maximal, is_primary,
                         is_prime, is_semiprime, lattice_dot)
 
-from oracles import naive_ideals, naive_is_prime, naive_is_prime_ideal_triples
+from oracles import (naive_generated_ideal, naive_ideals, naive_is_prime,
+                     naive_is_prime_ideal_triples)
 
 IDEAL_MASKS = {
     "B2": (1, 3),
@@ -156,6 +159,32 @@ def test_generated_ideal_minimal(corpus_reps):
             assert gen & seed == seed
             containing = [i for i in ideals if i & seed == seed]
             assert all(gen & i == gen for i in containing)
+
+
+def test_generated_ideal_matches_closure_oracle(corpus_reps):
+    # the CLAIMED fixtures fail zero absorption and the random tables are
+    # checked against no axiom, so the lookup must not lean on the axioms;
+    # uniform tables close almost every seed to the carrier, so half the
+    # tables take each sum from its arguments and nine products in ten as 0
+    rng = random.Random(13)
+    tables = []
+    for n in range(1, 6):
+        for m in (1, 2):
+            for sparse in (False, True) * 12:
+                add = [[rng.choice((a, b)) if sparse else rng.randrange(n)
+                        for b in range(n)] for a in range(n)]
+                tern = [[[[[0 if sparse and rng.random() < 0.9 else rng.randrange(n)
+                            for _ in range(n)] for _ in range(n)] for _ in range(n)]
+                         for _ in range(m)] for _ in range(m)]
+                tables.append(GammaStructure(order=n, gamma_size=m,
+                                             addition=add, ternary=tern))
+    fixtures = [s for reps in corpus_reps.values() for s in reps]
+    fixtures += list(CLAIMED.values())
+    for s in fixtures + tables:
+        for seed in range(1 << s.order):
+            assert generated_ideal(s, seed) == naive_generated_ideal(s, seed)
+    assert sum(generated_ideal(s, seed) != full_mask(s.order)
+               for s in tables for seed in range(1 << s.order)) > 100
 
 
 def test_classify_ideal_tags():

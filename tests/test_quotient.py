@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from tgs.core import ConsistencyError, GammaStructure, canonical_form, verify_axioms
+from tgs.core import (ConsistencyError, GammaStructure, InputError, canonical_form,
+                      verify_axioms)
 from tgs.fixtures import DERIVED, mod_mul_structure
 from tgs.ideals import enumerate_ideals, is_ideal
 from tgs.quotient import (bourne_congruence, congruence_to_ideal,
@@ -63,6 +64,8 @@ def test_is_congruence_witnesses():
     assert not v.ok
     # 1+2 = 2 sits in class 0, the representative sum 1+0 = 1 in class 1
     assert v.witness == ("add", 1, 1, 0, 2)
+    with pytest.raises(InputError, match="label 3 elements"):
+        is_congruence(s, (0, 1))
 
 
 def _replays(s, p, witness):
@@ -134,6 +137,8 @@ def test_bourne_zero_class():
     n3 = DERIVED["N3"]  # saturating monoid: {0,2} inflates to T
     rho = bourne_congruence(n3, 5)
     assert congruence_to_ideal(n3, rho) != 5
+    with pytest.raises(InputError, match="containing 0"):
+        bourne_congruence(n3, 0b110)
 
 
 def test_zero_class_is_ideal(corpus):

@@ -1,6 +1,6 @@
 import pytest
 
-from tgs.core import InputError, Verdict, full_mask, mask_of
+from tgs.core import GammaStructure, InputError, Verdict, full_mask, mask_of
 from tgs.fixtures import DERIVED
 from tgs.ideals import enumerate_ideals
 from tgs.quotient import bourne_congruence, quotient_structure
@@ -187,6 +187,17 @@ def test_hom_validate_witness():
     v = bad.validate()
     assert not v.ok
     assert v.witness[0] in ("add", "tern")
+    m3 = DERIVED["M3"]
+    assert HomomorphismMap(m3, m3, (2, 1, 0)).validate() == Verdict(False, ("zero", 0))
+    b2 = DERIVED["B2"]
+    cube = b2.ternary[0][0]
+    b2_two = GammaStructure(order=2, gamma_size=2, addition=b2.addition,
+                            ternary=[[cube, cube], [cube, cube]])
+    for src, dst, f, match in ((m3, m3, (0, 1), "3 entries"),
+                               (m3, b2, (0, 1, 2), "out of range"),
+                               (b2_two, b2, (0, 1), "fewer parameters")):
+        with pytest.raises(InputError, match=match):
+            HomomorphismMap(src, dst, f).validate()
 
 
 def test_prime_pullback_along_quotient_projection():
