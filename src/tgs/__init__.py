@@ -28,8 +28,9 @@ from .ideals import (IdealInfo, IdealLattice, classify_ideal, enumerate_ideals,
 from .quotient import (bourne_congruence, congruence_to_ideal,
                        enumerate_congruences, has_nonzero_zero_divisors,
                        is_congruence, normalize_partition, quotient_structure)
-from .radicals import (RadicalReport, is_semisimple, jacobson_radical,
-                       radical_by_elements, radical_by_primes, radical_report)
+from .radicals import (RadicalReport, ideal_radicals, is_semisimple,
+                       jacobson_radical, radical_by_elements, radical_by_primes,
+                       radical_report)
 from .spectrum import (CrtReport, Decomposition, HomomorphismMap, SpectrumView,
                        closed_set, connected_components, crt_check,
                        decompose_by_idempotent, find_homomorphisms,

@@ -24,8 +24,7 @@ from .quotient import (bourne_congruence, congruence_to_ideal,
                        enumerate_congruences, has_nonzero_zero_divisors,
                        is_congruence, partition_blocks, quotient_structure,
                        roundtrip_failures)
-from .radicals import (is_semisimple, jacobson_radical, radical_by_elements,
-                       radical_by_primes, radical_report)
+from .radicals import ideal_radicals, is_semisimple, jacobson_radical
 from .spectrum import (HomomorphismMap, connected_components, crt_check,
                        decompose_by_idempotent, find_idempotents, is_simple,
                        prime_spectrum, pullback_ideal, quotient_by_ideal,
@@ -57,11 +56,6 @@ class SuiteCheck:
 
 def _elems(mask: int) -> list:
     return list(mask_elements(mask))
-
-
-def _projection_map(s: GammaStructure, partition) -> HomomorphismMap:
-    q = quotient_structure(s, partition)
-    return HomomorphismMap(source=s, target=q, element_map=tuple(partition))
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +90,10 @@ def run_asserted_suite(s: GammaStructure) -> list:
     checks.append(SuiteCheck("semiprime-intersections", True, not wit, tuple(wit)))
 
     # each radical is an ideal, so a key of rads
-    rads = {i: radical_by_primes(s, i) for i in ideals}
+    rads = dict(zip(ideals, ideal_radicals(s)))
     wit = []
     for i in ideals:
-        rad = rads[i]
+        rad = rads[i].by_primes
         if rad != top and not is_semiprime(s, rad).ok:
             wit.append((_elems(i), _elems(rad)))
     checks.append(SuiteCheck("radical-semiprime-when-proper", True, not wit,
@@ -107,8 +101,8 @@ def run_asserted_suite(s: GammaStructure) -> list:
 
     wit = []
     for i in ideals:
-        rad = rads[i]
-        again = rads[rad]
+        rad = rads[i].by_primes
+        again = rads[rad].by_primes
         if rad != again:
             wit.append((_elems(i), _elems(rad), _elems(again)))
     checks.append(SuiteCheck("radical-idempotent", True, not wit, tuple(wit)))
@@ -117,15 +111,15 @@ def run_asserted_suite(s: GammaStructure) -> list:
     for i in ideals:
         for j in ideals:
             if i & j == i:
-                ri, rj = rads[i], rads[j]
+                ri, rj = rads[i].by_primes, rads[j].by_primes
                 if ri & rj != ri:
                     wit.append((_elems(i), _elems(j)))
     checks.append(SuiteCheck("radical-monotone", True, not wit, tuple(wit)))
 
     wit = []
     for q in semis:
-        if radical_by_elements(s, q) != q:
-            wit.append((_elems(q), _elems(radical_by_elements(s, q))))
+        if rads[q].by_elements != q:
+            wit.append((_elems(q), _elems(rads[q].by_elements)))
     checks.append(SuiteCheck("semiprime-equals-element-radical", True,
                              not wit, tuple(wit)))
 
@@ -169,12 +163,9 @@ def run_asserted_suite(s: GammaStructure) -> list:
 
     wit = []
     for rho in congruences:
-        pi = _projection_map(s, rho)
-        v = pi.validate()
-        if not v.ok:
-            wit.append((list(rho), list(v.witness)))
-            continue
-        q = pi.target
+        # quotient_structure refuses a non-congruence, so pi is a homomorphism
+        q = quotient_structure(s, rho)
+        pi = HomomorphismMap(s, q, rho)
         q_top = full_mask(q.order)
         for qi in enumerate_ideals(q):
             back = pullback_ideal(pi, qi)
@@ -263,26 +254,25 @@ def _crt_checks(s: GammaStructure) -> tuple:
 def run_reported_suite(s: GammaStructure) -> list:
     checks = []
     top = full_mask(s.order)
-    ideals = enumerate_ideals(s)
     group = s.is_additive_group()
 
+    reports = ideal_radicals(s)
     wit = []
     flags = []
-    for i in ideals:
-        rep = radical_report(s, i)
+    for rep in reports:
         if not rep.agree:
-            wit.append((_elems(i), list(rep.only_by_primes),
+            wit.append((_elems(rep.ideal), list(rep.only_by_primes),
                         list(rep.only_by_elements)))
         if not rep.by_elements_is_ideal:
-            flags.append(_elems(i))
+            flags.append(_elems(rep.ideal))
     checks.append(SuiteCheck("radical-route-agreement", False, not wit, tuple(wit)))
     checks.append(SuiteCheck("element-radical-is-ideal", False, not flags,
                              tuple(flags)))
 
     wit = []
-    for c in ideal_classes(s):
+    for c, rep in zip(ideal_classes(s), reports):
         if c.primary:
-            rad = radical_by_primes(s, c.mask)
+            rad = rep.by_primes
             if rad == top:
                 wit.append((_elems(c.mask), "radical-not-proper"))
             elif not is_prime(s, rad).ok:
@@ -487,7 +477,7 @@ def analyze(s: GammaStructure) -> dict:
     report["ideal_covers"] = [[_elems(lattice.ideals[a]), _elems(lattice.ideals[b])]
                               for a, b in lattice.covers]
 
-    report["radicals"] = [radical_report(s, i).to_dict() for i in lattice.ideals]
+    report["radicals"] = [rep.to_dict() for rep in ideal_radicals(s)]
     jac = jacobson_radical(s)
     report["jacobson"] = {"elements": _elems(jac),
                           "semisimple": is_semisimple(s)}

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GammaStructure, _check_bits, _meet, mask_elements, mask_of
-from .ideals import ideal_classes, is_ideal, spectrum_points
+from .core import GammaStructure, _check_bits, _meet, mask_elements, mask_of, memo
+from .ideals import enumerate_ideals, ideal_classes, is_ideal, spectrum_points
 
 
 def radical_by_primes(s: GammaStructure, mask: int) -> int:
@@ -65,10 +65,18 @@ class RadicalReport:
 
 def radical_report(s: GammaStructure, mask: int) -> RadicalReport:
     by_elements = radical_by_elements(s, mask)
+    # the empty element radical lacks 0, and is_ideal refuses the empty subset
     return RadicalReport(ideal=mask,
                          by_primes=radical_by_primes(s, mask),
                          by_elements=by_elements,
-                         by_elements_is_ideal=is_ideal(s, by_elements).ok)
+                         by_elements_is_ideal=bool(by_elements)
+                         and is_ideal(s, by_elements).ok)
+
+
+def ideal_radicals(s: GammaStructure) -> tuple[RadicalReport, ...]:
+    """radical_report over enumerate_ideals(s), in its order; once per structure."""
+    return memo(s, "radicals", lambda: tuple(
+        radical_report(s, mask) for mask in enumerate_ideals(s)))
 
 
 def jacobson_radical(s: GammaStructure) -> int:

@@ -114,7 +114,11 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
 
 def connected_components(s: GammaStructure) -> tuple[tuple[int, ...], ...]:
     """Quasi-components of the finite spectrum (equal to components here):
-    intersect the clopen sets through each point."""
+    intersect the clopen sets through each point. Once per structure."""
+    return memo(s, "components", lambda: _components(s))
+
+
+def _components(s: GammaStructure) -> tuple[tuple[int, ...], ...]:
     points = spectrum_points(s)
     every = frozenset(points)
     family = {closed_set(s, i) for i in enumerate_ideals(s)}

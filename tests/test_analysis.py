@@ -17,7 +17,7 @@ from tgs.analysis import (analyze, evaluate_all_claims, evaluate_claim,
 from tgs.core import GammaStructure, mask_elements, mask_of
 from tgs.enumeration import _structure_summary
 from tgs.fixtures import CLAIMS, DERIVED, mod_mul_structure
-from tgs.ideals import ideal_classes
+from tgs.ideals import enumerate_ideals, ideal_classes
 from tgs.radicals import jacobson_radical
 from tgs.spectrum import find_idempotents, spectrum_points
 
@@ -248,6 +248,24 @@ def test_structure_is_freed_after_analyze():
     assert ref() is None
 
 
+def _count_calls(monkeypatch, name: str, key) -> Counter:
+    """Counter of key(*args) over the calls of the function called name,
+    wrapped in every loaded tgs module that binds it."""
+    modules = [mod for mod_name, mod in sys.modules.items()
+               if mod_name == "tgs" or mod_name.startswith("tgs.")]
+    inner = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
+    counts = Counter()
+
+    def count(*args):
+        counts[key(*args)] += 1
+        return inner(*args)
+
+    for mod in modules:
+        if getattr(mod, name, None) is inner:
+            monkeypatch.setattr(mod, name, count)
+    return counts
+
+
 def test_bourne_and_crt_computed_once_per_structure(monkeypatch):
     bourne, crt = Counter(), Counter()
     inner_bourne = tgs.quotient._bourne_classes
@@ -263,14 +281,19 @@ def test_bourne_and_crt_computed_once_per_structure(monkeypatch):
 
     monkeypatch.setattr(tgs.quotient, "_bourne_classes", count_bourne)
     monkeypatch.setattr(tgs.analysis, "crt_check", count_crt)
+    radicals = _count_calls(monkeypatch, "radical_report", lambda s, mask: mask)
+    components = _count_calls(monkeypatch, "_components", lambda s: s)
     # fresh objects: the fixtures may already carry their memo
     for name, crt_runs in (("M6", 1), ("N3", 0), ("L3", 0)):
-        bourne.clear()
-        crt.clear()
-        analyze(replace(DERIVED[name]))
+        for counts in (bourne, crt, radicals, components):
+            counts.clear()
+        s = replace(DERIVED[name])
+        analyze(s)
         assert bourne and set(bourne.values()) == {1}
         # M6 has two maximal ideals, one pair
         assert len(crt) == crt_runs and set(crt.values()) <= {1}
+        assert radicals == Counter(enumerate_ideals(s))
+        assert components == Counter([s])
 
 
 def test_quotients_built_once_per_partition(monkeypatch):

@@ -1,12 +1,14 @@
 """Source hygiene of the package, read with the stdlib ast module: no module
 imports a name it never uses, no module-level private function goes
-unreferenced, and no per-structure memo key is set in two places."""
+unreferenced, no per-structure memo key is set in two places, and the test
+oracles share no code with the package."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tgs"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def _trees() -> dict:
@@ -64,3 +66,16 @@ def test_each_memo_key_is_set_in_one_place():
                 sites[key.value] += 1
     assert sites
     assert [key for key, count in sites.items() if count > 1] == []
+
+
+def test_oracles_import_only_the_structure_type():
+    # a whole-module import counts under its own name, so it fails too
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "tgs"}
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "tgs"):
+            imported |= {alias.name for alias in node.names}
+    assert imported == {"GammaStructure"}

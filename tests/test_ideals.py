@@ -150,11 +150,6 @@ def test_generated_ideal_minimal(corpus_reps):
         ideals = enumerate_ideals(s)
         for seed in range(1 << s.order):
             gen = generated_ideal(s, seed)
-            smallest = None
-            for i in ideals:
-                if i & seed == seed and (smallest is None or
-                                         bin(i).count("1") < bin(smallest).count("1")):
-                    smallest = i
             assert gen in ideals
             assert gen & seed == seed
             containing = [i for i in ideals if i & seed == seed]

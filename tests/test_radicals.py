@@ -83,3 +83,9 @@ def test_radical_subset_inputs():
         radical_by_primes(DERIVED["M6"], 1 << 6)
     with pytest.raises(InputError):
         radical_by_elements(DERIVED["M6"], 1 << 6)
+    # an empty element radical lacks 0: reported as no ideal, not refused
+    for name, mask, by_primes in (("M4", 0b100, 0b101), ("M4", 0, 0b101),
+                                  ("M6", 0, 1)):
+        rep = radical_report(DERIVED[name], mask)
+        assert (rep.by_primes, rep.by_elements) == (by_primes, 0)
+        assert rep.by_elements_is_ideal is False

@@ -3,7 +3,8 @@ import pytest
 from tgs.core import GammaStructure, InputError, Verdict, full_mask, mask_of
 from tgs.fixtures import DERIVED
 from tgs.ideals import enumerate_ideals
-from tgs.quotient import bourne_congruence, quotient_structure
+from tgs.quotient import (bourne_congruence, enumerate_congruences,
+                          quotient_structure)
 from tgs.radicals import radical_by_primes
 from tgs.spectrum import (HomomorphismMap, closed_set, connected_components,
                           crt_check, decompose_by_idempotent, find_homomorphisms,
@@ -200,7 +201,7 @@ def test_hom_validate_witness():
             HomomorphismMap(src, dst, f).validate()
 
 
-def test_prime_pullback_along_quotient_projection():
+def test_prime_pullback_along_quotient_projection(corpus):
     s = DERIVED["M6"]
     rho = bourne_congruence(s, 9)
     q = quotient_structure(s, rho)
@@ -211,6 +212,15 @@ def test_prime_pullback_along_quotient_projection():
     assert back == 9
     from tgs.ideals import is_prime
     assert is_prime(s, back).ok
+    # the asserted suite pulls back along every projection without
+    # validating it: each is a homomorphism onto its quotient
+    checked = 0
+    for t in [t for n, m, t in corpus if n <= 3 and m == 1] + list(DERIVED.values()):
+        for rho in enumerate_congruences(t):
+            q = quotient_structure(t, rho)
+            assert HomomorphismMap(t, q, rho).validate().ok
+            checked += 1
+    assert checked
 
 
 def test_pullbacks_of_primes_prime_over_small_corpus(corpus_reps):
