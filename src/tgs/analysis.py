@@ -447,7 +447,7 @@ def analyze(s: GammaStructure) -> dict:
         "structure": {
             "order": s.order,
             "gamma_size": s.gamma_size,
-            "names": list(s.names) if s.names else None,
+            "names": list(s.names),
             "canonical_sha256": hashlib.sha256(canonical_form(s)).hexdigest(),
             "additive_group": s.is_additive_group(),
         },

@@ -237,8 +237,10 @@ def _as_grid(rows, n: int, what: str,
              width: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
     """n rows of width (default n) integers, each in 0..n-1, as nested tuples.
 
-    Every table the searches build passes through here, so a good row costs
-    two set checks and formats no message.
+    Every table given from outside passes through here, through a
+    constructor or as a search's given addition; the tables the searches
+    build skip it through _prevalidated. A good row costs two set checks and
+    formats no message.
     """
     _as_list(rows, n, what, "rows")
     width = n if width is None else width
@@ -319,12 +321,12 @@ class GammaStructure:
 
 
 def ternary_product(s: GammaStructure, a: int, alpha: int, b: int, beta: int, c: int) -> int:
-    """Table lookup with range validation on every index."""
+    """Table lookup; every index must be an int in range."""
     n, m = s.order, s.gamma_size
     for name, v, hi in (("a", a, n), ("b", b, n), ("c", c, n),
                         ("alpha", alpha, m), ("beta", beta, m)):
-        if not 0 <= v < hi:
-            raise InputError(f"{name} = {v} out of range 0..{hi - 1}")
+        if type(v) is not int or not 0 <= v < hi:
+            raise InputError(f"{name} = {v!r} is not an integer in 0..{hi - 1}")
     return s.ternary[alpha][beta][a][b][c]
 
 
@@ -339,6 +341,15 @@ def _is_commutative_monoid(add) -> bool:
     return (add[0] == tuple(range(k)) and add == tuple(zip(*add))
             and all(add[add[a][b]] == tuple(map(add[a].__getitem__, add[b]))
                     for a in range(1, k) for b in range(1, k)))
+
+
+def _given_monoid(rows, n: int, what: str) -> tuple:
+    """A search's given addition; refused unless a commutative monoid with
+    identity 0, where replaying additivity for y >= x covers y < x too."""
+    add = _as_grid(rows, n, what)
+    if not _is_commutative_monoid(add):
+        raise InputError(f"{what} must be a commutative monoid with identity 0")
+    return add
 
 
 def _check_additive_monoid(s: GammaStructure) -> Optional[Violation]:
@@ -539,7 +550,8 @@ def apply_permutation(s: GammaStructure, sigma: Sequence[int]) -> GammaStructure
     """Relabel elements by sigma (a bijection with sigma[0] == 0); names travel along."""
     n, m = s.order, s.gamma_size
     sigma = tuple(sigma)
-    if len(sigma) != n or sorted(sigma) != list(range(n)):
+    if (len(sigma) != n or not _INT.issuperset(map(type, sigma))
+            or sorted(sigma) != list(range(n))):
         raise InputError(f"sigma must be a permutation of 0..{n - 1}, got {sigma}")
     if sigma[0] != 0:
         raise InputError("sigma must fix the zero element")

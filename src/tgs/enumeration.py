@@ -31,8 +31,8 @@ from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
-                   ResourceLimitError, _addition_images, _as_grid,
-                   _check_order, _default_names, _nest, _prevalidated,
+                   ResourceLimitError, _addition_images, _check_order,
+                   _default_names, _given_monoid, _nest, _prevalidated,
                    _serialize_tables, canonical_form, mask_size,
                    structure_from_bytes, verify_axioms)
 from .ideals import ideal_classes
@@ -223,11 +223,12 @@ def enumerate_structures(n: int, m: int = 1,
     """Every axiom-passing commutative structure, not deduplicated.
 
     Streams over all additive monoid representatives unless a specific
-    addition table is supplied.
+    addition table is supplied; that table must be a commutative monoid with
+    identity 0, and it is refused before any search.
     """
     _check_caps(n, m)
     if addition is not None:
-        adds = (_as_grid(addition, n, "addition"),)
+        adds = (_given_monoid(addition, n, "addition"),)
     else:
         adds = enumerate_additive_monoids(n)
     for add in adds:

@@ -41,14 +41,12 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, _as_grid, _as_layers, _check_order,
-                   _is_commutative_monoid, _json_text, _LawReport, _non_additive,
-                   _param_dict, _param_grid, _positive_int, _prevalidated,
-                   _slot_maps, full_mask, mask_elements, mask_of, max_order,
-                   structure_from_dict, structure_to_dict, subset_sort_key)
+                   Violation, _as_grid, _as_layers, _check_order, _given_monoid,
+                   _is_commutative_monoid, _LawReport, _non_additive,
+                   _positive_int, _prevalidated, _slot_maps, full_mask,
+                   mask_elements, mask_of, max_order, subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
-from .spectrum import _zero_fixing_maps
 
 _SUBMODULE_SCAN_CAP = 16
 
@@ -332,12 +330,7 @@ def enumerate_module_actions(s: GammaStructure, carrier_order: int,
     _positive_int(carrier_order, "carrier order")
     _check_order(carrier_order, "carrier order")
     if carrier_addition is not None:
-        carriers = (_as_grid(carrier_addition, carrier_order, "carrier addition"),)
-        # the search replays additivity only for y >= x, which covers the
-        # other half only on a commutative monoid with identity 0
-        if not _is_commutative_monoid(carriers[0]):
-            raise InputError("carrier addition must be a commutative monoid "
-                             "with identity 0")
+        carriers = (_given_monoid(carrier_addition, carrier_order, "carrier addition"),)
     else:
         carriers = enumerate_additive_monoids(carrier_order)
     return (action for madd in carriers
@@ -357,77 +350,3 @@ def find_primitive_ideals(s: GammaStructure) -> tuple:
             if result.proper and is_simple_module(action):
                 found.add(result.mask)
     return tuple(sorted(found, key=subset_sort_key))
-
-
-# ---------------------------------------------------------------------------
-# homomorphisms between modules over the same scalars
-
-def find_module_homomorphisms(src: ModuleAction, dst: ModuleAction,
-                              surjective_only: bool = False) -> list:
-    """Carrier maps fixing 0, additive, and commuting with every action."""
-    if (src.scalar.addition != dst.scalar.addition
-            or src.scalar.ternary != dst.scalar.ternary):
-        return []
-    s = src.scalar
-    n, m = s.order, s.gamma_size
-    out = []
-    for f in _zero_fixing_maps(src.carrier_order, dst.carrier_order,
-                               surjective_only):
-        if any(f[src.carrier_addition[x][y]]
-               != dst.carrier_addition[f[x]][f[y]]
-               for x in range(src.carrier_order)
-               for y in range(src.carrier_order)):
-            continue
-        if any(f[src.action[al][be][a][mm][b]]
-               != dst.action[al][be][a][f[mm]][b]
-               for al in range(m) for be in range(m)
-               for a in range(n) for mm in range(src.carrier_order)
-               for b in range(n)):
-            continue
-        out.append(f)
-    return out
-
-
-def kernel_mask(f) -> int:
-    return mask_of(i for i, v in enumerate(f) if v == 0)
-
-
-def image_mask(f) -> int:
-    return mask_of(f)
-
-
-def is_submodule(a_: ModuleAction, mask: int) -> bool:
-    return mask in enumerate_submodules(a_)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def module_to_dict(a_: ModuleAction) -> dict:
-    return {
-        "scalar": structure_to_dict(a_.scalar),
-        "carrier_order": a_.carrier_order,
-        "carrier_addition": [list(row) for row in a_.carrier_addition],
-        "action": _param_dict(a_.action),
-    }
-
-
-def module_from_dict(d: dict) -> ModuleAction:
-    try:
-        scalar = d["scalar"]
-        k = d["carrier_order"]
-        madd = d["carrier_addition"]
-        action_raw = d["action"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"module file missing field: {exc}") from exc
-    if isinstance(scalar, str):
-        from .core import load_structure
-        s = load_structure(scalar)
-    else:
-        s = structure_from_dict(scalar)
-    return ModuleAction(scalar=s, carrier_order=k, carrier_addition=madd,
-                        action=_param_grid(action_raw, s.gamma_size, "action"))
-
-
-def dumps_module(a_: ModuleAction) -> str:
-    return _json_text(module_to_dict(a_))

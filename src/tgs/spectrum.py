@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterator, Optional
+from typing import Optional
 
-from .core import (GammaStructure, InputError, Verdict, _check_bits, _meet,
-                   full_mask, mask_elements, mask_of, memo, subset_sort_key)
-from .ideals import (_dot, enumerate_ideals, generated_ideal, is_ideal,
-                     spectrum_points)
+from .core import (GammaStructure, InputError, Verdict, _INT, _check_bits,
+                   _meet, full_mask, mask_elements, mask_of, memo,
+                   subset_sort_key)
+from .ideals import (_dot, enumerate_ideals, generated_ideal, ideal_classes,
+                     is_ideal, spectrum_points)
 from .quotient import bourne_congruence, quotient_structure
-from .radicals import radical_by_primes
 
 
 def closed_set(s: GammaStructure, mask: int) -> frozenset:
@@ -106,8 +106,11 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
     pair_check("t0-separation", points, points,
                lambda p, q: p != q and closures[p] == closures[q])
 
-    bad = next(((i,) for i in ideals if _meet(s, vmap[i]) != radical_by_primes(s, i)),
-               None)
+    # the meet of the primes containing i against the least semiprime ideal
+    # containing i, taken from the classification
+    semiprimes = [c.mask for c in ideal_classes(s) if c.semiprime]
+    bad = next(((i,) for i in ideals if _meet(s, vmap[i])
+                != _meet(s, (j for j in semiprimes if j & i == i))), None)
     checks.append(TopologyCheck("closed-set-meet-is-radical", bad is None, bad))
     return tuple(checks)
 
@@ -231,8 +234,10 @@ class HomomorphismMap:
         f = self.element_map
         if len(f) != src.order:
             raise InputError(f"element map must have {src.order} entries")
-        if any(not 0 <= v < dst.order for v in f):
-            raise InputError("element map image out of range")
+        if not (_INT.issuperset(map(type, f))
+                and all(0 <= v < dst.order for v in f)):
+            raise InputError(f"element map image out of range: entries must be "
+                             f"integers in 0..{dst.order - 1}")
         if src.gamma_size > dst.gamma_size:
             raise InputError("target has fewer parameters than the source")
         if f[0] != 0:
@@ -256,27 +261,20 @@ class HomomorphismMap:
         return len(set(self.element_map)) == self.target.order
 
 
-def _zero_fixing_maps(k: int, codomain: int, onto: bool) -> Iterator[tuple]:
-    """Every map from 0..k-1 into 0..codomain-1 sending 0 to 0, in
-    lexicographic order; only the surjective ones when onto is set. The
-    candidates of find_homomorphisms and of the module homomorphisms."""
-    for tail in iproduct(range(codomain), repeat=k - 1):
-        f = (0,) + tail
-        if not onto or len(set(f)) == codomain:
-            yield f
-
-
 def find_homomorphisms(src: GammaStructure, dst: GammaStructure,
                        surjective_only: bool = False) -> list[HomomorphismMap]:
-    """Exhaustive scan over element maps fixing 0, identity parameter map.
+    """Exhaustive scan over element maps fixing 0, identity parameter map,
+    in lexicographic order; with surjective_only, the maps that are not onto
+    are dropped before they are validated.
 
     Structures with different parameter set sizes share no maps here.
     """
     if src.gamma_size != dst.gamma_size:
         return []
-    maps = (HomomorphismMap(src, dst, f)
-            for f in _zero_fixing_maps(src.order, dst.order, surjective_only))
-    return [h for h in maps if h.validate().ok]
+    maps = (HomomorphismMap(src, dst, (0,) + tail)
+            for tail in iproduct(range(dst.order), repeat=src.order - 1))
+    return [h for h in maps
+            if (not surjective_only or h.is_surjective()) and h.validate().ok]
 
 
 def pullback_ideal(f: HomomorphismMap, mask: int) -> int:

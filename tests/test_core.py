@@ -132,6 +132,8 @@ def test_ternary_product_accessor():
     assert ternary_product(s, 2, 0, 3, 0, 4) == (2 * 3 * 4) % 6
     with pytest.raises(InputError):
         ternary_product(s, 6, 0, 0, 0, 0)
+    with pytest.raises(InputError, match="not an integer"):
+        ternary_product(DERIVED["M3"], 1.5, 0, 1, 0, 1)
 
 
 def test_serialization_round_trip():
@@ -257,6 +259,9 @@ def test_apply_permutation_validation():
         apply_permutation(s, (1, 0, 2))
     with pytest.raises(InputError):
         apply_permutation(s, (0, 1))
+    for sigma in ((0, 2.0, 1.0), (0, True, 2)):
+        with pytest.raises(InputError, match="permutation"):
+            apply_permutation(s, sigma)
 
 
 def test_names_travel_with_permutation():

@@ -186,6 +186,29 @@ def test_search_output_equals_validated_construction():
         assert s.names == checked.names == ("0", "1", "2")
 
 
+def test_given_addition_yields_its_part_of_the_stream(corpus):
+    # the route of the order-5 search: one given addition, here as lists
+    for n, m in CANDIDATE_COUNTS:
+        for add in enumerate_additive_monoids(n):
+            part = [s for n2, m2, s in corpus
+                    if (n2, m2) == (n, m) and s.addition == add]
+            given = [list(row) for row in add]
+            assert list(enumerate_structures(n, m, addition=given)) == part
+
+
+@pytest.mark.parametrize("addition, match", [
+    ([[0, 1], [1]], "row 1"),
+    ([[0, 1], [1, 2]], "not an integer"),
+    ([[0, 1], [1, 1.0]], "not an integer"),
+    ([[0, 1], [0, 1]], "commutative monoid"),
+    ([[1, 0], [0, 1]], "commutative monoid"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "commutative monoid"),
+])
+def test_given_addition_is_refused_before_search(addition, match):
+    with pytest.raises(InputError, match=match):
+        next(enumerate_structures(len(addition), 1, addition=addition))
+
+
 def test_classify_repeat_runs_identical():
     a = json.dumps(classify(2, 1).to_dict(), sort_keys=True)
     b = json.dumps(classify(2, 1).to_dict(), sort_keys=True)

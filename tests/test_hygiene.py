@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with the stdlib ast module: no module
 imports a name it never uses, no module-level private function goes
-unreferenced, no per-structure memo key is set in two places, and the test
-oracles share no code with the package."""
+unreferenced, no public function or class goes uncalled, no per-structure
+memo key is set in two places, and the test oracles share no code with the
+package."""
 
 import ast
 from collections import Counter
@@ -49,6 +50,22 @@ def test_every_private_function_is_referenced():
                     and node.name.startswith("_")
                     and node.name not in used]
     assert unreferenced == []
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class that the package neither exports nor reads
+    # is surface that only its own tests reach
+    trees = _trees()
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set().union(exported, *map(_used_names, trees.values()))
+    uncalled = [f"{module}: {node.name}"
+                for module, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in used]
+    assert uncalled == []
 
 
 def test_each_memo_key_is_set_in_one_place():

@@ -8,12 +8,11 @@ from oracles import naive_module_actions, naive_module_check
 from tgs.core import InputError, ResourceLimitError
 from tgs.enumeration import enumerate_additive_monoids
 from tgs.fixtures import DERIVED
-from tgs.gamma_modules import (ModuleAction, annihilator, dumps_module,
+from tgs.gamma_modules import (ModuleAction, annihilator,
                                enumerate_module_actions, enumerate_submodules,
-                               find_module_homomorphisms, find_primitive_ideals,
-                               image_mask, is_simple_module, is_submodule,
-                               kernel_mask, module_from_dict, regular_module,
-                               verify_module_axioms, zero_module)
+                               find_primitive_ideals, is_simple_module,
+                               regular_module, verify_module_axioms,
+                               zero_module)
 
 SUBMODULES = {
     "B2": (1, 3), "M3": (1, 7), "M4": (1, 5, 15), "M6": (1, 9, 21, 63),
@@ -288,42 +287,3 @@ def test_primitive_ideals_frozen():
     from tgs.enumeration import enumerate_structures
     one = next(iter(enumerate_structures(1, 1)))
     assert find_primitive_ideals(one) == ()
-
-
-def test_module_homs_m3():
-    r = regular_module(DERIVED["M3"])
-    assert sorted(find_module_homomorphisms(r, r)) == [
-        (0, 0, 0), (0, 1, 2), (0, 2, 1)]
-    onto = find_module_homomorphisms(r, r, surjective_only=True)
-    assert sorted(onto) == [(0, 1, 2), (0, 2, 1)]
-
-
-def test_module_homs_kernel_image_are_submodules():
-    r = regular_module(DERIVED["M6"])
-    homs = find_module_homomorphisms(r, r)
-    assert len(homs) == 6
-    assert (0, 1, 2, 3, 4, 5) in homs and (0, 0, 0, 0, 0, 0) in homs
-    for f in homs:
-        assert is_submodule(r, kernel_mask(f))
-        assert is_submodule(r, image_mask(f))
-        # fibers of the map partition the carrier into image-many classes
-        assert len(set(f)) == bin(image_mask(f)).count("1")
-
-
-def test_module_homs_need_same_scalars():
-    assert find_module_homomorphisms(
-        regular_module(DERIVED["M3"]), regular_module(DERIVED["L3"])) == []
-
-
-def test_module_roundtrip():
-    r = regular_module(DERIVED["B2"])
-    text = dumps_module(r)
-    back = module_from_dict(json.loads(text))
-    assert back == r
-    assert dumps_module(back) == text
-    with pytest.raises(InputError):
-        module_from_dict({"carrier_order": 1})
-    doc = json.loads(text)
-    for action in (5, None, [[0]], {"0,1": doc["action"]["0,0"]}):
-        with pytest.raises(InputError, match="action"):
-            module_from_dict(dict(doc, action=action))

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+import tgs.spectrum
 from tgs.core import GammaStructure, InputError, Verdict, full_mask, mask_of
-from tgs.fixtures import DERIVED
-from tgs.ideals import enumerate_ideals
+from tgs.fixtures import DERIVED, saturating_zero_structure
+from tgs.ideals import enumerate_ideals, ideal_classes
 from tgs.quotient import (bourne_congruence, enumerate_congruences,
                           quotient_structure)
 from tgs.radicals import radical_by_primes
@@ -59,6 +62,18 @@ def test_topology_checks_pass_on_fixtures():
         checks = verify_topology(s)
         assert {c.name for c in checks} == names
         assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
+
+
+def test_closed_set_meet_check_can_fail(monkeypatch):
+    # N3 has no primes, so every closed set meets in the carrier; an ideal
+    # {0,2} marked semiprime lies strictly between {0} and that meet
+    s = saturating_zero_structure(3)
+    fake = tuple(replace(c, semiprime=Verdict(True)) if c.mask == 5 else c
+                 for c in ideal_classes(s))
+    monkeypatch.setattr(tgs.spectrum, "ideal_classes", lambda s: fake)
+    check = next(c for c in verify_topology(s)
+                 if c.name == "closed-set-meet-is-radical")
+    assert (check.ok, check.witness) == (False, (1,))
 
 
 def test_closed_set_values():
@@ -196,6 +211,7 @@ def test_hom_validate_witness():
                             ternary=[[cube, cube], [cube, cube]])
     for src, dst, f, match in ((m3, m3, (0, 1), "3 entries"),
                                (m3, b2, (0, 1, 2), "out of range"),
+                               (m3, m3, (0, 1.0, 2), "integers"),
                                (b2_two, b2, (0, 1), "fewer parameters")):
         with pytest.raises(InputError, match=match):
             HomomorphismMap(src, dst, f).validate()
