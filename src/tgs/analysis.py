@@ -340,11 +340,8 @@ def evaluate_claim(claim: dict) -> dict:
         "witness": None,
     }
 
-    def done(ok: Optional[bool], witness=None) -> dict:
-        if ok is None:
-            out["verdict"] = "not-evaluable"
-        else:
-            out["verdict"] = "confirmed" if ok else "refuted"
+    def done(ok: bool, witness=None) -> dict:
+        out["verdict"] = "confirmed" if ok else "refuted"
         out["witness"] = witness
         return out
 

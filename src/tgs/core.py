@@ -21,6 +21,13 @@ leftmost index slowest; distributivity takes positions 0, 1, 2 in turn,
 commutativity tests swap01 before swap02 at each tuple, and the additive
 monoid tests identity, then commutativity, then associativity.
 
+One helper, _first, is that scan: the first tuple of a product of ranges,
+leftmost range slowest, that a test picks out; _violation and
+_monoid_violation wrap it. Loops stay only where a flat product costs more:
+is_ideal, is_prime, is_primary and quotient._representative_clash skip the
+parameter loops at some tuples and run thousands of times per analyze pass,
+and the associativity witness below compares whole rows.
+
 Each law is first decided on whole maps or planes, and the element-wise scan
 in the documented order runs only inside the first block where the law
 fails, so the witness is the one the full scan would find. The distinct maps
@@ -50,8 +57,8 @@ import json
 import os
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
-from operator import and_, itemgetter
+from itertools import permutations, product
+from operator import and_, itemgetter, ne
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 DEFAULT_MAX_ORDER = 5
@@ -125,7 +132,10 @@ def _check_order(n: int, what: str = "order") -> None:
 
 
 def _check_bits(s, mask: int, what: str) -> None:
-    """Refuse a subset of s that names elements beyond its order."""
+    """Refuse a subset of s that is not an int bitmask (a bool or a float is
+    not one) or that names elements beyond its order."""
+    if type(mask) is not int:
+        raise InputError(f"{what} must be an integer bitmask, got {mask!r}")
     if mask >> s.order:
         raise InputError(f"{what} {bin(mask)} has bits beyond order {s.order}")
 
@@ -155,6 +165,19 @@ class Verdict(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _first(ranges, bad) -> Optional[tuple]:
+    """The first args of product(*ranges), leftmost range slowest, for which
+    bad(*args) holds, or None: the one first-witness scan."""
+    return next((args for args in product(*ranges) if bad(*args)), None)
+
+
+def _violation(law: str, ranges, sides) -> Optional[Violation]:
+    """The Violation of law at the first args, in the order of _first, whose
+    two sides, the pair sides(*args), differ; None if none do."""
+    args = _first(ranges, lambda *args: ne(*sides(*args)))
+    return None if args is None else Violation(law, args, *sides(*args))
 
 
 class _LawReport:
@@ -352,47 +375,37 @@ def _given_monoid(rows, n: int, what: str) -> tuple:
     return add
 
 
+def _monoid_violation(add, prefix: str) -> Optional[Violation]:
+    """The first commutativity, then associativity, violation of the addition
+    table add over pairs (a, b) and triples (a, b, c), its law named
+    f"{prefix}-commutativity" or f"{prefix}-associativity"."""
+    r = range(len(add))
+    return (_violation(f"{prefix}-commutativity", (r, r),
+                       lambda a, b: (add[a][b], add[b][a]))
+            or _violation(f"{prefix}-associativity", (r, r, r),
+                          lambda a, b, c: (add[add[a][b]][c], add[a][add[b][c]])))
+
+
 def _check_additive_monoid(s: GammaStructure) -> Optional[Violation]:
     add = s.addition
     if _is_commutative_monoid(add):
         return None
-    n = s.order
-    for a in range(n):
+    for a in range(s.order):
         if add[0][a] != a:
             return Violation("additive-identity", (0, a), add[0][a], a)
         if add[a][0] != a:
             return Violation("additive-identity", (a, 0), add[a][0], a)
-    for a in range(n):
-        for b in range(n):
-            if add[a][b] != add[b][a]:
-                return Violation("additive-commutativity", (a, b), add[a][b], add[b][a])
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = add[add[a][b]][c]
-                rhs = add[a][add[b][c]]
-                if lhs != rhs:
-                    return Violation("additive-associativity", (a, b, c), lhs, rhs)
-    return None
+    return _monoid_violation(add, "additive")
 
 
 def _check_absorbing_zero(s: GammaStructure, at) -> Optional[Violation]:
-    n, m = s.order, s.gamma_size
     t = s.ternary
     # a zero in slot i gives f(0) for the maps f in at[i]
     if not any(f[0] for maps in at for f in maps):
         return None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if a and b and c:
-                    continue
-                for al in range(m):
-                    for be in range(m):
-                        v = t[al][be][a][b][c]
-                        if v != 0:
-                            return Violation("absorbing-zero", (a, b, c, al, be), v, 0)
-    return None
+    r, p = range(s.order), range(s.gamma_size)
+    return _violation("absorbing-zero", (r, r, r, p, p), lambda a, b, c, al, be: (
+        0 if a and b and c else t[al][be][a][b][c], 0))
 
 
 def _non_additive(maps, dom, cod) -> set:
@@ -418,38 +431,25 @@ def _slot_maps(cubes) -> tuple:
 
 
 def _check_distributive(s: GammaStructure, at) -> Optional[Violation]:
-    n, m = s.order, s.gamma_size
     add = s.addition
     t = s.ternary
     # Position i holds when every map in at[i], the maps x -> t(..x..) with x
-    # in slot i, is additive. Each distinct map is tested once; only a
-    # position holding a failing map is scanned for its first witness.
+    # in slot i, is additive. Each distinct map is tested once; only the
+    # first position holding a failing map is scanned for its first witness.
     failing = _non_additive(set().union(*at), add, add)
-    for pos in range(3):
-        if failing.isdisjoint(at[pos]):
-            continue
+    pos = next((i for i in range(3) if not failing.isdisjoint(at[i])), None)
+    if pos is None:
+        return None
+
+    def sides(x, y, b, c, al, be):
         # position 0: t(x+y, b, c) == t(x,b,c) + t(y,b,c), then positions 1 and 2
-        for x in range(n):
-            for y in range(n):
-                xy = add[x][y]
-                for b in range(n):
-                    for c in range(n):
-                        for al in range(m):
-                            for be in range(m):
-                                cube = t[al][be]
-                                if pos == 0:
-                                    lhs = cube[xy][b][c]
-                                    rhs = add[cube[x][b][c]][cube[y][b][c]]
-                                elif pos == 1:
-                                    lhs = cube[b][xy][c]
-                                    rhs = add[cube[b][x][c]][cube[b][y][c]]
-                                else:
-                                    lhs = cube[b][c][xy]
-                                    rhs = add[cube[b][c][x]][cube[b][c][y]]
-                                if lhs != rhs:
-                                    return Violation(f"distributivity-{pos}",
-                                                     (x, y, b, c, al, be), lhs, rhs)
-    return None
+        cube = t[al][be]
+        lhs, fx, fy = ((cube[v][b][c], cube[b][v][c], cube[b][c][v])[pos]
+                       for v in (add[x][y], x, y))
+        return lhs, add[fx][fy]
+
+    r, p = range(s.order), range(s.gamma_size)
+    return _violation(f"distributivity-{pos}", (r, r, r, r, p, p), sides)
 
 
 def _check_ternary_assoc(s: GammaStructure, lefts, rights) -> Optional[Violation]:
@@ -458,7 +458,9 @@ def _check_ternary_assoc(s: GammaStructure, lefts, rights) -> Optional[Violation
     # With L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on elements, the
     # law reads L∘R == R∘L: lefts are the distinct maps through slot 2,
     # rights those through slot 0. Each L is tested once against every R;
-    # only the first (a, b) with a failing L is scanned for its witness.
+    # only the first (a, b) with a failing L is scanned for its witness. The
+    # scan stays as loops, not _first: it compares whole rows and takes the
+    # least differing one, and it runs on every table the searches reject.
     rights = [(r, itemgetter(*r)) for r in rights]  # (R, g with g(f) = f∘R)
 
     def commutes(left) -> bool:
@@ -501,19 +503,17 @@ def _check_commutative(s: GammaStructure) -> Optional[Violation]:
     if (all(t[al][be] == tuple(zip(*t[be][al])) for al in range(m) for be in range(m))
             and all(p == tuple(zip(*p)) for p in at_b)):
         return None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for al in range(m):
-                    for be in range(m):
-                        v = t[al][be][a][b][c]
-                        w = t[be][al][b][a][c]
-                        if v != w:
-                            return Violation("commutativity-swap01", (a, b, c, al, be), v, w)
-                        w = t[al][be][c][b][a]
-                        if v != w:
-                            return Violation("commutativity-swap02", (a, b, c, al, be), v, w)
-    return None
+
+    def sides(a, b, c, al, be):  # t(a,b,c), its swap01 and its swap02
+        return t[al][be][a][b][c], t[be][al][b][a][c], t[al][be][c][b][a]
+
+    r, p = range(n), range(m)
+    args = _first((r, r, r, p, p), lambda *args: len(set(sides(*args))) > 1)
+    v, w01, w02 = sides(*args)
+    # at one tuple swap01 is blamed before swap02
+    if v != w01:
+        return Violation("commutativity-swap01", args, v, w01)
+    return Violation("commutativity-swap02", args, v, w02)
 
 
 def verify_axioms(s: GammaStructure) -> AxiomReport:

@@ -9,10 +9,13 @@ surrogate, the exchange law a (b m c) d = b (a m d) c (parameters following
 their scalars).
 
 Witnesses are the first violating tuple in each law's scan order, as
-written in its check. Each law is first decided on whole maps or planes, and
-the element-wise scan runs only where the law fails, so the witness is the
-one the full scan would find. As in verify_axioms, the distinct maps through
-each slot are extracted once per call and shared:
+written in its check. The carrier monoid and zero absorption take it from
+core._first, the package's one first-witness scan; additivity (one product
+already) and the exchange law (which reads a plane's maps only when its walk
+reaches them) keep their own loops. Each law is first decided on whole maps
+or planes, and the element-wise scan runs only where the law fails, so the
+witness is the one the full scan would find. As in verify_axioms, the
+distinct maps through each slot are extracted once per call and shared:
 
     carrier monoid      decided on its rows as maps, as the additive monoid
                         is in verify_axioms; scanned only if that test fails
@@ -41,9 +44,10 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, _as_grid, _as_layers, _check_order, _given_monoid,
-                   _is_commutative_monoid, _LawReport, _non_additive,
-                   _positive_int, _prevalidated, _slot_maps, full_mask,
+                   Violation, _as_grid, _as_layers, _check_order, _first,
+                   _given_monoid, _is_commutative_monoid, _LawReport,
+                   _monoid_violation, _non_additive, _positive_int,
+                   _prevalidated, _slot_maps, _violation, full_mask,
                    mask_elements, mask_of, max_order, subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
@@ -92,25 +96,12 @@ def zero_module(s: GammaStructure, carrier_order: int = 1,
 # ---------------------------------------------------------------------------
 # axioms
 
-def _check_carrier_monoid(madd, k: int) -> Optional[Violation]:
+def _check_carrier_monoid(madd) -> Optional[Violation]:
     if _is_commutative_monoid(madd):
         return None
-    for a in range(k):
-        if madd[0][a] != a:
-            return Violation("carrier-identity", (a,), madd[0][a], a)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if madd[a][b] != madd[b][a]:
-                return Violation("carrier-commutativity", (a, b),
-                                 madd[a][b], madd[b][a])
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                lhs = madd[madd[a][b]][c]
-                rhs = madd[a][madd[b][c]]
-                if lhs != rhs:
-                    return Violation("carrier-associativity", (a, b, c), lhs, rhs)
-    return None
+    r = range(len(madd))
+    return (_violation("carrier-identity", (r,), lambda a: (madd[0][a], a))
+            or _monoid_violation(madd, "carrier"))
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,9 @@ def _check_module_additivity(a_: ModuleAction, cubes, at) -> Optional[Violation]
     # Slot i of a cube holds when every map through slot i is additive: maps
     # from the scalars through slots 0 and 2, carrier maps through slot 1.
     # Each distinct map is tested once; only the first cube and slot holding
-    # a failing map is scanned for its first witness.
+    # a failing map is scanned for its first witness. That scan is one
+    # product already, with the slot's pair placed by its slot, so _first
+    # would not shorten it.
     from_scalars = _non_additive(at[0] | at[2], s.addition, madd)
     on_carrier = _non_additive(at[1], madd, madd)
     if not (from_scalars or on_carrier):
@@ -164,24 +157,15 @@ def _check_module_zero(a_: ModuleAction, at) -> Optional[Violation]:
     # zero pins the scalar slots only; the printed law says nothing about
     # a zero in the middle
     s, k = a_.scalar, a_.carrier_order
-    n, m = s.order, s.gamma_size
+    n, p = s.order, range(s.gamma_size)
     # a zero in scalar slot i gives f(0) for the maps f in at[i]
     if not any(f[0] for maps in (at[0], at[2]) for f in maps):
         return None
-    for al in range(m):
-        for be in range(m):
-            cube = a_.action[al][be]
-            for mm in range(k):
-                for b in range(n):
-                    if cube[0][mm][b] != 0:
-                        return Violation("module-absorbing-zero", (0, mm, b, al, be),
-                                         cube[0][mm][b], 0)
-            for a in range(n):
-                for mm in range(k):
-                    if cube[a][mm][0] != 0:
-                        return Violation("module-absorbing-zero", (a, mm, 0, al, be),
-                                         cube[a][mm][0], 0)
-    return None
+    # at each (al, be), the cells (0, mm, b), then the cells (a, mm, 0)
+    cells = [*iproduct((0,), range(k), range(n)), *iproduct(range(n), range(k), (0,))]
+    act = a_.action
+    al, be, (a, mm, b) = _first((p, p, cells), lambda al, be, c: act[al][be][c[0]][c[1]][c[2]])
+    return Violation("module-absorbing-zero", (a, mm, b, al, be), act[al][be][a][mm][b], 0)
 
 
 def _check_module_assoc_surrogate(a_: ModuleAction, cubes,
@@ -191,7 +175,9 @@ def _check_module_assoc_surrogate(a_: ModuleAction, cubes,
     # P∘Q == Q∘P, so it holds when every two distinct slot-1 maps commute.
     # Each pair is tested once; the scan walks (al, be, ga, de, a, b, c, d)
     # to the first non-commuting pair and takes its first mm. A plane's
-    # maps, its columns, are taken only when the scan reaches it.
+    # maps, its columns, are taken only when the scan reaches it, which a
+    # flat product would not do, and the check runs on every action the
+    # module search rejects, so the walk stays as loops.
     maps = [(f, itemgetter(*f)) for f in carrier_maps]  # (P, g with g(Q) = Q∘P)
     clash = set()
     for i, (f, after_f) in enumerate(maps):
@@ -225,7 +211,7 @@ def verify_module_axioms(a_: ModuleAction) -> ModuleAxiomReport:
     cubes = [cube for layer in a_.action for cube in layer]  # (al, be) at al*m + be
     at = _slot_maps(cubes)
     return ModuleAxiomReport(
-        carrier_monoid=_check_carrier_monoid(a_.carrier_addition, a_.carrier_order),
+        carrier_monoid=_check_carrier_monoid(a_.carrier_addition),
         additivity=_check_module_additivity(a_, cubes, at),
         absorbing_zero=_check_module_zero(a_, at),
         associativity=_check_module_assoc_surrogate(a_, cubes, at[1]),

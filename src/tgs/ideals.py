@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (GammaStructure, InputError, Verdict, _check_bits, full_mask,
-                   mask_elements, memo, memoized, subset_sort_key)
+from .core import (GammaStructure, InputError, Verdict, _check_bits, _first,
+                   full_mask, mask_elements, memo, memoized, subset_sort_key)
 
 
 def is_ideal(s: GammaStructure, mask: int) -> Verdict:
@@ -51,6 +51,8 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
             if not mask >> add[a][b] & 1:
                 return Verdict(False, ("additive-closure", a, b))
     n, m = s.order, s.gamma_size
+    # loops, not core._first: the parameter loops are skipped at a tuple with
+    # no argument in the subset, and enumerate_ideals tests every subset
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -99,6 +101,8 @@ def is_prime(s: GammaStructure, mask: int) -> Verdict:
     """
     _require_proper(s, mask, "primeness")
     n, m = s.order, s.gamma_size
+    # loops, not core._first: the parameter loops are skipped at a tuple with
+    # an argument in the subset, and every ideal of every structure is tested
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -114,14 +118,9 @@ def is_prime(s: GammaStructure, mask: int) -> Verdict:
 def is_semiprime(s: GammaStructure, mask: int) -> Verdict:
     """Cube in the subset forces the element in. Witness (a, al, be)."""
     _require_proper(s, mask, "semiprimeness")
-    for a in range(s.order):
-        if mask >> a & 1:
-            continue
-        for al in range(s.gamma_size):
-            for be in range(s.gamma_size):
-                if mask >> s.ternary[al][be][a][a][a] & 1:
-                    return Verdict(False, (a, al, be))
-    return Verdict(True)
+    outside, p = [a for a in range(s.order) if not mask >> a & 1], range(s.gamma_size)
+    found = _first((outside, p, p), lambda a, al, be: mask >> s.ternary[al][be][a][a][a] & 1)
+    return Verdict(True) if found is None else Verdict(False, found)
 
 
 def is_maximal(s: GammaStructure, mask: int) -> Verdict:
@@ -142,6 +141,8 @@ def is_primary(s: GammaStructure, mask: int) -> Verdict:
     """
     _require_proper(s, mask, "primariness")
     n, m = s.order, s.gamma_size
+    # loops, not core._first: the inner loops are skipped when a lies in the
+    # subset, and every ideal of every structure is tested
     for a in range(n):
         if mask >> a & 1:
             continue

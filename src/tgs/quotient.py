@@ -17,7 +17,8 @@ those representatives.
 from __future__ import annotations
 
 from .core import (ConsistencyError, GammaStructure, InputError, Verdict,
-                   _check_bits, _prevalidated, mask_elements, mask_of, memo)
+                   _INT, _check_bits, _first, _prevalidated, mask_elements,
+                   mask_of, memo)
 
 Partition = tuple
 
@@ -50,6 +51,8 @@ def _representative_clash(s: GammaStructure, p: Partition):
     arguments reach the same representative entry. One pass, addition first,
     each family in lexicographic argument order, parameters last.
     """
+    # loops, not core._first: the parameter loop is skipped at a tuple of
+    # representatives, and enumerate_congruences tests every partition
     n, m = s.order, s.gamma_size
     rep = [p.index(v) for v in p]
     add = s.addition
@@ -74,6 +77,9 @@ def _representative_clash(s: GammaStructure, p: Partition):
 def _checked_partition(s: GammaStructure, p) -> Partition:
     if len(p) != s.order:
         raise InputError(f"partition must label {s.order} elements, got {len(p)}")
+    # a float or bool label hashes equal to an int and would merge blocks
+    if not _INT.issuperset(map(type, p)):
+        raise InputError(f"partition labels must be integers, got {list(p)}")
     return normalize_partition(p)
 
 
@@ -113,9 +119,9 @@ def bourne_congruence(s: GammaStructure, mask: int) -> Partition:
     """Smallest congruence-like relation identifying a and b when some
     a+i = b+j with i, j in the given ideal; closed transitively (union-find).
     Computed once per structure and mask."""
+    _check_bits(s, mask, "subset")
     if not mask & 1:
         raise InputError("bourne congruence needs an ideal containing 0")
-    _check_bits(s, mask, "subset")
     return memo(s, ("bourne", mask), lambda: _bourne_classes(s, mask))
 
 
@@ -188,12 +194,7 @@ def _quotient(s: GammaStructure, p: Partition) -> GammaStructure:
 
 def has_nonzero_zero_divisors(s: GammaStructure) -> Verdict:
     """First all-nonzero triple (with parameters) whose product is 0."""
-    n, m = s.order, s.gamma_size
-    for a in range(1, n):
-        for b in range(1, n):
-            for c in range(1, n):
-                for al in range(m):
-                    for be in range(m):
-                        if s.ternary[al][be][a][b][c] == 0:
-                            return Verdict(True, (a, b, c, al, be))
-    return Verdict(False)
+    nz, p = range(1, s.order), range(s.gamma_size)
+    found = _first((nz, nz, nz, p, p),
+                   lambda a, b, c, al, be: s.ternary[al][be][a][b][c] == 0)
+    return Verdict(False) if found is None else Verdict(True, found)

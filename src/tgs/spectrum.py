@@ -13,8 +13,8 @@ from itertools import product as iproduct
 from typing import Optional
 
 from .core import (GammaStructure, InputError, Verdict, _INT, _check_bits,
-                   _meet, full_mask, mask_elements, mask_of, memo,
-                   subset_sort_key)
+                   _check_order, _first, _meet, full_mask, mask_elements,
+                   mask_of, memo, subset_sort_key)
 from .ideals import (_dot, enumerate_ideals, generated_ideal, ideal_classes,
                      is_ideal, spectrum_points)
 from .quotient import bourne_congruence, quotient_structure
@@ -39,11 +39,6 @@ def _closure_of_point(family: list, point: int, every: frozenset) -> frozenset:
         if point in c:
             out = out & c
     return out
-
-
-def _first_pair(xs, ys, bad) -> Optional[tuple]:
-    """The first (x, y), x outer and y inner, for which bad(x, y) holds."""
-    return next(((x, y) for x in xs for y in ys if bad(x, y)), None)
 
 
 def verify_topology(s: GammaStructure) -> list[TopologyCheck]:
@@ -71,14 +66,14 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
         "top-closed-set-is-empty", vmap[top] == frozenset(),
         None if not vmap[top] else (sorted(vmap[top]),)))
 
-    def pair_check(name: str, xs, ys, bad) -> None:
-        pair = _first_pair(xs, ys, bad)
-        checks.append(TopologyCheck(name, pair is None, pair))
+    def check(name: str, ranges, bad) -> None:
+        found = _first(ranges, bad)
+        checks.append(TopologyCheck(name, found is None, found))
 
-    pair_check("intersection-law", ideals, ideals,
-               lambda i, j: vmap[i & j] != vmap[i] | vmap[j])
-    pair_check("sum-law", ideals, ideals,
-               lambda i, j: vmap[generated_ideal(s, i | j)] != vmap[i] & vmap[j])
+    check("intersection-law", (ideals, ideals),
+          lambda i, j: vmap[i & j] != vmap[i] | vmap[j])
+    check("sum-law", (ideals, ideals),
+          lambda i, j: vmap[generated_ideal(s, i | j)] != vmap[i] & vmap[j])
 
     fam_set = set(family)
 
@@ -87,31 +82,25 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
             return "union"
         return "intersection" if c1 & c2 not in fam_set else None
 
-    pair = _first_pair(family, family, missing)
+    pair = _first((family, family), missing)
     bad = None if pair is None else (sorted(pair[0]), sorted(pair[1]), missing(*pair))
     checks.append(TopologyCheck("family-closed-under-union-intersection",
                                 bad is None, bad))
 
-    pair_check("order-reversal", ideals, ideals,
-               lambda i, j: i & j == i and not vmap[j] <= vmap[i])
+    check("order-reversal", (ideals, ideals),
+          lambda i, j: i & j == i and not vmap[j] <= vmap[i])
 
-    bad = None
     closures = {p: _closure_of_point(family, p, every) for p in points}
-    for p in points:
-        if closures[p] != vmap[p]:
-            bad = (p,)
-            break
-    checks.append(TopologyCheck("point-closure-is-containment-set", bad is None, bad))
-
-    pair_check("t0-separation", points, points,
-               lambda p, q: p != q and closures[p] == closures[q])
+    check("point-closure-is-containment-set", (points,),
+          lambda p: closures[p] != vmap[p])
+    check("t0-separation", (points, points),
+          lambda p, q: p != q and closures[p] == closures[q])
 
     # the meet of the primes containing i against the least semiprime ideal
     # containing i, taken from the classification
     semiprimes = [c.mask for c in ideal_classes(s) if c.semiprime]
-    bad = next(((i,) for i in ideals if _meet(s, vmap[i])
-                != _meet(s, (j for j in semiprimes if j & i == i))), None)
-    checks.append(TopologyCheck("closed-set-meet-is-radical", bad is None, bad))
+    check("closed-set-meet-is-radical", (ideals,), lambda i: _meet(s, vmap[i])
+          != _meet(s, (j for j in semiprimes if j & i == i)))
     return tuple(checks)
 
 
@@ -180,6 +169,8 @@ def decompose_by_idempotent(s: GammaStructure, e: int) -> Decomposition:
     structure does not have, so the search scans all ideals in size order.
     Each decomposition is computed once per structure and idempotent.
     """
+    if type(e) is not int:
+        raise InputError(f"idempotent must be an integer element, got {e!r}")
     if e not in find_idempotents(s):
         raise InputError(f"element {e} is not a ternary idempotent")
     return memo(s, ("decomposition", e), lambda: _decompose(s, e))
@@ -192,14 +183,9 @@ def _decompose(s: GammaStructure, e: int) -> Decomposition:
     top = full_mask(n)
 
     def mixed_zero(j_mask: int) -> bool:
-        for x in mask_elements(left):
-            for y in mask_elements(j_mask):
-                for t in range(n):
-                    for al in range(m):
-                        for be in range(m):
-                            if s.ternary[al][be][x][y][t] != 0:
-                                return False
-        return True
+        p = range(m)
+        return _first((mask_elements(left), mask_elements(j_mask), range(n), p, p),
+                      lambda x, y, t, al, be: s.ternary[al][be][x][y][t]) is None
 
     for j in enumerate_ideals(s):
         if left & j != 1:
@@ -242,19 +228,15 @@ class HomomorphismMap:
             raise InputError("target has fewer parameters than the source")
         if f[0] != 0:
             return Verdict(False, ("zero", 0))
-        for a in range(src.order):
-            for b in range(src.order):
-                if f[src.addition[a][b]] != dst.addition[f[a]][f[b]]:
-                    return Verdict(False, ("add", a, b))
-        for a in range(src.order):
-            for b in range(src.order):
-                for c in range(src.order):
-                    for al in range(src.gamma_size):
-                        for be in range(src.gamma_size):
-                            lhs = f[src.ternary[al][be][a][b][c]]
-                            rhs = dst.ternary[al][be][f[a]][f[b]][f[c]]
-                            if lhs != rhs:
-                                return Verdict(False, ("tern", a, b, c, al, be))
+        r, p = range(src.order), range(src.gamma_size)
+        sa, da, st, dt = src.addition, dst.addition, src.ternary, dst.ternary
+        args = _first((r, r), lambda a, b: f[sa[a][b]] != da[f[a]][f[b]])
+        if args is not None:
+            return Verdict(False, ("add",) + args)
+        args = _first((r, r, r, p, p), lambda a, b, c, al, be:
+                      f[st[al][be][a][b][c]] != dt[al][be][f[a]][f[b]][f[c]])
+        if args is not None:
+            return Verdict(False, ("tern",) + args)
         return Verdict(True)
 
     def is_surjective(self) -> bool:
@@ -267,8 +249,11 @@ def find_homomorphisms(src: GammaStructure, dst: GammaStructure,
     in lexicographic order; with surjective_only, the maps that are not onto
     are dropped before they are validated.
 
-    Structures with different parameter set sizes share no maps here.
+    Structures with different parameter set sizes share no maps here. Both
+    orders must be within the order cap, max_order(), for the n^(n-1) maps.
     """
+    _check_order(src.order, "source order")
+    _check_order(dst.order, "target order")
     if src.gamma_size != dst.gamma_size:
         return []
     maps = (HomomorphismMap(src, dst, (0,) + tail)

@@ -135,6 +135,10 @@ def test_empty_subset_refused():
                classify_ideal):
         with pytest.raises(InputError, match="subset is empty"):
             fn(s, 0)
+    # nor is a bool or a float a subset, though True would read as {0}
+    for fn, mask in ((is_ideal, True), (generated_ideal, 1.0)):
+        with pytest.raises(InputError, match="integer bitmask"):
+            fn(s, mask)
 
 
 def test_generated_ideal_frozen():

@@ -116,6 +116,16 @@ def test_witness_stream_frozen(corpus_reps):
     assert digest.hexdigest() == WITNESS_DIGEST
 
 
+def test_partition_labels_must_be_ints():
+    # a float or bool label hashes equal to an int and would merge blocks
+    s = DERIVED["M3"]
+    for call, p in ((is_congruence, (0, 1.0, 2)), (congruence_to_ideal, (0, 0.0, 1)),
+                    (quotient_structure, (0, True, 1))):
+        with pytest.raises(InputError, match="labels must be integers"):
+            call(s, p)
+    assert congruence_to_ideal(s, (0, 1, 2)) == 1
+
+
 def test_bourne_congruence_frozen():
     s = DERIVED["M6"]
     assert bourne_congruence(s, 9) == (0, 1, 2, 0, 1, 2)
@@ -139,6 +149,8 @@ def test_bourne_zero_class():
     assert congruence_to_ideal(n3, rho) != 5
     with pytest.raises(InputError, match="containing 0"):
         bourne_congruence(n3, 0b110)
+    with pytest.raises(InputError, match="integer bitmask"):
+        bourne_congruence(DERIVED["M3"], 1.0)
 
 
 def test_zero_class_is_ideal(corpus):

@@ -81,6 +81,8 @@ def test_radical_subset_inputs():
     assert radical_by_elements(DERIVED["M6"], 0b000110) == 0b000110
     with pytest.raises(InputError):
         radical_by_primes(DERIVED["M6"], 1 << 6)
+    with pytest.raises(InputError, match="integer bitmask"):
+        radical_by_primes(DERIVED["M3"], 1.0)
     with pytest.raises(InputError):
         radical_by_elements(DERIVED["M6"], 1 << 6)
     # an empty element radical lacks 0: reported as no ideal, not refused

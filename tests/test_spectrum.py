@@ -1,19 +1,25 @@
+import hashlib
+import json
+import random
 from dataclasses import replace
 
 import pytest
 
 import tgs.spectrum
-from tgs.core import GammaStructure, InputError, Verdict, full_mask, mask_of
+from tgs.core import (GammaStructure, InputError, ResourceLimitError, Verdict,
+                      full_mask, mask_of)
 from tgs.fixtures import DERIVED, saturating_zero_structure
-from tgs.ideals import enumerate_ideals, ideal_classes
+from tgs.ideals import enumerate_ideals, ideal_classes, is_semiprime
 from tgs.quotient import (bourne_congruence, enumerate_congruences,
-                          quotient_structure)
+                          has_nonzero_zero_divisors, quotient_structure)
 from tgs.radicals import radical_by_primes
 from tgs.spectrum import (HomomorphismMap, closed_set, connected_components,
                           crt_check, decompose_by_idempotent, find_homomorphisms,
                           find_idempotents, is_simple, prime_spectrum,
                           pullback_ideal, quotient_by_ideal, spectrum_dot,
                           spectrum_points, verify_topology)
+
+from test_core import _mutants
 
 SPECTRUM = {
     "B2": (1,), "M3": (1,), "M4": (5,), "M6": (9, 21), "L3": (1, 3), "N3": (),
@@ -83,6 +89,8 @@ def test_closed_set_values():
     assert closed_set(s, full_mask(6)) == frozenset()
     with pytest.raises(InputError, match="beyond order 6"):
         closed_set(s, 1 << 6)
+    with pytest.raises(InputError, match="integer bitmask"):
+        closed_set(s, 1.5)
     # meet of a closed set recovers the radical
     assert 9 & 21 == radical_by_primes(s, 1)
 
@@ -103,6 +111,10 @@ def test_decomposition_m6():
 def test_decomposition_requires_idempotent():
     with pytest.raises(InputError):
         decompose_by_idempotent(DERIVED["N3"], 1)
+    # 1 is an idempotent of M3, but 1.0 and True are not elements
+    for e in (1.0, True):
+        with pytest.raises(InputError, match="integer element"):
+            decompose_by_idempotent(DERIVED["M3"], e)
 
 
 def test_crt_m6_pair():
@@ -197,6 +209,16 @@ def test_hom_gamma_size_must_match():
     assert find_homomorphisms(DERIVED["B2"], s22) == []
 
 
+def test_hom_search_is_capped(monkeypatch):
+    # the search scans n^(n-1) maps: either order above the cap is refused
+    monkeypatch.setenv("TGS_MAX_ORDER", "3")
+    m3, m4 = DERIVED["M3"], DERIVED["M4"]
+    for src, dst in ((m4, m3), (m3, m4)):
+        with pytest.raises(ResourceLimitError, match="order 4 exceeds cap 3"):
+            find_homomorphisms(src, dst)
+    assert len(find_homomorphisms(m3, m3)) == 3
+
+
 def test_hom_validate_witness():
     bad = HomomorphismMap(source=DERIVED["M3"], target=DERIVED["M3"],
                           element_map=(0, 1, 1))
@@ -215,6 +237,31 @@ def test_hom_validate_witness():
                                (b2_two, b2, (0, 1), "fewer parameters")):
         with pytest.raises(InputError, match=match):
             HomomorphismMap(src, dst, f).validate()
+
+
+def test_frozen_scan_witnesses(corpus):
+    # the witnesses of has_nonzero_zero_divisors, is_semiprime on every
+    # proper subset, validate on seeded maps with and without 0 fixed, and
+    # decompose_by_idempotent on every idempotent, over the corpus and seeded
+    # mutations of it; the digest was taken while each scan was its own loop
+    rng = random.Random(13)
+    structures = [s for _, _, s in corpus]
+    structures += list(_mutants(structures, rng))
+    reports = []
+    for s in structures:
+        n = s.order
+        maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(3)]
+        maps += [(0,) + f[1:] for f in maps]
+        reports.append([
+            has_nonzero_zero_divisors(s),
+            [is_semiprime(s, mask) for mask in range(1, full_mask(n))],
+            [HomomorphismMap(s, s, f).validate() for f in maps],
+            [decompose_by_idempotent(s, e).to_dict() for e in find_idempotents(s)]])
+    assert {v.witness[0] for r in reports for v in r[2] if not v.ok} == {
+        "zero", "add", "tern"}
+    assert len(reports) == 984
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+        "c4516d0b0f07700d3062081a9af0404fce45dbb7a9a2d624bfd0eba99b3e4254")
 
 
 def test_prime_pullback_along_quotient_projection(corpus):
