@@ -14,10 +14,12 @@ placed. gamma_modules fills module actions with the same engine and the
 same additivity buckets. Ternary associativity is not a hook: every
 completed table goes through the full axiom check, verify_axioms.
 
-classify splits the search of each monoid by the value of the first ternary
-cell, which _backtrack pins through first=. The split is what lets --jobs
-pay off: at (3,2) one of the 5 monoids takes about 94 % of the search time,
-and its largest part about 64 %.
+classify runs one search task per additive monoid, so each monoid builds
+its additivity buckets once. Splitting a monoid further, by the value of its
+first ternary cell, rebuilt the buckets in every part: at --jobs 1, the
+default and the setting of every benchmark run, that cost about a quarter
+of the (4,1) search (76 bucket builds for 19 monoids; 0.24 s against
+0.18 s in process on a 2-core x86 host) and paid off only with more workers.
 """
 
 from __future__ import annotations
@@ -58,14 +60,13 @@ def _check_caps(n: int, m: int) -> None:
             f"gamma size {m} exceeds cap {DEFAULT_MAX_GAMMA}")
 
 
-def _backtrack(count: int, domain, ok, first: Optional[int] = None):
+def _backtrack(count: int, domain, ok):
     """The one table-completion search of the package.
 
     Cells 0..count-1 take values from domain in lexicographic order; after
     cell k lands, ok(vals, k) decides whether to go deeper. The live value
     list is yielded at each completion, once (with no cells) when count is 0.
     It carries one extra trailing 0, so a cell key of -1 reads a pinned zero.
-    If first is given, cell 0 is pinned to it.
     """
     vals = [0] * (count + 1)
 
@@ -73,7 +74,7 @@ def _backtrack(count: int, domain, ok, first: Optional[int] = None):
         if k == count:
             yield vals
             return
-        for v in (first,) if k == 0 and first is not None else domain:
+        for v in domain:
             vals[k] = v
             if ok(vals, k):
                 yield from fill(k + 1)
@@ -104,8 +105,7 @@ def _additivity_buckets(count: int, m: int, index: dict, dims, adds) -> list:
     return [tuple(b) for b in buckets]
 
 
-def _additive_tables(index: dict, m: int, dims, adds, op,
-                      first: Optional[int] = None):
+def _additive_tables(index: dict, m: int, dims, adds, op):
     """Every m x m x dims table whose cells map through index onto free
     values in range(len(op)), additive in each slot; as nested tuples, in
     search order."""
@@ -120,7 +120,7 @@ def _additive_tables(index: dict, m: int, dims, adds, op,
 
     keys = tuple(index.values())
     shape = (m, m) + dims
-    for vals in _backtrack(count, range(len(op)), ok, first):
+    for vals in _backtrack(count, range(len(op)), ok):
         yield _nest([vals[i] for i in keys], shape)
 
 
@@ -207,11 +207,10 @@ def _orbit_layout(n: int, m: int) -> tuple:
     return dict(sorted(index.items()))
 
 
-def _structures_for_monoid(add, n: int, m: int,
-                           first_value: Optional[int] = None) -> Iterator[GammaStructure]:
+def _structures_for_monoid(add, n: int, m: int) -> Iterator[GammaStructure]:
     names = _default_names(n)
     for tern in _additive_tables(_orbit_layout(n, m), m, (n, n, n), (add,) * 3,
-                                 add, first_value):
+                                 add):
         s = _prevalidated(GammaStructure, order=n, gamma_size=m, addition=add,
                           ternary=tern, names=names)
         if verify_axioms(s).passed:
@@ -236,10 +235,9 @@ def enumerate_structures(n: int, m: int = 1,
 
 
 def _enumeration_worker(task) -> list:
-    n, m, monoid_idx, first = task
+    n, m, monoid_idx = task
     add = enumerate_additive_monoids(n)[monoid_idx]
-    return [canonical_form(s)
-            for s in _structures_for_monoid(add, n, m, first_value=first)]
+    return [canonical_form(s) for s in _structures_for_monoid(add, n, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +330,7 @@ def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
     if jobs < 1:
         raise InputError(f"jobs must be positive, got {jobs}")
     monoids = enumerate_additive_monoids(n)
-    tasks = [(n, m, mi, v) for mi in range(len(monoids)) for v in range(n)]
+    tasks = [(n, m, mi) for mi in range(len(monoids))]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         chunks = [_enumeration_worker(t) for t in tasks]

@@ -37,9 +37,9 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
     list; that list is never computed here, so only a non-ideal, or any
     subset before the list exists, is scanned.
     """
+    _check_bits(s, mask, "subset")
     if mask == 0:
         raise InputError("subset is empty")
-    _check_bits(s, mask, "subset")
     if mask in (memoized(s, "ideals") or ()):
         return Verdict(True)
     if not mask & 1:
@@ -86,11 +86,11 @@ def enumerate_ideals(s: GammaStructure) -> tuple[int, ...]:
 
 
 def _require_proper(s: GammaStructure, mask: int, what: str) -> None:
+    _check_bits(s, mask, "subset")
     if mask == 0:
         raise InputError("subset is empty")
     if mask == full_mask(s.order):
         raise InputError(f"{what} is only defined for proper subsets")
-    _check_bits(s, mask, "subset")
 
 
 def is_prime(s: GammaStructure, mask: int) -> Verdict:
@@ -210,20 +210,18 @@ class IdealLattice:
 
 
 def ideal_lattice(s: GammaStructure) -> IdealLattice:
-    def build() -> IdealLattice:
-        ideals = enumerate_ideals(s)
-        covers = []
-        for i, lo in enumerate(ideals):
-            for j, hi in enumerate(ideals):
-                if lo == hi or lo & hi != lo:
-                    continue
-                if any(k not in (i, j) and lo & mid == lo and mid & hi == mid
-                       for k, mid in enumerate(ideals)):
-                    continue
-                covers.append((i, j))
-        return IdealLattice(ideals=ideals, covers=tuple(sorted(covers)),
-                            info=ideal_classes(s))
-    return memo(s, "lattice", build)
+    ideals = enumerate_ideals(s)
+    covers = []
+    for i, lo in enumerate(ideals):
+        for j, hi in enumerate(ideals):
+            if lo == hi or lo & hi != lo:
+                continue
+            if any(k not in (i, j) and lo & mid == lo and mid & hi == mid
+                   for k, mid in enumerate(ideals)):
+                continue
+            covers.append((i, j))
+    return IdealLattice(ideals=ideals, covers=tuple(sorted(covers)),
+                        info=ideal_classes(s))
 
 
 def spectrum_points(s: GammaStructure) -> tuple[int, ...]:

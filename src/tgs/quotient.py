@@ -25,6 +25,9 @@ Partition = tuple
 
 def normalize_partition(p) -> Partition:
     """Relabel block ids into restricted growth form (first occurrence order)."""
+    # a float or bool label hashes equal to an int and would merge blocks
+    if not _INT.issuperset(map(type, p)):
+        raise InputError(f"partition labels must be integers, got {list(p)}")
     seen: dict = {}
     out = []
     for v in p:
@@ -77,9 +80,6 @@ def _representative_clash(s: GammaStructure, p: Partition):
 def _checked_partition(s: GammaStructure, p) -> Partition:
     if len(p) != s.order:
         raise InputError(f"partition must label {s.order} elements, got {len(p)}")
-    # a float or bool label hashes equal to an int and would merge blocks
-    if not _INT.issuperset(map(type, p)):
-        raise InputError(f"partition labels must be integers, got {list(p)}")
     return normalize_partition(p)
 
 

@@ -8,6 +8,7 @@ topology and are cross-compared with idempotent decompositions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
@@ -321,29 +322,21 @@ def crt_check(s: GammaStructure, ideals) -> CrtReport:
         verdict = is_ideal(s, i)
         if not verdict.ok:
             raise InputError(f"subset {s.set_label(i)} is not an ideal: {verdict.witness}")
-    comax = Verdict(True)
-    for a in range(len(ideals)):
-        for b in range(a + 1, len(ideals)):
-            if generated_ideal(s, ideals[a] | ideals[b]) != top:
-                comax = Verdict(False, (a, b))
-                break
-        if not comax.ok:
-            break
+    k = range(len(ideals))
+    pair = _first((k, k), lambda a, b: a < b and
+                  generated_ideal(s, ideals[a] | ideals[b]) != top)
     parts = [bourne_congruence(s, i) for i in ideals]  # restricted growth form
     orders = tuple(max(p) + 1 for p in parts)
     images = {tuple(p[a] for p in parts) for a in range(s.order)}
-    prod_size = 1
-    for k in orders:
-        prod_size *= k
     zero_tuple = tuple(0 for _ in parts)
     kernel_zero = mask_of(a for a in range(s.order)
                           if tuple(p[a] for p in parts) == zero_tuple)
     return CrtReport(
         ideals=ideals,
-        comaximal=comax,
+        comaximal=Verdict(True) if pair is None else Verdict(False, pair),
         quotient_orders=orders,
         image_size=len(images),
-        surjective=len(images) == prod_size,
+        surjective=len(images) == math.prod(orders),
         injective=len(images) == s.order,
         kernel_zero_class=kernel_zero,
         intersection=_meet(s, ideals),

@@ -117,6 +117,15 @@ def test_classify_deterministic_across_jobs():
     assert render_classification_text(a) == render_classification_text(b)
 
 
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_classify_completes_each_table_once(jobs):
+    # dedup would hide a lost or doubled table from structure_count, so the
+    # tasks together must pass exactly the tables enumerate_structures does
+    expected = {**CANDIDATE_COUNTS, (3, 2): 175}
+    for (n, m), count in sorted(expected.items()):
+        assert classify(n, m, jobs=jobs).candidate_count == count
+
+
 def test_classify_gamma2_identical_across_jobs():
     one = json.dumps(classify(3, 2, jobs=1).to_dict(), indent=2, sort_keys=True)
     two = json.dumps(classify(3, 2, jobs=2).to_dict(), indent=2, sort_keys=True)
@@ -142,19 +151,19 @@ def test_classify_pool_bounded_by_tasks_and_cpus(monkeypatch):
 
     monkeypatch.setattr(tgs.enumeration, "Pool", RecordingPool)
     monkeypatch.setattr(tgs.enumeration.os, "cpu_count", lambda: 8)
-    # (2, 1) has 2 monoids x 2 first values = 4 tasks
+    # (2, 1) has 2 monoids, one task each
     expected = json.dumps(classify(2, 1).to_dict(), sort_keys=True)
     assert sizes == []
     assert json.dumps(classify(2, 1, jobs=1000).to_dict(),
                       sort_keys=True) == expected
-    assert sizes == [4]
+    assert sizes == [2]
     classify(4, 1, jobs=1000)
-    assert sizes == [4, 8]
+    assert sizes == [2, 8]
     classify(3, 1, jobs=3)
-    assert sizes == [4, 8, 3]
+    assert sizes == [2, 8, 3]
     monkeypatch.setattr(tgs.enumeration.os, "cpu_count", lambda: None)
     classify(3, 1, jobs=4)
-    assert sizes == [4, 8, 3]  # one worker runs in-process
+    assert sizes == [2, 8, 3]  # one worker runs in-process
 
 
 def test_orbit_stabilizer_identity(corpus):

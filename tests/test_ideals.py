@@ -135,8 +135,13 @@ def test_empty_subset_refused():
                classify_ideal):
         with pytest.raises(InputError, match="subset is empty"):
             fn(s, 0)
-    # nor is a bool or a float a subset, though True would read as {0}
-    for fn, mask in ((is_ideal, True), (generated_ideal, 1.0)):
+    # nor is a bool or a float a subset, though True would read as {0}; one
+    # equal to 0 or to the carrier is refused for its type, not called empty
+    # or improper
+    cases = [(is_ideal, True), (generated_ideal, 1.0), (is_ideal, 0.0),
+             (is_ideal, False), (is_prime, False)]
+    cases += [(fn, 7.0) for fn in (is_prime, is_semiprime, is_maximal, is_primary)]
+    for fn, mask in cases:
         with pytest.raises(InputError, match="integer bitmask"):
             fn(s, mask)
 

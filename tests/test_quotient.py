@@ -123,6 +123,11 @@ def test_partition_labels_must_be_ints():
                     (quotient_structure, (0, True, 1))):
         with pytest.raises(InputError, match="labels must be integers"):
             call(s, p)
+    # the exported helpers refuse them too, rather than merging the blocks
+    for call, p in ((normalize_partition, (0, True, 1)),
+                    (partition_blocks, (0, 1.0, 1))):
+        with pytest.raises(InputError, match="labels must be integers"):
+            call(p)
     assert congruence_to_ideal(s, (0, 1, 2)) == 1
 
 

@@ -142,6 +142,8 @@ def test_crt_non_comaximal_reported():
     rep = crt_check(DERIVED["M6"], [1, 9])
     assert not rep.comaximal.ok
     assert rep.comaximal.witness == (0, 1)  # ideal index pair
+    # the first non-comaximal pair in (a, b) order, a < b; (0, 1) is comaximal
+    assert crt_check(DERIVED["M6"], [9, 21, 1]).comaximal.witness == (0, 2)
 
 
 def test_crt_triple_counterexample():
