@@ -7,19 +7,17 @@ it checks only the triples that read the cell just placed. The first
 labeled monoid found of each relabeling class puts all its 0-fixing
 relabelings into a set, so every later member of the class costs one set
 lookup, and the class keeps the least of them, its canonical form.
-Ternary tables follow, filled orbit by orbit: commutativity ties symmetric
-cells together, zero absorption pins every cell with a zero argument, and
-each distributivity instance is replayed as soon as its last free cell is
-placed. gamma_modules fills module actions with the same engine and the
-same additivity buckets. Ternary associativity is not a hook: every
-completed table goes through the full axiom check, verify_axioms.
+Ternary tables follow, filled one value per commutativity orbit: the orbit
+of a cell (al, be, a, b, c) is its unordered parameter pair {al, be} with
+the multiset of a, b and c. Zero absorption pins every cell with a zero
+argument, and each distributivity instance is replayed as soon as its last
+free cell is placed. gamma_modules fills module actions with the same
+engine and the same additivity buckets. Ternary associativity is not a
+hook: every completed table goes through the full axiom check,
+verify_axioms.
 
 classify runs one search task per additive monoid, so each monoid builds
-its additivity buckets once. Splitting a monoid further, by the value of its
-first ternary cell, rebuilt the buckets in every part: at --jobs 1, the
-default and the setting of every benchmark run, that cost about a quarter
-of the (4,1) search (76 bucket builds for 19 monoids; 0.24 s against
-0.18 s in process on a 2-core x86 host) and paid off only with more workers.
+its additivity buckets once.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
                    ResourceLimitError, _addition_images, _check_order,
-                   _default_names, _given_monoid, _nest, _prevalidated,
-                   _serialize_tables, canonical_form, mask_size,
+                   _default_names, _given_monoid, _nest, _positive_int,
+                   _prevalidated, _serialize_tables, canonical_form, mask_size,
                    structure_from_bytes, verify_axioms)
 from .ideals import ideal_classes
 from .quotient import enumerate_congruences, roundtrip_failures
@@ -52,8 +50,8 @@ CLAIMED_TABLE = {
 
 
 def _check_caps(n: int, m: int) -> None:
-    if n < 1 or m < 1:
-        raise InputError(f"order and gamma size must be positive, got {n}, {m}")
+    _positive_int(n, "order")
+    _positive_int(m, "gamma size")
     _check_order(n)
     if m > DEFAULT_MAX_GAMMA:
         raise ResourceLimitError(
@@ -124,7 +122,8 @@ def _additive_tables(index: dict, m: int, dims, adds, op):
         yield _nest([vals[i] for i in keys], shape)
 
 
-@lru_cache(maxsize=None)
+# typed, so that 2.0 or True reaches the argument check, not the entry of 2 or 1
+@lru_cache(maxsize=None, typed=True)
 def enumerate_additive_monoids(n: int) -> tuple:
     """Commutative monoid tables with identity at index 0, one per 0-fixing
     relabeling class, ordered by canonical serialization."""
@@ -179,32 +178,23 @@ def enumerate_additive_monoids(n: int) -> tuple:
     return tuple(sorted(reps))
 
 
-@lru_cache(maxsize=None)
-def _orbit_layout(n: int, m: int) -> tuple:
+def _orbit_layout(n: int, m: int) -> dict:
     """Every ternary cell (al, be, a, b, c), in lexicographic order, mapped
-    to its commutativity orbit, or to -1 when zero absorption pins it. Orbits
-    are numbered by their lexicographically least member.
+    to its commutativity orbit, or to -1 when zero absorption pins it.
+
+    The law's swaps (al, be, a, b, c) -> (be, al, b, a, c) and
+    -> (al, be, c, b, a) generate every permutation of (a, b, c) together
+    with the exchange of al and be, so an orbit is an unordered parameter
+    pair with a multiset of three elements. Orbits are numbered in the order
+    their least members appear.
     """
+    orbits = {}
     index = {}
-    count = 0
-    for cell in iproduct(range(m), range(m), range(n), range(n), range(n)):
-        if cell in index:
-            continue
-        if 0 in cell[2:]:
-            index[cell] = -1
-            continue
-        seen = {cell}
-        stack = [cell]
-        while stack:
-            al, be, a, b, c = stack.pop()
-            for img in ((be, al, b, a, c), (al, be, c, b, a)):
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-        for member in seen:
-            index[member] = count
-        count += 1
-    return dict(sorted(index.items()))
+    for al, be, a, b, c in iproduct(range(m), range(m), range(n), range(n), range(n)):
+        key = (min(al, be), max(al, be), *sorted((a, b, c)))
+        index[al, be, a, b, c] = (-1 if 0 in (a, b, c)
+                                  else orbits.setdefault(key, len(orbits)))
+    return index
 
 
 def _structures_for_monoid(add, n: int, m: int) -> Iterator[GammaStructure]:
@@ -327,8 +317,8 @@ def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
     pass deduplicates and sorts them.
     """
     _check_caps(n, m)
-    if jobs < 1:
-        raise InputError(f"jobs must be positive, got {jobs}")
+    if type(jobs) is not int or jobs < 1:
+        raise InputError(f"jobs must be positive, got {jobs!r}")
     monoids = enumerate_additive_monoids(n)
     tasks = [(n, m, mi) for mi in range(len(monoids))]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

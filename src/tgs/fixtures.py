@@ -17,39 +17,39 @@ from __future__ import annotations
 from .core import GammaStructure
 
 
+def _structure(n: int, add, mul) -> GammaStructure:
+    """Order n and one parameter, with addition add(a, b) and ternary
+    product mul(a, b, c)."""
+    r = range(n)
+    return GammaStructure(order=n, gamma_size=1,
+                          addition=[[add(a, b) for b in r] for a in r],
+                          ternary=[[[[[mul(a, b, c) for c in r] for b in r]
+                                     for a in r]]])
+
+
 def mod_mul_structure(n: int) -> GammaStructure:
     """Addition mod n with ternary product a*b*c mod n."""
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    cube = [[[(a * b * c) % n for c in range(n)] for b in range(n)] for a in range(n)]
-    return GammaStructure(order=n, gamma_size=1, addition=add, ternary=[[cube]])
+    return _structure(n, lambda a, b: (a + b) % n, lambda a, b, c: a * b * c % n)
 
 
 def mod_add_structure(n: int) -> GammaStructure:
     """Addition mod n with ternary product a+b+c mod n. Violates zero absorption."""
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    cube = [[[(a + b + c) % n for c in range(n)] for b in range(n)] for a in range(n)]
-    return GammaStructure(order=n, gamma_size=1, addition=add, ternary=[[cube]])
+    return _structure(n, lambda a, b: (a + b) % n, lambda a, b, c: (a + b + c) % n)
 
 
 def bool_or_and() -> GammaStructure:
-    """Two elements, addition = OR, ternary product = AND."""
-    add = [[0, 1], [1, 1]]
-    cube = [[[min(a, b, c) for c in range(2)] for b in range(2)] for a in range(2)]
-    return GammaStructure(order=2, gamma_size=1, addition=add, ternary=[[cube]])
+    """Two elements, addition = OR, ternary product = AND: the chain of two."""
+    return chain_min_structure(2)
 
 
 def chain_min_structure(n: int) -> GammaStructure:
     """Chain 0 < 1 < ... < n-1 with addition = max and ternary product = min."""
-    add = [[max(a, b) for b in range(n)] for a in range(n)]
-    cube = [[[min(a, b, c) for c in range(n)] for b in range(n)] for a in range(n)]
-    return GammaStructure(order=n, gamma_size=1, addition=add, ternary=[[cube]])
+    return _structure(n, max, min)
 
 
 def saturating_zero_structure(n: int) -> GammaStructure:
     """Saturating addition min(a+b, n-1) with the all-zero ternary product."""
-    add = [[min(a + b, n - 1) for b in range(n)] for a in range(n)]
-    cube = [[[0] * n for _ in range(n)] for _ in range(n)]
-    return GammaStructure(order=n, gamma_size=1, addition=add, ternary=[[cube]])
+    return _structure(n, lambda a, b: min(a + b, n - 1), lambda a, b, c: 0)
 
 
 DERIVED = {

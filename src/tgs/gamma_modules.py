@@ -81,6 +81,7 @@ def regular_module(s: GammaStructure) -> ModuleAction:
 def zero_module(s: GammaStructure, carrier_order: int = 1,
                 carrier_addition=None) -> ModuleAction:
     """Every action result is 0; any carrier monoid works."""
+    _positive_int(carrier_order, "carrier order")
     if carrier_addition is None:
         if carrier_order != 1:
             raise InputError("carrier addition required when carrier order > 1")

@@ -25,6 +25,8 @@ Partition = tuple
 
 def normalize_partition(p) -> Partition:
     """Relabel block ids into restricted growth form (first occurrence order)."""
+    if not isinstance(p, (list, tuple)) or not p:
+        raise InputError(f"a partition must be a nonempty list or tuple, got {p!r}")
     # a float or bool label hashes equal to an int and would merge blocks
     if not _INT.issuperset(map(type, p)):
         raise InputError(f"partition labels must be integers, got {list(p)}")
@@ -78,9 +80,10 @@ def _representative_clash(s: GammaStructure, p: Partition):
 
 
 def _checked_partition(s: GammaStructure, p) -> Partition:
+    p = normalize_partition(p)
     if len(p) != s.order:
         raise InputError(f"partition must label {s.order} elements, got {len(p)}")
-    return normalize_partition(p)
+    return p
 
 
 def is_congruence(s: GammaStructure, p) -> Verdict:

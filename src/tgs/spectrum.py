@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .core import (GammaStructure, InputError, Verdict, _INT, _check_bits,
-                   _check_order, _first, _meet, full_mask, mask_elements,
-                   mask_of, memo, subset_sort_key)
+from .core import (GammaStructure, InputError, Verdict, _INT, _as_list,
+                   _check_bits, _check_order, _first, _meet, full_mask,
+                   mask_elements, mask_of, memo, subset_sort_key)
 from .ideals import (_dot, enumerate_ideals, generated_ideal, ideal_classes,
                      is_ideal, spectrum_points)
 from .quotient import bourne_congruence, quotient_structure
@@ -218,9 +218,7 @@ class HomomorphismMap:
 
     def validate(self) -> Verdict:
         src, dst = self.source, self.target
-        f = self.element_map
-        if len(f) != src.order:
-            raise InputError(f"element map must have {src.order} entries")
+        f = _as_list(self.element_map, src.order, "element map")
         if not (_INT.issuperset(map(type, f))
                 and all(0 <= v < dst.order for v in f)):
             raise InputError(f"element map image out of range: entries must be "

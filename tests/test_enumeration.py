@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import math
 
 import pytest
 
@@ -9,7 +11,8 @@ from tgs.core import (GammaStructure, ResourceLimitError, InputError,
                       canonical_form, zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
-                             render_classification_text, _structure_summary)
+                             render_classification_text, _orbit_layout,
+                             _structure_summary)
 
 from oracles import (canonical_set, naive_monoid_tables, naive_structures,
                      naive_structures_fully)
@@ -96,6 +99,38 @@ def test_free_cell_reduction_is_faithful():
     # with the zero-forced free-cell sweep used for order 3
     assert canonical_set(naive_structures_fully(2)) == canonical_set(
         naive_structures(2))
+
+
+def _closed_orbit_layout(n, m):
+    """The layout by closing each cell under the law's two swaps, numbering
+    orbits by their least members, zero-argument cells at -1."""
+    index = {}
+    orbits = 0
+    for cell in itertools.product(range(m), range(m), range(n), range(n), range(n)):
+        if cell in index:
+            continue
+        if 0 in cell[2:]:
+            index[cell] = -1
+            continue
+        stack = [cell]
+        while stack:
+            al, be, a, b, c = stack.pop()
+            if (al, be, a, b, c) not in index:
+                index[al, be, a, b, c] = orbits
+                stack += [(be, al, b, a, c), (al, be, c, b, a)]
+        orbits += 1
+    return {cell: index[cell] for cell in sorted(index)}
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_orbit_layout_equals_swap_closure(m):
+    # the same cells with the same keys in the same order, so the search
+    # fills the same tables in the same order
+    for n in range(1, 7):
+        layout = _orbit_layout(n, m)
+        assert list(layout.items()) == list(_closed_orbit_layout(n, m).items())
+        # an orbit is a pair {al, be} with a multiset of three nonzero elements
+        assert max(layout.values()) + 1 == math.comb(n + 1, 3) * m * (m + 1) // 2
 
 
 def test_stream_contains_named_fixtures():
@@ -259,6 +294,16 @@ def test_caps():
         list(enumerate_structures(0, 1))
     with pytest.raises(InputError, match="jobs must be positive"):
         classify(3, jobs=0)
+    # exact positive ints only: a bool or a float is neither an order, a
+    # gamma size nor a worker count
+    for call in (lambda: classify(2, True), lambda: classify(True),
+                 lambda: classify(2, 1.0), lambda: list(enumerate_structures(2.0)),
+                 lambda: enumerate_additive_monoids(2.0)):
+        with pytest.raises(InputError, match="must be a positive integer"):
+            call()
+    for jobs in (True, 1.5):
+        with pytest.raises(InputError, match="jobs must be positive"):
+            classify(2, jobs=jobs)
 
 
 def test_cap_env_override(monkeypatch):

@@ -1,14 +1,17 @@
 """Source hygiene of the package, read with the stdlib ast module: no module
 imports a name it never uses, no module-level private function goes
 unreferenced, no public function or class goes uncalled, no per-structure
-memo key is set in two places, and the test oracles share no code with the
-package."""
+memo key is set in two places, the test oracles share no code with the
+package, and every name the benchmark traces still exists."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tgs"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tgs"
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
@@ -96,3 +99,17 @@ def test_oracles_import_only_the_structure_type():
               and (node.module or "").split(".")[0] == "tgs"):
             imported |= {alias.name for alias in node.names}
     assert imported == {"GammaStructure"}
+
+
+def test_every_traced_name_resolves():
+    # bench/tracing.py wraps package functions by (module, attribute); a
+    # renamed or deleted one would otherwise surface only in the benchmark
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attr}" for module, attr in tracing.TRACED.values()
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+    assert set(tracing.OUTCOMES) <= set(tracing.TRACED)
+    assert all(map(callable, tracing.OUTCOMES.values()))

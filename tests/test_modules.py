@@ -110,6 +110,9 @@ def test_action_constructor_validation():
     with pytest.raises(InputError, match="action"):
         ModuleAction(scalar=s, carrier_order=2, carrier_addition=s.addition,
                      action=act)
+    # the carrier order is checked before a carrier addition is asked for
+    with pytest.raises(InputError, match="carrier order must be a positive"):
+        zero_module(s, 0)
 
 
 def _freeze(act, m):

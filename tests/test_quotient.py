@@ -128,6 +128,12 @@ def test_partition_labels_must_be_ints():
                     (partition_blocks, (0, 1.0, 1))):
         with pytest.raises(InputError, match="labels must be integers"):
             call(p)
+    # a partition is a nonempty list or tuple of labels
+    for call in (normalize_partition, partition_blocks,
+                 lambda p: is_congruence(s, p)):
+        for p in (5, (), None):
+            with pytest.raises(InputError, match="nonempty list or tuple"):
+                call(p)
     assert congruence_to_ideal(s, (0, 1, 2)) == 1
 
 

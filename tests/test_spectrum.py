@@ -236,6 +236,7 @@ def test_hom_validate_witness():
     for src, dst, f, match in ((m3, m3, (0, 1), "3 entries"),
                                (m3, b2, (0, 1, 2), "out of range"),
                                (m3, m3, (0, 1.0, 2), "integers"),
+                               (m3, m3, 5, "must be a list"),
                                (b2_two, b2, (0, 1), "fewer parameters")):
         with pytest.raises(InputError, match=match):
             HomomorphismMap(src, dst, f).validate()
