@@ -28,15 +28,22 @@ is_ideal, is_prime, is_primary and quotient._representative_clash skip the
 parameter loops at some tuples and run thousands of times per analyze pass,
 and the associativity witness below compares whole rows.
 
-Each law is first decided on whole maps or planes, and the element-wise scan
-in the documented order runs only inside the first block where the law
-fails, so the witness is the one the full scan would find. The distinct maps
-through each element slot are extracted once per call and shared:
+verify_axioms returns a report that is evaluated as it is read. Each law is
+decided on whole maps or planes, at most once per report. The report's
+passed decides the laws on maps alone: ternary associativity first, the one
+law the searches do not build in, then the others only if it holds; it
+stops at the first law that fails and never scans for a witness. A law's
+field is computed when first read, and kept: the element-wise scan in the
+documented order runs only if the law failed, and only inside the first
+block where it fails, so the witness is the one the full scan would find.
+The distinct maps through each element slot are extracted on first use and
+shared by the laws:
 
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
-                        elements must commute; each distinct L is tested once
-                        against the distinct Rs. At the first (a, b) whose L
-                        fails, each (c, d) in turn compares, for every
+                        elements must commute; _non_commuting tests each
+                        distinct L against the distinct Rs, the one map test
+                        the module exchange law uses too. At the first (a, b)
+                        whose L fails, each (c, d) in turn compares, for every
                         (al, be, ga, de), both sides as whole rows over e;
                         the witness is the least (e, al, be, ga, de) among
                         the rows that differ, the element the scan over
@@ -180,18 +187,55 @@ def _violation(law: str, ranges, sides) -> Optional[Violation]:
     return None if args is None else Violation(law, args, *sides(*args))
 
 
+class _Law:
+    """One law field of a report. decide(subject, at) reads maps only and
+    returns a falsy value when the law holds, else the fault from which
+    scan(subject, at, fault) finds the law's first Violation; at holds the
+    distinct maps through each slot. The field is computed on its first read
+    and kept in the report's instance dict, which then shadows this
+    descriptor."""
+
+    def __init__(self, decide, scan):
+        self.decide = decide
+        self.scan = scan
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rep, owner=None):
+        if rep is None:
+            return self
+        fault = rep._fault(self)
+        value = self.scan(rep._subject, rep._at, fault) if fault else None
+        rep.__dict__[self.name] = value
+        return value
+
+
 class _LawReport:
-    """Base of the per-law reports: each field holds the first Violation of
-    one law, or None; _KEYS is the to_dict key order, "passed" included."""
+    """Base of the per-law reports: each _Law field holds the first Violation
+    of one law, or None. A report decides each law at most once. passed
+    decides the laws in _ORDER, the law no constructor builds in first,
+    stops at the first that fails and never scans for a witness; a field
+    scans only when read. _KEYS is the to_dict key order, "passed" included,
+    and the law order of failures(). Reports are read-only."""
+
+    def __init__(self, subject, cubes):
+        vars(self).update(_subject=subject, _at=_SlotMaps(cubes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def _fault(self, law: _Law):
+        return memo(self, ("fault", law), lambda: law.decide(self._subject, self._at))
 
     def failures(self) -> tuple:
-        """The violations found, in field order (the instance dict of a
-        dataclass holds its fields, in order)."""
-        return tuple(v for v in vars(self).values() if v is not None)
+        """The violations found, in the order of _KEYS."""
+        return tuple(v for v in (getattr(self, name) for name in self._KEYS
+                                 if name != "passed") if v is not None)
 
     @property
     def passed(self) -> bool:
-        return not self.failures()
+        return not any(map(self._fault, self._ORDER))
 
     def to_dict(self) -> dict:
         out = {}
@@ -201,28 +245,12 @@ class _LawReport:
         return out
 
 
-@dataclass(frozen=True)
-class AxiomReport(_LawReport):
-    """Per-axiom verdicts; None means the axiom holds."""
-
-    additive_monoid: Optional[Violation]
-    ternary_assoc: Optional[Violation]
-    distributive: Optional[Violation]
-    absorbing_zero: Optional[Violation]
-    commutative: Optional[Violation]
-
-    _KEYS = ("passed", "additive_monoid", "ternary_assoc", "distributive",
-             "absorbing_zero", "commutative")
-
-    def failures(self) -> list[Violation]:
-        return list(super().failures())
-
-
 # ---------------------------------------------------------------------------
 # the structure itself
 
 def memo(s, key, compute):
-    """compute() once per structure object; later calls return the stored value.
+    """compute() once per object, a structure or a report; later calls return
+    the stored value.
 
     The store lives in the object's own __dict__ and is not a dataclass field,
     so ==, hash and repr ignore it and it is freed with the object. Every
@@ -386,10 +414,8 @@ def _monoid_violation(add, prefix: str) -> Optional[Violation]:
                           lambda a, b, c: (add[add[a][b]][c], add[a][add[b][c]])))
 
 
-def _check_additive_monoid(s: GammaStructure) -> Optional[Violation]:
+def _check_additive_monoid(s: GammaStructure, at, fault) -> Violation:
     add = s.addition
-    if _is_commutative_monoid(add):
-        return None
     for a in range(s.order):
         if add[0][a] != a:
             return Violation("additive-identity", (0, a), add[0][a], a)
@@ -398,11 +424,14 @@ def _check_additive_monoid(s: GammaStructure) -> Optional[Violation]:
     return _monoid_violation(add, "additive")
 
 
-def _check_absorbing_zero(s: GammaStructure, at) -> Optional[Violation]:
+def _moves_zero(at, slots) -> bool:
+    """Whether some map through one of the given slots sends 0 elsewhere: a
+    zero in slot i gives f(0) for the maps f in at[i]."""
+    return any(f[0] for i in slots for f in at[i])
+
+
+def _check_absorbing_zero(s: GammaStructure, at, fault) -> Violation:
     t = s.ternary
-    # a zero in slot i gives f(0) for the maps f in at[i]
-    if not any(f[0] for maps in at for f in maps):
-        return None
     r, p = range(s.order), range(s.gamma_size)
     return _violation("absorbing-zero", (r, r, r, p, p), lambda a, b, c, al, be: (
         0 if a and b and c else t[al][be][a][b][c], 0))
@@ -422,24 +451,46 @@ def _non_additive(maps, dom, cod) -> set:
     return {f for f in maps if not additive(f)}
 
 
-def _slot_maps(cubes) -> tuple:
-    """The distinct maps through each slot of the given cubes, as three sets:
-    x -> cube[x][b][c], x -> cube[a][x][c] and x -> cube[a][b][x]."""
-    return ({f for cube in cubes for rows in zip(*cube) for f in zip(*rows)},
-            {f for cube in cubes for plane in cube for f in zip(*plane)},
-            {row for cube in cubes for plane in cube for row in plane})
+def _non_commuting(lefts, rights) -> set:
+    """The maps f among lefts that fail to commute with some map g among
+    rights, f∘g != g∘f; all are tuples indexed by one set."""
+    rights = [(g, itemgetter(*g)) for g in rights]  # (g, h with h(f) = f∘g)
+
+    def commutes(f) -> bool:
+        after = itemgetter(*f)  # after(g) is g∘f
+        return all(before(f) == after(g) for g, before in rights)
+
+    return {f for f in lefts if not commutes(f)}
 
 
-def _check_distributive(s: GammaStructure, at) -> Optional[Violation]:
+class _SlotMaps(dict):
+    """The distinct maps through each slot of the given cubes, by slot, each
+    set built on its first use: x -> cube[x][b][c] for slot 0,
+    x -> cube[a][x][c] for slot 1 and x -> cube[a][b][x] for slot 2."""
+
+    def __init__(self, cubes):
+        super().__init__()
+        self.cubes = cubes
+
+    def __missing__(self, slot: int) -> set:
+        cubes = self.cubes
+        if slot == 0:
+            maps = {f for cube in cubes for rows in zip(*cube) for f in zip(*rows)}
+        elif slot == 1:
+            maps = {f for cube in cubes for plane in cube for f in zip(*plane)}
+        else:
+            maps = {row for cube in cubes for plane in cube for row in plane}
+        self[slot] = maps
+        return maps
+
+
+def _check_distributive(s: GammaStructure, at, failing) -> Violation:
     add = s.addition
     t = s.ternary
     # Position i holds when every map in at[i], the maps x -> t(..x..) with x
-    # in slot i, is additive. Each distinct map is tested once; only the
-    # first position holding a failing map is scanned for its first witness.
-    failing = _non_additive(set().union(*at), add, add)
-    pos = next((i for i in range(3) if not failing.isdisjoint(at[i])), None)
-    if pos is None:
-        return None
+    # in slot i, is additive; the first position holding a failing map is
+    # scanned for its first witness.
+    pos = next(i for i in range(3) if not failing.isdisjoint(at[i]))
 
     def sides(x, y, b, c, al, be):
         # position 0: t(x+y, b, c) == t(x,b,c) + t(y,b,c), then positions 1 and 2
@@ -452,22 +503,15 @@ def _check_distributive(s: GammaStructure, at) -> Optional[Violation]:
     return _violation(f"distributivity-{pos}", (r, r, r, r, p, p), sides)
 
 
-def _check_ternary_assoc(s: GammaStructure, lefts, rights) -> Optional[Violation]:
+def _check_ternary_assoc(s: GammaStructure, at, failing) -> Violation:
     n, m = s.order, s.gamma_size
     t = s.ternary
     # With L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on elements, the
-    # law reads L∘R == R∘L: lefts are the distinct maps through slot 2,
-    # rights those through slot 0. Each L is tested once against every R;
-    # only the first (a, b) with a failing L is scanned for its witness. The
-    # scan stays as loops, not _first: it compares whole rows and takes the
-    # least differing one, and it runs on every table the searches reject.
-    rights = [(r, itemgetter(*r)) for r in rights]  # (R, g with g(f) = f∘R)
-
-    def commutes(left) -> bool:
-        after = itemgetter(*left)  # after(g) is g∘L
-        return all(before(left) == after(r) for r, before in rights)
-
-    failing = {left for left in lefts if not commutes(left)}
+    # law reads L∘R == R∘L; failing holds the Ls, maps through slot 2, that
+    # fail to commute with some R, a map through slot 0. Only the first
+    # (a, b) with a failing L is scanned for its witness. The scan stays as
+    # loops, not _first: it compares whole rows and takes the least
+    # differing one.
     pairs = [(al, be) for al in range(m) for be in range(m)]
     for a in range(n):
         for b in range(n):
@@ -489,25 +533,28 @@ def _check_ternary_assoc(s: GammaStructure, lefts, rights) -> Optional[Violation
                         (e, al, be, ga, de), lhs, rhs = min(found)
                         return Violation("ternary-associativity",
                                          (a, b, c, d, e, al, be, ga, de), lhs, rhs)
-    return None
 
 
-def _check_commutative(s: GammaStructure) -> Optional[Violation]:
+def _asymmetric(s: GammaStructure, at) -> bool:
+    """Whether t breaks commutativity. swap01 holds when cube (al, be) is cube
+    (be, al) with its first two indices transposed; swap02 when, at each b,
+    the plane (a, c) -> t(a,b,c) is symmetric."""
     n, m = s.order, s.gamma_size
     t = s.ternary
-    # swap01 holds when cube (al, be) is cube (be, al) with its first two
-    # indices transposed; swap02 when, at each b, the plane (a, c) -> t(a,b,c)
-    # is symmetric
     at_b = [tuple(plane[b] for plane in cube) for layer in t for cube in layer
             for b in range(n)]
-    if (all(t[al][be] == tuple(zip(*t[be][al])) for al in range(m) for be in range(m))
-            and all(p == tuple(zip(*p)) for p in at_b)):
-        return None
+    return not (all(t[al][be] == tuple(zip(*t[be][al]))
+                    for al in range(m) for be in range(m))
+                and all(p == tuple(zip(*p)) for p in at_b))
+
+
+def _check_commutative(s: GammaStructure, at, fault) -> Violation:
+    t = s.ternary
 
     def sides(a, b, c, al, be):  # t(a,b,c), its swap01 and its swap02
         return t[al][be][a][b][c], t[be][al][b][a][c], t[al][be][c][b][a]
 
-    r, p = range(n), range(m)
+    r, p = range(s.order), range(s.gamma_size)
     args = _first((r, r, r, p, p), lambda *args: len(set(sides(*args))) > 1)
     v, w01, w02 = sides(*args)
     # at one tuple swap01 is blamed before swap02
@@ -516,16 +563,33 @@ def _check_commutative(s: GammaStructure) -> Optional[Violation]:
     return Violation("commutativity-swap02", args, v, w02)
 
 
+class AxiomReport(_LawReport):
+    """Per-axiom verdicts; None means the axiom holds."""
+
+    additive_monoid = _Law(lambda s, at: not _is_commutative_monoid(s.addition),
+                           _check_additive_monoid)
+    ternary_assoc = _Law(lambda s, at: _non_commuting(at[2], at[0]),
+                         _check_ternary_assoc)
+    distributive = _Law(lambda s, at: _non_additive(at[0] | at[1] | at[2],
+                                                    s.addition, s.addition),
+                        _check_distributive)
+    absorbing_zero = _Law(lambda s, at: _moves_zero(at, (0, 1, 2)),
+                          _check_absorbing_zero)
+    commutative = _Law(_asymmetric, _check_commutative)
+
+    _ORDER = (ternary_assoc, additive_monoid, distributive, absorbing_zero,
+              commutative)
+    _KEYS = ("passed", "additive_monoid", "ternary_assoc", "distributive",
+             "absorbing_zero", "commutative")
+
+    def failures(self) -> list[Violation]:
+        return list(super().failures())
+
+
 def verify_axioms(s: GammaStructure) -> AxiomReport:
-    """Check every axiom over the whole table; first lex witness per axiom."""
-    at = _slot_maps([cube for layer in s.ternary for cube in layer])
-    return AxiomReport(
-        additive_monoid=_check_additive_monoid(s),
-        ternary_assoc=_check_ternary_assoc(s, at[2], at[0]),
-        distributive=_check_distributive(s, at),
-        absorbing_zero=_check_absorbing_zero(s, at),
-        commutative=_check_commutative(s),
-    )
+    """The axiom report of s: passed decides every axiom on maps; a field,
+    the first lex witness of one axiom, is scanned when first read."""
+    return AxiomReport(s, [cube for layer in s.ternary for cube in layer])
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +613,8 @@ def _relabel_tables(sigma: Sequence[int], addition, ternary=()) -> tuple:
 def apply_permutation(s: GammaStructure, sigma: Sequence[int]) -> GammaStructure:
     """Relabel elements by sigma (a bijection with sigma[0] == 0); names travel along."""
     n, m = s.order, s.gamma_size
+    if not isinstance(sigma, (list, tuple)):
+        raise InputError(f"sigma must be a list or tuple, got {sigma!r}")
     sigma = tuple(sigma)
     if (len(sigma) != n or not _INT.issuperset(map(type, sigma))
             or sorted(sigma) != list(range(n))):

@@ -13,8 +13,8 @@ the multiset of a, b and c. Zero absorption pins every cell with a zero
 argument, and each distributivity instance is replayed as soon as its last
 free cell is placed. gamma_modules fills module actions with the same
 engine and the same additivity buckets. Ternary associativity is not a
-hook: every completed table goes through the full axiom check,
-verify_axioms.
+hook: every completed table goes through verify_axioms, whose passed
+decides every axiom on maps, associativity first, and scans for no witness.
 
 classify runs one search task per additive monoid, so each monoid builds
 its additivity buckets once.

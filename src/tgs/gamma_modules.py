@@ -12,10 +12,14 @@ Witnesses are the first violating tuple in each law's scan order, as
 written in its check. The carrier monoid and zero absorption take it from
 core._first, the package's one first-witness scan; additivity (one product
 already) and the exchange law (which reads a plane's maps only when its walk
-reaches them) keep their own loops. Each law is first decided on whole maps
-or planes, and the element-wise scan runs only where the law fails, so the
-witness is the one the full scan would find. As in verify_axioms, the
-distinct maps through each slot are extracted once per call and shared:
+reaches them) keep their own loops. As with verify_axioms, the report is
+evaluated as it is read. Each law is decided on whole maps or planes, at
+most once per report. passed decides the exchange law first, the one law
+the action search does not build in, then the others only if it holds, and
+never scans for a witness; a law's field is computed when first read, and
+its element-wise scan runs only if the law failed, so the witness is the one
+the full scan would find. The distinct maps through each slot are extracted
+on first use and shared:
 
     carrier monoid      decided on its rows as maps, as the additive monoid
                         is in verify_axioms; scanned only if that test fails
@@ -26,10 +30,10 @@ distinct maps through each slot are extracted once per call and shared:
     absorbing zero      each distinct map through a scalar slot must send 0
                         to 0; scanned only if one does not
     exchange law        with P = a (-) d and Q = b (-) c as carrier maps the
-                        law reads P∘Q == Q∘P; each two distinct maps are
-                        tested once, and the walk over (al, be, ga, de, a, b,
-                        c, d) takes the first m of the first pair that does
-                        not commute
+                        law reads P∘Q == Q∘P; core._non_commuting tests each
+                        distinct map against the others, and the walk over
+                        (al, be, ga, de, a, b, c, d) takes the first m of the
+                        first pair that does not commute
 
 Actions are enumerated by the table-completion engine of enumeration, with
 additivity in all three slots replayed as cells land, so every generated
@@ -40,15 +44,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
                    Violation, _as_grid, _as_layers, _check_order, _first,
-                   _given_monoid, _is_commutative_monoid, _LawReport,
-                   _monoid_violation, _non_additive, _positive_int,
-                   _prevalidated, _slot_maps, _violation, full_mask,
-                   mask_elements, mask_of, max_order, subset_sort_key)
+                   _given_monoid, _is_commutative_monoid, _Law, _LawReport,
+                   _monoid_violation, _moves_zero, _non_additive,
+                   _non_commuting, _positive_int, _prevalidated, _SlotMaps,
+                   _violation, full_mask, mask_elements, mask_of, max_order,
+                   subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
 
@@ -97,45 +101,40 @@ def zero_module(s: GammaStructure, carrier_order: int = 1,
 # ---------------------------------------------------------------------------
 # axioms
 
-def _check_carrier_monoid(madd) -> Optional[Violation]:
-    if _is_commutative_monoid(madd):
-        return None
+def _check_carrier_monoid(a_: ModuleAction, at, fault) -> Violation:
+    madd = a_.carrier_addition
     r = range(len(madd))
     return (_violation("carrier-identity", (r,), lambda a: (madd[0][a], a))
             or _monoid_violation(madd, "carrier"))
 
 
-@dataclass(frozen=True)
-class ModuleAxiomReport(_LawReport):
-    carrier_monoid: Optional[Violation]
-    additivity: Optional[Violation]
-    absorbing_zero: Optional[Violation]
-    associativity: Optional[Violation]
+def _module_non_additive(a_: ModuleAction, at) -> Optional[tuple]:
+    """The maps from the scalars, through slots 0 and 2, and the carrier
+    maps, through slot 1, that are not additive, as two sets; None if every
+    map is additive."""
+    s, madd = a_.scalar, a_.carrier_addition
+    from_scalars = _non_additive(at[0] | at[2], s.addition, madd)
+    on_carrier = _non_additive(at[1], madd, madd)
+    return (from_scalars, on_carrier) if from_scalars or on_carrier else None
 
-    _KEYS = ("carrier_monoid", "additivity", "absorbing_zero", "associativity",
-             "passed")
 
-
-def _check_module_additivity(a_: ModuleAction, cubes, at) -> Optional[Violation]:
+def _check_module_additivity(a_: ModuleAction, at, fault) -> Violation:
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
     madd = a_.carrier_addition
     # Slot i of a cube holds when every map through slot i is additive: maps
     # from the scalars through slots 0 and 2, carrier maps through slot 1.
-    # Each distinct map is tested once; only the first cube and slot holding
-    # a failing map is scanned for its first witness. That scan is one
-    # product already, with the slot's pair placed by its slot, so _first
-    # would not shorten it.
-    from_scalars = _non_additive(at[0] | at[2], s.addition, madd)
-    on_carrier = _non_additive(at[1], madd, madd)
-    if not (from_scalars or on_carrier):
-        return None
+    # Only the first cube and slot holding a failing map is scanned for its
+    # first witness. That scan is one product already, with the slot's pair
+    # placed by its slot, so _first would not shorten it.
+    from_scalars, on_carrier = fault
     failing = (from_scalars, on_carrier, from_scalars)
     adds = (s.addition, madd, s.addition)
-    for i, cube in enumerate(cubes):
+    for i, cube in enumerate(at.cubes):
         al, be = divmod(i, m)
-        for slot, maps in enumerate(_slot_maps((cube,))):
-            if failing[slot].isdisjoint(maps):
+        maps = _SlotMaps((cube,))
+        for slot in range(3):
+            if failing[slot].isdisjoint(maps[slot]):
                 continue
             # the scan walks the cube's coordinates with the slot's own
             # doubled in place into the pair (x, y): (x, y, mm, b),
@@ -151,17 +150,13 @@ def _check_module_additivity(a_: ModuleAction, cubes, at) -> Optional[Violation]
                 if lhs != rhs:
                     return Violation(f"module-additivity-{slot}", args + (al, be),
                                      lhs, rhs)
-    return None
 
 
-def _check_module_zero(a_: ModuleAction, at) -> Optional[Violation]:
+def _check_module_zero(a_: ModuleAction, at, fault) -> Violation:
     # zero pins the scalar slots only; the printed law says nothing about
     # a zero in the middle
     s, k = a_.scalar, a_.carrier_order
     n, p = s.order, range(s.gamma_size)
-    # a zero in scalar slot i gives f(0) for the maps f in at[i]
-    if not any(f[0] for maps in (at[0], at[2]) for f in maps):
-        return None
     # at each (al, be), the cells (0, mm, b), then the cells (a, mm, 0)
     cells = [*iproduct((0,), range(k), range(n)), *iproduct(range(n), range(k), (0,))]
     act = a_.action
@@ -169,54 +164,54 @@ def _check_module_zero(a_: ModuleAction, at) -> Optional[Violation]:
     return Violation("module-absorbing-zero", (a, mm, b, al, be), act[al][be][a][mm][b], 0)
 
 
-def _check_module_assoc_surrogate(a_: ModuleAction, cubes,
-                                  carrier_maps) -> Optional[Violation]:
+def _check_module_assoc_surrogate(a_: ModuleAction, at, failing) -> Violation:
     m = a_.scalar.gamma_size
     # With P = a (-) d at (al, be) and Q = b (-) c at (ga, de) the law reads
-    # P∘Q == Q∘P, so it holds when every two distinct slot-1 maps commute.
-    # Each pair is tested once; the scan walks (al, be, ga, de, a, b, c, d)
-    # to the first non-commuting pair and takes its first mm. A plane's
-    # maps, its columns, are taken only when the scan reaches it, which a
-    # flat product would not do, and the check runs on every action the
-    # module search rejects, so the walk stays as loops.
-    maps = [(f, itemgetter(*f)) for f in carrier_maps]  # (P, g with g(Q) = Q∘P)
-    clash = set()
-    for i, (f, after_f) in enumerate(maps):
-        for g, after_g in maps[:i]:
-            if after_g(f) != after_f(g):
-                clash.update(((f, g), (g, f)))
-    if not clash:
-        return None
-    for p, p_cube in enumerate(cubes):
-        for q, q_cube in enumerate(cubes):
+    # P∘Q == Q∘P; failing holds the slot-1 maps that fail to commute with
+    # some other, so a pair can clash only if both are in it. The scan walks
+    # (al, be, ga, de, a, b, c, d) to the first pair that does not commute
+    # and takes its first mm. A plane's maps, its columns, are taken only
+    # when the scan reaches it, which a flat product would not do.
+    for p, p_cube in enumerate(at.cubes):
+        for q, q_cube in enumerate(at.cubes):
             for a, p_plane in enumerate(p_cube):
                 for b, q_plane in enumerate(q_cube):
                     for c, right in enumerate(zip(*q_plane)):
+                        if right not in failing:
+                            continue
                         for d, left in enumerate(zip(*p_plane)):
-                            if (left, right) not in clash:
-                                continue
-                            mm, lhs, rhs = next(
-                                (mm, left[r], right[l])
-                                for mm, (l, r) in enumerate(zip(left, right))
-                                if left[r] != right[l])
-                            al, be = divmod(p, m)
-                            ga, de = divmod(q, m)
-                            return Violation("module-assoc-surrogate",
-                                             (a, b, c, d, mm, al, be, ga, de),
-                                             lhs, rhs)
-    return None
+                            clash = left in failing and next(
+                                ((mm, left[r], right[l])
+                                 for mm, (l, r) in enumerate(zip(left, right))
+                                 if left[r] != right[l]), None)
+                            if clash:
+                                mm, lhs, rhs = clash
+                                al, be = divmod(p, m)
+                                ga, de = divmod(q, m)
+                                return Violation("module-assoc-surrogate",
+                                                 (a, b, c, d, mm, al, be, ga, de),
+                                                 lhs, rhs)
+
+
+class ModuleAxiomReport(_LawReport):
+    carrier_monoid = _Law(lambda a_, at: not _is_commutative_monoid(a_.carrier_addition),
+                          _check_carrier_monoid)
+    additivity = _Law(_module_non_additive, _check_module_additivity)
+    absorbing_zero = _Law(lambda a_, at: _moves_zero(at, (0, 2)), _check_module_zero)
+    associativity = _Law(lambda a_, at: _non_commuting(at[1], at[1]),
+                         _check_module_assoc_surrogate)
+
+    _ORDER = (associativity, carrier_monoid, additivity, absorbing_zero)
+    _KEYS = ("carrier_monoid", "additivity", "absorbing_zero", "associativity",
+             "passed")
 
 
 def verify_module_axioms(a_: ModuleAction) -> ModuleAxiomReport:
-    """Exhaustive check; first witness per family, scan order as written."""
-    cubes = [cube for layer in a_.action for cube in layer]  # (al, be) at al*m + be
-    at = _slot_maps(cubes)
-    return ModuleAxiomReport(
-        carrier_monoid=_check_carrier_monoid(a_.carrier_addition),
-        additivity=_check_module_additivity(a_, cubes, at),
-        absorbing_zero=_check_module_zero(a_, at),
-        associativity=_check_module_assoc_surrogate(a_, cubes, at[1]),
-    )
+    """The module report of a_: passed decides every law on maps; a field,
+    the first witness of one law in the scan order written in its check, is
+    scanned when first read."""
+    # the cube at (al, be) sits at al*m + be
+    return ModuleAxiomReport(a_, [cube for layer in a_.action for cube in layer])
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,8 @@ class CrtReport:
 
 def crt_check(s: GammaStructure, ideals) -> CrtReport:
     """Pairwise comaximality plus the canonical map into the quotient product."""
+    if not isinstance(ideals, (list, tuple)):
+        raise InputError(f"ideals must be a list or tuple, got {ideals!r}")
     ideals = tuple(ideals)
     top = full_mask(s.order)
     if len(ideals) < 2:

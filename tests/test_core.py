@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tgs.core import (GammaStructure, InputError, apply_permutation,
+from tgs.core import (AxiomReport, GammaStructure, InputError, apply_permutation,
                       canonical_form, dumps_structure, full_mask, mask_elements,
                       mask_of, max_order, parse_structure, structure_from_bytes,
                       structure_from_dict, structures_isomorphic,
@@ -125,6 +125,46 @@ def test_frozen_witnesses_at_gamma_2_and_order_5():
     assert any(any(w[5:]) for w in witnesses)  # a nonzero parameter
     assert _digest(reports) == (
         "aabffe72eee68aa4067aa6aed164192a2d7136aafa54cf92a23845e043cdb656")
+
+
+def test_passed_is_decided_before_any_witness(corpus):
+    # passed decides every law on maps and stops at the first that fails:
+    # read first, it must equal passed read after every field (failures()
+    # reads them all) and the oracle's verdict, over the corpus, the claimed
+    # fixtures and seeded mutants of the corpus
+    tables = [s for _, _, s in corpus]
+    tables += [CLAIMED[name] for name in sorted(CLAIMED)]
+    tables += list(_mutants(tables[:len(corpus)], random.Random(7)))
+    verdicts = set()
+    for s in tables:
+        first = verify_axioms(s).passed
+        late = verify_axioms(s)
+        late.failures()
+        assert type(first) is bool
+        assert first == late.passed == (not late.failures()) == naive_axiom_check(s)
+        verdicts.add(first)
+    assert verdicts == {True, False}
+
+
+def test_report_fields_read_in_any_order():
+    # fields are filled as they are read; failures() and to_dict() keep the
+    # declared law order whichever field was read first
+    rng = random.Random(3)
+    tables = list(_mutants([DERIVED[name] for name in sorted(DERIVED)], rng))
+    laws = [name for name in AxiomReport._KEYS if name != "passed"]
+    several = 0
+    for s in tables:
+        forward, backward = verify_axioms(s), verify_axioms(s)
+        for name in reversed(laws):
+            getattr(backward, name)
+        assert backward.failures() == forward.failures()
+        assert backward.to_dict() == forward.to_dict()
+        several += len(forward.failures()) > 1
+    assert several
+    rep = verify_axioms(tables[0])
+    for name in laws + ["passed"]:
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
 
 
 def test_ternary_product_accessor():
@@ -261,6 +301,9 @@ def test_apply_permutation_validation():
         apply_permutation(s, (0, 1))
     for sigma in ((0, 2.0, 1.0), (0, True, 2)):
         with pytest.raises(InputError, match="permutation"):
+            apply_permutation(s, sigma)
+    for sigma in (5, None, "012", range(3)):
+        with pytest.raises(InputError, match="list or tuple"):
             apply_permutation(s, sigma)
 
 

@@ -8,7 +8,7 @@ from oracles import naive_module_actions, naive_module_check
 from tgs.core import InputError, ResourceLimitError
 from tgs.enumeration import enumerate_additive_monoids
 from tgs.fixtures import DERIVED
-from tgs.gamma_modules import (ModuleAction, annihilator,
+from tgs.gamma_modules import (ModuleAction, ModuleAxiomReport, annihilator,
                                enumerate_module_actions, enumerate_submodules,
                                find_primitive_ideals, is_simple_module,
                                regular_module, verify_module_axioms,
@@ -213,6 +213,49 @@ def test_frozen_module_witnesses(corpus_reps, search_actions):
         "c4cff0949fd5254289dbdd800bef4e3fe44b8b0a9e8860cbbf724eb5ea7a4240")
     for a in mutants:
         assert verify_module_axioms(a).passed == naive_module_check(a)
+
+
+def test_passed_is_decided_before_any_witness(search_actions):
+    # passed, read first, decides every law on maps; it must equal passed
+    # read after every field and the oracle's verdict, over the search's
+    # actions and seeded mutants of the regular modules, which break the
+    # laws the search builds in
+    regular = [regular_module(DERIVED[name]) for name in sorted(DERIVED)]
+    # every action result the top of a join semilattice: zero absorption is
+    # the one law it breaks
+    top = ModuleAction(scalar=DERIVED["B2"], carrier_order=2,
+                       carrier_addition=((0, 1), (1, 1)),
+                       action=[[[[[1, 1]] * 2] * 2]])
+    assert [v.law for v in verify_module_axioms(top).failures()] == [
+        "module-absorbing-zero"]
+    verdicts = set()
+    for a in (search_actions + [top]
+              + list(_module_mutants(regular, random.Random(5)))):
+        first = verify_module_axioms(a).passed
+        late = verify_module_axioms(a)
+        late.failures()
+        assert type(first) is bool
+        assert first == late.passed == (not late.failures()) == naive_module_check(a)
+        verdicts.add(first)
+    assert verdicts == {True, False}
+
+
+def test_report_fields_read_in_any_order():
+    regular = [regular_module(DERIVED[name]) for name in sorted(DERIVED)]
+    laws = [name for name in ModuleAxiomReport._KEYS if name != "passed"]
+    several = 0
+    for a in _module_mutants(regular, random.Random(5)):
+        forward, backward = verify_module_axioms(a), verify_module_axioms(a)
+        for name in reversed(laws):
+            getattr(backward, name)
+        assert backward.failures() == forward.failures()
+        assert backward.to_dict() == forward.to_dict()
+        several += len(forward.failures()) > 1
+    assert several
+    rep = verify_module_axioms(regular[0])
+    for name in laws + ["passed"]:
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
 
 
 def test_action_search_equals_validated_construction():

@@ -136,6 +136,9 @@ def test_crt_rejects_bad_input():
         crt_check(DERIVED["M6"], [9, 63])  # improper
     with pytest.raises(InputError):
         crt_check(DERIVED["M6"], [9, 3])  # {0,1} is not an ideal
+    for ideals in (5, None, {9, 21}):
+        with pytest.raises(InputError, match="list or tuple"):
+            crt_check(DERIVED["M6"], ideals)
 
 
 def test_crt_non_comaximal_reported():
