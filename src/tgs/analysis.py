@@ -66,7 +66,6 @@ def run_asserted_suite(s: GammaStructure) -> list:
     top = full_mask(s.order)
     ideals = enumerate_ideals(s)
     classes = ideal_classes(s)
-    group = s.is_additive_group()
 
     for name, premise, conclusion in (
             ("maximal-implies-prime", "maximal", "prime"),
@@ -188,15 +187,16 @@ def run_asserted_suite(s: GammaStructure) -> list:
         checks.append(SuiteCheck("jacobson-semiprime-when-maximals-prime", True,
                                  None, (), "hypothesis not met; nothing to check"))
 
-    if group:
-        checks.extend(_quotient_characterizations(s, asserted=group))
+    if s.is_additive_group():
+        checks.extend(_quotient_characterizations(s))
     return checks
 
 
-def _quotient_characterizations(s: GammaStructure, asserted: bool) -> list:
+def _quotient_characterizations(s: GammaStructure) -> list:
     """Three laws proved for additive groups: asserted there, reported (with
     a note on what the proof needs) for monoid addition."""
     ideals = enumerate_ideals(s)
+    asserted = s.is_additive_group()
 
     def check(name: str, wit: list, note: Optional[str]) -> SuiteCheck:
         return SuiteCheck(name, asserted, not wit, tuple(wit),
@@ -254,7 +254,6 @@ def _crt_checks(s: GammaStructure) -> tuple:
 def run_reported_suite(s: GammaStructure) -> list:
     checks = []
     top = full_mask(s.order)
-    group = s.is_additive_group()
 
     reports = ideal_radicals(s)
     wit = []
@@ -284,8 +283,8 @@ def run_reported_suite(s: GammaStructure) -> list:
                              not wit, tuple(wit),
                              "distinct congruences may share a zero class"))
 
-    if not group:
-        checks.extend(_quotient_characterizations(s, asserted=group))
+    if not s.is_additive_group():
+        checks.extend(_quotient_characterizations(s))
 
     idempotents = find_idempotents(s)
     components = connected_components(s)

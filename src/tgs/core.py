@@ -17,45 +17,40 @@ Axioms checked by verify_axioms:
 Witnesses are always the first violating tuple in the documented scan order,
 so repeated runs (and independent reimplementations of the same contract)
 agree byte for byte. Each law scans its witness tuple lexicographically,
-leftmost index slowest; distributivity takes positions 0, 1, 2 in turn,
-commutativity tests swap01 before swap02 at each tuple, and the additive
-monoid tests identity, then commutativity, then associativity.
+leftmost index slowest: ternary associativity (a, b, c, d, e, al, be, ga,
+de); distributivity (x, y, b, c, al, be) at positions 0, 1, 2 in turn; zero
+absorption and commutativity (a, b, c, al, be), commutativity testing
+swap01 before swap02 at each tuple; the additive monoid tests identity (0 + a
+before a + 0 at each a), then commutativity, then associativity.
 
 One helper, _first, is that scan: the first tuple of a product of ranges,
 leftmost range slowest, that a test picks out; _violation and
-_monoid_violation wrap it. Loops stay only where a flat product costs more:
-is_ideal, is_prime, is_primary and quotient._representative_clash skip the
-parameter loops at some tuples and run thousands of times per analyze pass,
-and the associativity witness below compares whole rows.
+_monoid_violation wrap it, and every law's witness is one call of them. Loops
+stay only where a flat product costs more: is_ideal, is_prime, is_primary and
+quotient._representative_clash skip the parameter loops at some tuples and
+run thousands of times per analyze pass.
 
-verify_axioms returns a report that is evaluated as it is read. Each law is
-decided on whole maps or planes, at most once per report. The report's
-passed decides the laws on maps alone: ternary associativity first, the one
-law the searches do not build in, then the others only if it holds; it
-stops at the first law that fails and never scans for a witness. A law's
-field is computed when first read, and kept: the element-wise scan in the
-documented order runs only if the law failed, and only inside the first
-block where it fails, so the witness is the one the full scan would find.
-The distinct maps through each element slot are extracted on first use and
-shared by the laws:
+verify_axioms returns a report that is evaluated as it is read. Its passed
+decides each law on whole maps or planes, at most once per report: ternary
+associativity first, the one law the searches do not build in, then the
+others only if it holds. It stops at the first law that fails and never
+scans for a witness. The distinct maps through each element slot are
+extracted on first use and shared by the decisions:
 
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
                         elements must commute; _non_commuting tests each
                         distinct L against the distinct Rs, the one map test
-                        the module exchange law uses too. At the first (a, b)
-                        whose L fails, each (c, d) in turn compares, for every
-                        (al, be, ga, de), both sides as whole rows over e;
-                        the witness is the least (e, al, be, ga, de) among
-                        the rows that differ, the element the scan over
-                        (c, d, e, al, be, ga, de) would reach first
-    distributive        per position, each distinct map x -> t(..x..) through
-                        it is tested for additivity once; the scan over
-                        (x, y, b, c, al, be) runs at the first failing position
-    absorbing_zero      each distinct map through a slot must send 0 to 0;
-                        the scan runs only if one does not
-    commutative         whole planes are compared with their transposes;
-                        the scan runs only if one differs
-    additive_monoid     decided on its rows as maps; scanned only if they fail
+                        the module exchange law uses too
+    distributive        each distinct map x -> t(..x..) through a slot must
+                        be additive
+    absorbing_zero      each distinct map through a slot must send 0 to 0
+    commutative         whole planes must equal their transposes
+    additive_monoid     decided on its rows as maps
+
+A law's field is computed when first read, and kept; its scan runs only if
+the law failed. The ternary associativity scan starts at the first (a, b)
+whose L failed, where its first witness lies; every other scan runs its
+whole order.
 """
 
 from __future__ import annotations
@@ -188,12 +183,11 @@ def _violation(law: str, ranges, sides) -> Optional[Violation]:
 
 
 class _Law:
-    """One law field of a report. decide(subject, at) reads maps only and
-    returns a falsy value when the law holds, else the fault from which
-    scan(subject, at, fault) finds the law's first Violation; at holds the
-    distinct maps through each slot. The field is computed on its first read
-    and kept in the report's instance dict, which then shadows this
-    descriptor."""
+    """One law field of a report. decide(subject, at) reads maps only, at
+    holding the distinct maps through each slot, and returns a falsy value
+    when the law holds, else the fault; scan(subject, fault) then finds the
+    law's first Violation. The field is computed on its first read and kept
+    in the report's instance dict, which then shadows this descriptor."""
 
     def __init__(self, decide, scan):
         self.decide = decide
@@ -206,7 +200,7 @@ class _Law:
         if rep is None:
             return self
         fault = rep._fault(self)
-        value = self.scan(rep._subject, rep._at, fault) if fault else None
+        value = self.scan(rep._subject, fault) if fault else None
         rep.__dict__[self.name] = value
         return value
 
@@ -364,9 +358,6 @@ class GammaStructure:
     def is_additive_group(self) -> bool:
         return all(0 in row for row in self.addition)
 
-    def element_label(self, i: int) -> str:
-        return self.names[i]
-
     def set_label(self, mask: int) -> str:
         return "{" + ",".join(self.names[i] for i in mask_elements(mask)) + "}"
 
@@ -414,13 +405,14 @@ def _monoid_violation(add, prefix: str) -> Optional[Violation]:
                           lambda a, b, c: (add[add[a][b]][c], add[a][add[b][c]])))
 
 
-def _check_additive_monoid(s: GammaStructure, at, fault) -> Violation:
+def _check_additive_monoid(s: GammaStructure, fault) -> Violation:
     add = s.addition
-    for a in range(s.order):
-        if add[0][a] != a:
-            return Violation("additive-identity", (0, a), add[0][a], a)
-        if add[a][0] != a:
-            return Violation("additive-identity", (a, 0), add[a][0], a)
+    # at each a, 0 + a then a + 0, each of which must give a
+    pairs = [xy for a in range(s.order) for xy in ((0, a), (a, 0))]
+    hit = _first((pairs,), lambda xy: add[xy[0]][xy[1]] != sum(xy))
+    if hit:
+        (x, y), = hit
+        return Violation("additive-identity", (x, y), add[x][y], x + y)
     return _monoid_violation(add, "additive")
 
 
@@ -430,7 +422,7 @@ def _moves_zero(at, slots) -> bool:
     return any(f[0] for i in slots for f in at[i])
 
 
-def _check_absorbing_zero(s: GammaStructure, at, fault) -> Violation:
+def _check_absorbing_zero(s: GammaStructure, fault) -> Violation:
     t = s.ternary
     r, p = range(s.order), range(s.gamma_size)
     return _violation("absorbing-zero", (r, r, r, p, p), lambda a, b, c, al, be: (
@@ -484,15 +476,11 @@ class _SlotMaps(dict):
         return maps
 
 
-def _check_distributive(s: GammaStructure, at, failing) -> Violation:
+def _check_distributive(s: GammaStructure, fault) -> Violation:
     add = s.addition
     t = s.ternary
-    # Position i holds when every map in at[i], the maps x -> t(..x..) with x
-    # in slot i, is additive; the first position holding a failing map is
-    # scanned for its first witness.
-    pos = next(i for i in range(3) if not failing.isdisjoint(at[i]))
 
-    def sides(x, y, b, c, al, be):
+    def sides(pos, x, y, b, c, al, be):
         # position 0: t(x+y, b, c) == t(x,b,c) + t(y,b,c), then positions 1 and 2
         cube = t[al][be]
         lhs, fx, fy = ((cube[v][b][c], cube[b][v][c], cube[b][c][v])[pos]
@@ -500,39 +488,23 @@ def _check_distributive(s: GammaStructure, at, failing) -> Violation:
         return lhs, add[fx][fy]
 
     r, p = range(s.order), range(s.gamma_size)
-    return _violation(f"distributivity-{pos}", (r, r, r, r, p, p), sides)
+    pos, *args = _first((range(3), r, r, r, r, p, p), lambda *args: ne(*sides(*args)))
+    return Violation(f"distributivity-{pos}", tuple(args), *sides(pos, *args))
 
 
-def _check_ternary_assoc(s: GammaStructure, at, failing) -> Violation:
-    n, m = s.order, s.gamma_size
+def _check_ternary_assoc(s: GammaStructure, failing) -> Violation:
     t = s.ternary
+    r, p = range(s.order), range(s.gamma_size)
     # With L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on elements, the
-    # law reads L∘R == R∘L; failing holds the Ls, maps through slot 2, that
-    # fail to commute with some R, a map through slot 0. Only the first
-    # (a, b) with a failing L is scanned for its witness. The scan stays as
-    # loops, not _first: it compares whole rows and takes the least
-    # differing one.
-    pairs = [(al, be) for al in range(m) for be in range(m)]
-    for a in range(n):
-        for b in range(n):
-            ls = [(al, be, t[al][be][a][b]) for al, be in pairs]
-            if failing.isdisjoint(left for _, _, left in ls):
-                continue
-            for c in range(n):
-                for d in range(n):
-                    found = []
-                    for al, be, left in ls:
-                        for ga, de in pairs:
-                            cube = t[ga][de]
-                            lhs = cube[left[c]][d]
-                            rhs = tuple(map(left.__getitem__, cube[c][d]))
-                            if lhs != rhs:
-                                e = next(e for e in range(n) if lhs[e] != rhs[e])
-                                found.append(((e, al, be, ga, de), lhs[e], rhs[e]))
-                    if found:
-                        (e, al, be, ga, de), lhs, rhs = min(found)
-                        return Violation("ternary-associativity",
-                                         (a, b, c, d, e, al, be, ga, de), lhs, rhs)
+    # law reads L∘R == R∘L; failing holds the Ls that fail to commute with
+    # some R. So no (a, b) before the first with a failing L has a witness,
+    # and that one has: the scan starts there.
+    a, b = _first((r, r), lambda a, b: any(t[al][be][a][b] in failing
+                                           for al in p for be in p))
+    return _violation("ternary-associativity", ((a,), (b,), r, r, r, p, p, p, p),
+                      lambda a, b, c, d, e, al, be, ga, de: (
+                          t[ga][de][t[al][be][a][b][c]][d][e],
+                          t[al][be][a][b][t[ga][de][c][d][e]]))
 
 
 def _asymmetric(s: GammaStructure, at) -> bool:
@@ -548,7 +520,7 @@ def _asymmetric(s: GammaStructure, at) -> bool:
                 and all(p == tuple(zip(*p)) for p in at_b))
 
 
-def _check_commutative(s: GammaStructure, at, fault) -> Violation:
+def _check_commutative(s: GammaStructure, fault) -> Violation:
     t = s.ternary
 
     def sides(a, b, c, al, be):  # t(a,b,c), its swap01 and its swap02

@@ -9,31 +9,27 @@ surrogate, the exchange law a (b m c) d = b (a m d) c (parameters following
 their scalars).
 
 Witnesses are the first violating tuple in each law's scan order, as
-written in its check. The carrier monoid and zero absorption take it from
-core._first, the package's one first-witness scan; additivity (one product
-already) and the exchange law (which reads a plane's maps only when its walk
-reaches them) keep their own loops. As with verify_axioms, the report is
-evaluated as it is read. Each law is decided on whole maps or planes, at
-most once per report. passed decides the exchange law first, the one law
-the action search does not build in, then the others only if it holds, and
-never scans for a witness; a law's field is computed when first read, and
-its element-wise scan runs only if the law failed, so the witness is the one
-the full scan would find. The distinct maps through each slot are extracted
-on first use and shared:
+written in its check, and each is one call of core._first, the package's
+one first-witness scan. As with verify_axioms, the report is evaluated as it
+is read. Its passed decides each law on whole maps or planes, at most once
+per report: the exchange law first, the one law the action search does not
+build in, then the others only if it holds. It never scans for a witness.
+The distinct maps through each slot are extracted on first use and shared by
+the decisions:
 
     carrier monoid      decided on its rows as maps, as the additive monoid
-                        is in verify_axioms; scanned only if that test fails
-    additivity          each distinct map through a slot is tested once
+                        is in verify_axioms
+    additivity          each distinct map through a slot must be additive
                         (x -> x m b and x -> a m x from the scalars,
-                        m -> a m b on the carrier); the scan runs at the
-                        first (al, be) and slot holding a failing map
+                        m -> a m b on the carrier)
     absorbing zero      each distinct map through a scalar slot must send 0
-                        to 0; scanned only if one does not
+                        to 0
     exchange law        with P = a (-) d and Q = b (-) c as carrier maps the
                         law reads P∘Q == Q∘P; core._non_commuting tests each
-                        distinct map against the others, and the walk over
-                        (al, be, ga, de, a, b, c, d) takes the first m of the
-                        first pair that does not commute
+                        distinct map against the others
+
+A law's field is computed when first read, and kept; its scan runs only if
+the law failed, over the law's whole order.
 
 Actions are enumerated by the table-completion engine of enumeration, with
 additivity in all three slots replayed as cells land, so every generated
@@ -44,14 +40,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import ne
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
                    Violation, _as_grid, _as_layers, _check_order, _first,
                    _given_monoid, _is_commutative_monoid, _Law, _LawReport,
                    _monoid_violation, _moves_zero, _non_additive,
-                   _non_commuting, _positive_int, _prevalidated, _SlotMaps,
-                   _violation, full_mask, mask_elements, mask_of, max_order,
+                   _non_commuting, _positive_int, _prevalidated, _violation,
+                   full_mask, mask_elements, mask_of, max_order,
                    subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
@@ -101,58 +98,46 @@ def zero_module(s: GammaStructure, carrier_order: int = 1,
 # ---------------------------------------------------------------------------
 # axioms
 
-def _check_carrier_monoid(a_: ModuleAction, at, fault) -> Violation:
+def _check_carrier_monoid(a_: ModuleAction, fault) -> Violation:
     madd = a_.carrier_addition
     r = range(len(madd))
     return (_violation("carrier-identity", (r,), lambda a: (madd[0][a], a))
             or _monoid_violation(madd, "carrier"))
 
 
-def _module_non_additive(a_: ModuleAction, at) -> Optional[tuple]:
-    """The maps from the scalars, through slots 0 and 2, and the carrier
-    maps, through slot 1, that are not additive, as two sets; None if every
-    map is additive."""
+def _module_non_additive(a_: ModuleAction, at) -> bool:
+    """Whether some map from the scalars, through slots 0 and 2, or some
+    carrier map, through slot 1, is not additive."""
     s, madd = a_.scalar, a_.carrier_addition
-    from_scalars = _non_additive(at[0] | at[2], s.addition, madd)
-    on_carrier = _non_additive(at[1], madd, madd)
-    return (from_scalars, on_carrier) if from_scalars or on_carrier else None
+    return bool(_non_additive(at[0] | at[2], s.addition, madd)
+                or _non_additive(at[1], madd, madd))
 
 
-def _check_module_additivity(a_: ModuleAction, at, fault) -> Violation:
+def _check_module_additivity(a_: ModuleAction, fault) -> Violation:
     s, k = a_.scalar, a_.carrier_order
-    n, m = s.order, s.gamma_size
-    madd = a_.carrier_addition
-    # Slot i of a cube holds when every map through slot i is additive: maps
-    # from the scalars through slots 0 and 2, carrier maps through slot 1.
-    # Only the first cube and slot holding a failing map is scanned for its
-    # first witness. That scan is one product already, with the slot's pair
-    # placed by its slot, so _first would not shorten it.
-    from_scalars, on_carrier = fault
-    failing = (from_scalars, on_carrier, from_scalars)
+    n, p = s.order, range(s.gamma_size)
+    madd, act = a_.carrier_addition, a_.action
     adds = (s.addition, madd, s.addition)
-    for i, cube in enumerate(at.cubes):
-        al, be = divmod(i, m)
-        maps = _SlotMaps((cube,))
-        for slot in range(3):
-            if failing[slot].isdisjoint(maps[slot]):
-                continue
-            # the scan walks the cube's coordinates with the slot's own
-            # doubled in place into the pair (x, y): (x, y, mm, b),
-            # (a, m1, m2, b) or (a, mm, x, y)
-            ranges = [range(d) for d in (n, k, n)]
-            ranges.insert(slot, ranges[slot])
-            for args in iproduct(*ranges):
-                x, y = args[slot:slot + 2]
-                lhs, fx, fy = (cube[a][mm][b] for a, mm, b in (
-                    args[:slot] + (v,) + args[slot + 2:]
-                    for v in (adds[slot][x][y], x, y)))
-                rhs = madd[fx][fy]
-                if lhs != rhs:
-                    return Violation(f"module-additivity-{slot}", args + (al, be),
-                                     lhs, rhs)
+    # at each (al, be), slots 0, 1 and 2 in turn, each walking the cell's
+    # coordinates with its own doubled in place into the pair (x, y):
+    # (x, y, mm, b), (a, m1, m2, b) or (a, mm, x, y)
+    dims = (n, k, n)
+    cells = [(slot, args) for slot in range(3)
+             for args in iproduct(*map(range, dims[:slot + 1] + dims[slot:]))]
+
+    def sides(al, be, cell):
+        slot, args = cell
+        x, y = args[slot:slot + 2]
+        lhs, fx, fy = (act[al][be][a][mm][b] for a, mm, b in (
+            args[:slot] + (v,) + args[slot + 2:] for v in (adds[slot][x][y], x, y)))
+        return lhs, madd[fx][fy]
+
+    al, be, cell = _first((p, p, cells), lambda *args: ne(*sides(*args)))
+    slot, args = cell
+    return Violation(f"module-additivity-{slot}", args + (al, be), *sides(al, be, cell))
 
 
-def _check_module_zero(a_: ModuleAction, at, fault) -> Violation:
+def _check_module_zero(a_: ModuleAction, fault) -> Violation:
     # zero pins the scalar slots only; the printed law says nothing about
     # a zero in the middle
     s, k = a_.scalar, a_.carrier_order
@@ -164,33 +149,19 @@ def _check_module_zero(a_: ModuleAction, at, fault) -> Violation:
     return Violation("module-absorbing-zero", (a, mm, b, al, be), act[al][be][a][mm][b], 0)
 
 
-def _check_module_assoc_surrogate(a_: ModuleAction, at, failing) -> Violation:
-    m = a_.scalar.gamma_size
-    # With P = a (-) d at (al, be) and Q = b (-) c at (ga, de) the law reads
-    # P∘Q == Q∘P; failing holds the slot-1 maps that fail to commute with
-    # some other, so a pair can clash only if both are in it. The scan walks
-    # (al, be, ga, de, a, b, c, d) to the first pair that does not commute
-    # and takes its first mm. A plane's maps, its columns, are taken only
-    # when the scan reaches it, which a flat product would not do.
-    for p, p_cube in enumerate(at.cubes):
-        for q, q_cube in enumerate(at.cubes):
-            for a, p_plane in enumerate(p_cube):
-                for b, q_plane in enumerate(q_cube):
-                    for c, right in enumerate(zip(*q_plane)):
-                        if right not in failing:
-                            continue
-                        for d, left in enumerate(zip(*p_plane)):
-                            clash = left in failing and next(
-                                ((mm, left[r], right[l])
-                                 for mm, (l, r) in enumerate(zip(left, right))
-                                 if left[r] != right[l]), None)
-                            if clash:
-                                mm, lhs, rhs = clash
-                                al, be = divmod(p, m)
-                                ga, de = divmod(q, m)
-                                return Violation("module-assoc-surrogate",
-                                                 (a, b, c, d, mm, al, be, ga, de),
-                                                 lhs, rhs)
+def _check_module_assoc_surrogate(a_: ModuleAction, fault) -> Violation:
+    s, act = a_.scalar, a_.action
+    r, p = range(s.order), range(s.gamma_size)
+
+    def sides(al, be, ga, de, a, b, c, d, mm):
+        # P = a (-) d at (al, be) and Q = b (-) c at (ga, de): P(Q(mm)), Q(P(mm))
+        P, Q = act[al][be], act[ga][de]
+        return P[a][Q[b][mm][c]][d], Q[b][P[a][mm][d]][c]
+
+    al, be, ga, de, *args = _first((p, p, p, p, r, r, r, r, range(a_.carrier_order)),
+                                   lambda *args: ne(*sides(*args)))
+    return Violation("module-assoc-surrogate", (*args, al, be, ga, de),
+                     *sides(al, be, ga, de, *args))
 
 
 class ModuleAxiomReport(_LawReport):

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GammaStructure, _check_bits, _meet, mask_elements, mask_of, memo
-from .ideals import enumerate_ideals, ideal_classes, is_ideal, spectrum_points
+from .ideals import enumerate_ideals, ideal_classes, is_ideal
+from .spectrum import closed_set
 
 
 def radical_by_primes(s: GammaStructure, mask: int) -> int:
     """Intersection of all prime ideals containing the subset; carrier if none."""
-    _check_bits(s, mask, "subset")
-    return _meet(s, (p for p in spectrum_points(s) if p & mask == mask))
+    return _meet(s, closed_set(s, mask))
 
 
 def radical_by_elements(s: GammaStructure, mask: int) -> int:

@@ -27,6 +27,13 @@ def closed_set(s: GammaStructure, mask: int) -> frozenset:
     return frozenset(p for p in spectrum_points(s) if p & mask == mask)
 
 
+def _closed_sets(s: GammaStructure) -> tuple:
+    """(ideal, closed_set(s, ideal)) for each ideal, in the order of
+    enumerate_ideals; once per structure."""
+    return memo(s, "closed_sets", lambda: tuple(
+        (i, closed_set(s, i)) for i in enumerate_ideals(s)))
+
+
 @dataclass(frozen=True)
 class TopologyCheck:
     name: str
@@ -54,7 +61,7 @@ def _topology_checks(s: GammaStructure) -> tuple[TopologyCheck, ...]:
     ideals = enumerate_ideals(s)
     points = spectrum_points(s)
     every = frozenset(points)
-    vmap = {i: closed_set(s, i) for i in ideals}
+    vmap = dict(_closed_sets(s))
     family = sorted(set(vmap.values()), key=lambda c: (len(c), sorted(c)))
     checks = []
 
@@ -114,7 +121,7 @@ def connected_components(s: GammaStructure) -> tuple[tuple[int, ...], ...]:
 def _components(s: GammaStructure) -> tuple[tuple[int, ...], ...]:
     points = spectrum_points(s)
     every = frozenset(points)
-    family = {closed_set(s, i) for i in enumerate_ideals(s)}
+    family = {c for _, c in _closed_sets(s)}
     clopen = [c for c in family if (every - c) in family]
     comp = {p: _closure_of_point(clopen, p, every) for p in points}
     seen = []
@@ -372,9 +379,8 @@ class SpectrumView:
 
 def prime_spectrum(s: GammaStructure) -> SpectrumView:
     points = spectrum_points(s)
-    closed = tuple(
-        (i, tuple(sorted(closed_set(s, i), key=subset_sort_key)))
-        for i in enumerate_ideals(s))
+    closed = tuple((i, tuple(sorted(c, key=subset_sort_key)))
+                   for i, c in _closed_sets(s))
     return SpectrumView(points=points, closed_sets=closed,
                         components=connected_components(s))
 

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from oracles import naive_module_actions, naive_module_check
-from tgs.core import InputError, ResourceLimitError
-from tgs.enumeration import enumerate_additive_monoids
-from tgs.fixtures import DERIVED
+from tgs.analysis import analyze
+from tgs.core import AxiomReport, InputError, ResourceLimitError, verify_axioms
+from tgs.enumeration import (classify, enumerate_additive_monoids,
+                             enumerate_structures)
+from tgs.fixtures import CLAIMED, DERIVED
 from tgs.gamma_modules import (ModuleAction, ModuleAxiomReport, annihilator,
                                enumerate_module_actions, enumerate_submodules,
                                find_primitive_ideals, is_simple_module,
@@ -256,6 +258,31 @@ def test_report_fields_read_in_any_order():
     for name in laws + ["passed"]:
         with pytest.raises(AttributeError):
             setattr(rep, name, None)
+
+
+def test_hot_paths_never_scan(monkeypatch):
+    # the searches, the module verdicts of the criterion-9 load and analyze
+    # read passed, or the fields of laws that hold, so none of them may run
+    # a witness scan: every scan of both report classes raises here
+    def scan(subject, fault):
+        raise AssertionError("witness scan")
+
+    for report in (AxiomReport, ModuleAxiomReport):
+        for law in report._ORDER:
+            monkeypatch.setattr(law, "scan", scan)
+    classify(3, 2)
+    enumerate_structures(4, 1)
+    reps = {n: classify(n, 1).representatives for n in (1, 2, 3)}
+    for s in reps[1] + reps[2] + reps[3]:
+        for k in (2, 3):
+            for a in enumerate_module_actions(s, k):
+                verify_module_axioms(a).passed
+        assert verify_module_axioms(regular_module(s)).passed
+    for s in reps[3]:
+        analyze(s)
+    # the patch is live: a failing law's field does scan
+    with pytest.raises(AssertionError, match="witness scan"):
+        verify_axioms(CLAIMED[sorted(CLAIMED)[0]]).absorbing_zero
 
 
 def test_action_search_equals_validated_construction():
