@@ -38,9 +38,9 @@ scans for a witness. The distinct maps through each element slot are
 extracted on first use and shared by the decisions:
 
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
-                        elements must commute; _non_commuting tests each
-                        distinct L against the distinct Rs, the one map test
-                        the module exchange law uses too
+                        elements must commute; _non_commuting tests the
+                        distinct Ls against the distinct Rs up to the first
+                        L that fails, as for the module exchange law
     distributive        each distinct map x -> t(..x..) through a slot must
                         be additive
     absorbing_zero      each distinct map through a slot must send 0 to 0
@@ -48,9 +48,9 @@ extracted on first use and shared by the decisions:
     additive_monoid     decided on its rows as maps
 
 A law's field is computed when first read, and kept; its scan runs only if
-the law failed. The ternary associativity scan starts at the first (a, b)
-whose L failed, where its first witness lies; every other scan runs its
-whole order.
+the law failed. The ternary associativity scan finds the failing Ls again,
+in (a, b) order, and starts at the first (a, b) with one, where its first
+witness lies; every other scan runs its whole order.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations, product
 from operator import and_, itemgetter, ne
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_MAX_ORDER = 5
 DEFAULT_MAX_GAMMA = 2
@@ -443,16 +443,17 @@ def _non_additive(maps, dom, cod) -> set:
     return {f for f in maps if not additive(f)}
 
 
-def _non_commuting(lefts, rights) -> set:
+def _non_commuting(lefts, rights) -> Iterator[tuple]:
     """The maps f among lefts that fail to commute with some map g among
-    rights, f∘g != g∘f; all are tuples indexed by one set."""
+    rights, f∘g != g∘f; all are tuples indexed by one set. They are yielded
+    as lefts is read, so next() stops at the first failing map."""
     rights = [(g, itemgetter(*g)) for g in rights]  # (g, h with h(f) = f∘g)
 
     def commutes(f) -> bool:
         after = itemgetter(*f)  # after(g) is g∘f
         return all(before(f) == after(g) for g, before in rights)
 
-    return {f for f in lefts if not commutes(f)}
+    return (f for f in lefts if not commutes(f))
 
 
 class _SlotMaps(dict):
@@ -492,15 +493,17 @@ def _check_distributive(s: GammaStructure, fault) -> Violation:
     return Violation(f"distributivity-{pos}", tuple(args), *sides(pos, *args))
 
 
-def _check_ternary_assoc(s: GammaStructure, failing) -> Violation:
+def _check_ternary_assoc(s: GammaStructure, fault) -> Violation:
     t = s.ternary
     r, p = range(s.order), range(s.gamma_size)
     # With L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on elements, the
-    # law reads L∘R == R∘L; failing holds the Ls that fail to commute with
-    # some R. So no (a, b) before the first with a failing L has a witness,
-    # and that one has: the scan starts there.
-    a, b = _first((r, r), lambda a, b: any(t[al][be][a][b] in failing
-                                           for al in p for be in p))
+    # law reads L∘R == R∘L. The verdict kept only the first failing L it met,
+    # so the failing Ls are found again here, in (a, b) order: no (a, b)
+    # before the first with a failing L has a witness, and that one has, so
+    # the scan starts there.
+    rights = _SlotMaps([cube for layer in t for cube in layer])[0]
+    a, b = _first((r, r), lambda a, b: any(_non_commuting(
+        (t[al][be][a][b] for al in p for be in p), rights)))
     return _violation("ternary-associativity", ((a,), (b,), r, r, r, p, p, p, p),
                       lambda a, b, c, d, e, al, be, ga, de: (
                           t[ga][de][t[al][be][a][b][c]][d][e],
@@ -540,7 +543,7 @@ class AxiomReport(_LawReport):
 
     additive_monoid = _Law(lambda s, at: not _is_commutative_monoid(s.addition),
                            _check_additive_monoid)
-    ternary_assoc = _Law(lambda s, at: _non_commuting(at[2], at[0]),
+    ternary_assoc = _Law(lambda s, at: next(_non_commuting(at[2], at[0]), None),
                          _check_ternary_assoc)
     distributive = _Law(lambda s, at: _non_additive(at[0] | at[1] | at[2],
                                                     s.addition, s.addition),
@@ -649,7 +652,7 @@ def _nest(flat, shape) -> tuple:
     """The row-major sequence flat as nested tuples of the given shape, whose
     dimensions must be positive."""
     for d in reversed(shape[1:]):
-        flat = [tuple(flat[i:i + d]) for i in range(0, len(flat), d)]
+        flat = zip(*[iter(flat)] * d)  # consecutive groups of d
     return tuple(flat)
 
 

@@ -2,7 +2,8 @@
 
 Every table here is completed by one backtracking engine, _backtrack: cells
 take values in lexicographic order and a hook accepts or rejects each
-placement. Additive monoids come first, with associativity as the hook;
+placement, all in one generator frame with a stack of per-cell value
+iterators. Additive monoids come first, with associativity as the hook;
 it checks only the triples that read the cell just placed. The first
 labeled monoid found of each relabeling class puts all its 0-fixing
 relabelings into a set, so every later member of the class costs one set
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from multiprocessing import Pool
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
@@ -65,19 +67,26 @@ def _backtrack(count: int, domain, ok):
     cell k lands, ok(vals, k) decides whether to go deeper. The live value
     list is yielded at each completion, once (with no cells) when count is 0.
     It carries one extra trailing 0, so a cell key of -1 reads a pinned zero.
+
+    One generator frame runs the search, stack[k] holding the values left
+    for cell k (Knuth, TAOCP 4B, 7.2.2, Algorithm B).
     """
     vals = [0] * (count + 1)
-
-    def fill(k: int):
-        if k == count:
-            yield vals
-            return
-        for v in domain:
+    if not count:
+        yield vals
+        return
+    stack = [iter(domain)]
+    while stack:
+        k = len(stack) - 1
+        for v in stack[k]:
             vals[k] = v
             if ok(vals, k):
-                yield from fill(k + 1)
-
-    return fill(0)
+                if k + 1 < count:
+                    stack.append(iter(domain))
+                    break
+                yield vals
+        else:
+            stack.pop()
 
 
 def _additivity_buckets(count: int, m: int, index: dict, dims, adds) -> list:
@@ -117,9 +126,11 @@ def _additive_tables(index: dict, m: int, dims, adds, op):
         return True
 
     keys = tuple(index.values())
+    # itemgetter of one key returns the value, not a 1-tuple
+    pick = itemgetter(*keys) if len(keys) > 1 else lambda vals: (vals[keys[0]],)
     shape = (m, m) + dims
     for vals in _backtrack(count, range(len(op)), ok):
-        yield _nest([vals[i] for i in keys], shape)
+        yield _nest(pick(vals), shape)
 
 
 # typed, so that 2.0 or True reaches the argument check, not the entry of 2 or 1

@@ -169,7 +169,7 @@ class ModuleAxiomReport(_LawReport):
                           _check_carrier_monoid)
     additivity = _Law(_module_non_additive, _check_module_additivity)
     absorbing_zero = _Law(lambda a_, at: _moves_zero(at, (0, 2)), _check_module_zero)
-    associativity = _Law(lambda a_, at: _non_commuting(at[1], at[1]),
+    associativity = _Law(lambda a_, at: next(_non_commuting(at[1], at[1]), None),
                          _check_module_assoc_surrogate)
 
     _ORDER = (associativity, carrier_monoid, additivity, absorbing_zero)

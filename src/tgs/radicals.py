@@ -10,13 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GammaStructure, _check_bits, _meet, mask_elements, mask_of, memo
-from .ideals import enumerate_ideals, ideal_classes, is_ideal
-from .spectrum import closed_set
+from .ideals import enumerate_ideals, generated_ideal, ideal_classes, is_ideal
+from .spectrum import _closed_sets
 
 
 def radical_by_primes(s: GammaStructure, mask: int) -> int:
-    """Intersection of all prime ideals containing the subset; carrier if none."""
-    return _meet(s, closed_set(s, mask))
+    """Intersection of all prime ideals containing the subset, which are the
+    closed set of the ideal it generates; carrier if none."""
+    _check_bits(s, mask, "subset")
+    return _meet(s, dict(_closed_sets(s))[generated_ideal(s, mask)])
 
 
 def radical_by_elements(s: GammaStructure, mask: int) -> int:

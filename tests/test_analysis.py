@@ -296,6 +296,16 @@ def test_bourne_and_crt_computed_once_per_structure(monkeypatch):
         assert components == Counter([s])
 
 
+def test_closed_sets_built_once_per_ideal(monkeypatch):
+    # the spectrum and the prime radicals read one closed set per ideal
+    closed = _count_calls(monkeypatch, "closed_set", lambda s, mask: mask)
+    for name in ("M6", "N3", "L3"):
+        closed.clear()
+        s = replace(DERIVED[name])
+        analyze(s)
+        assert closed == Counter(enumerate_ideals(s))
+
+
 def test_quotients_built_once_per_partition(monkeypatch):
     built = Counter()
     inner = tgs.quotient._quotient

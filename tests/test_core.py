@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
 
-from tgs.core import (AxiomReport, GammaStructure, InputError, apply_permutation,
-                      canonical_form, dumps_structure, full_mask, mask_elements,
+from tgs.core import (AxiomReport, GammaStructure, InputError, _nest,
+                      _non_commuting, apply_permutation, canonical_form, dumps_structure, full_mask, mask_elements,
                       mask_of, max_order, parse_structure, structure_from_bytes,
                       structure_from_dict, structures_isomorphic,
                       subset_sort_key, ternary_product, verify_axioms,
@@ -144,6 +145,41 @@ def test_passed_is_decided_before_any_witness(corpus):
         assert first == late.passed == (not late.failures()) == naive_axiom_check(s)
         verdicts.add(first)
     assert verdicts == {True, False}
+
+
+def test_non_commuting_stops_at_the_first_failing_map():
+    # maps of {0, 1, 2}: the identity and the 3-cycle commute with the
+    # cycle, a constant map does not; lefts may not be read past it
+    rights = [(0, 1, 2), (1, 2, 0)]
+
+    def lefts():
+        yield (0, 1, 2)
+        yield (2, 0, 1)
+        yield (0, 0, 0)
+        raise AssertionError("read past the first failing map")
+
+    assert next(_non_commuting(lefts(), rights)) == (0, 0, 0)
+    assert next(_non_commuting([(0, 1, 2), (2, 0, 1)], rights), None) is None
+    assert list(_non_commuting([(1, 1, 1), (0, 1, 2), (0, 0, 0)], rights)) == [
+        (1, 1, 1), (0, 0, 0)]
+
+
+def _nested(flat, shape):
+    """Reference of core._nest: split into shape[0] equal runs, recursively."""
+    if len(shape) == 1:
+        return tuple(flat)
+    step = len(flat) // shape[0]
+    return tuple(_nested(flat[i * step:(i + 1) * step], shape[1:])
+                 for i in range(shape[0]))
+
+
+@pytest.mark.parametrize("shape", [(1,), (4,), (2, 3), (3, 1, 2),
+                                   (1, 1, 1, 1, 1), (2, 2, 3, 1, 2)])
+def test_nest_equals_reference_for_every_sequence_type(shape):
+    flat = [(7 * i + 3) % 11 for i in range(math.prod(shape))]
+    want = _nested(flat, shape)
+    for seq in (flat, tuple(flat), bytes(flat)):
+        assert _nest(seq, shape) == want
 
 
 def test_report_fields_read_in_any_order():

@@ -11,8 +11,9 @@ from tgs.core import (GammaStructure, ResourceLimitError, InputError,
                       canonical_form, zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
-                             render_classification_text, _orbit_layout,
-                             _structure_summary)
+                             render_classification_text, _backtrack,
+                             _orbit_layout, _structure_summary)
+from tgs.gamma_modules import enumerate_module_actions
 
 from oracles import (canonical_set, naive_monoid_tables, naive_structures,
                      naive_structures_fully)
@@ -92,6 +93,62 @@ def test_enumeration_matches_naive_oracle(n):
     naive = canonical_set(naive_structures(n))
     pruned = canonical_set(enumerate_structures(n, 1))
     assert pruned == naive
+
+
+def _recursive_backtrack(count, domain, ok):
+    """The search engine as one recursive generator per cell: the reference
+    the one-frame engine must follow call for call."""
+    vals = [0] * (count + 1)
+
+    def fill(k):
+        if k == count:
+            yield vals
+            return
+        for v in domain:
+            vals[k] = v
+            if ok(vals, k):
+                yield from fill(k + 1)
+
+    return fill(0)
+
+
+def _prefix_ok(prefix) -> bool:
+    # prunes at every depth: no two equal neighbours, no prefix summing to 5
+    return (len(prefix) < 2 or prefix[-1] != prefix[-2]) and sum(prefix) != 5
+
+
+@pytest.mark.parametrize("count", range(5))
+def test_backtrack_equals_filtered_product_and_recursive_reference(count):
+    domain = range(4)
+
+    def run(engine):
+        trace = []
+
+        def ok(vals, k):
+            trace.append((k, tuple(vals[:k + 1])))
+            return _prefix_ok(vals[:k + 1])
+
+        out = []
+        for vals in engine(count, domain, ok):
+            # the live list, with its trailing pinned 0
+            assert len(vals) == count + 1 and vals[count] == 0
+            out.append(tuple(vals[:count]))
+        return out, trace
+
+    out, trace = run(_backtrack)
+    want = [p for p in itertools.product(domain, repeat=count)
+            if all(_prefix_ok(p[:k + 1]) for k in range(count))]
+    assert out == want
+    assert (out, trace) == run(_recursive_backtrack)
+    assert len(out) == (1, 4, 10, 24, 60)[count]
+
+
+def test_one_cell_tables():
+    # one pinned cell: no free cell, one completion, one 1-tuple per level
+    (s,) = enumerate_structures(1, 1)
+    assert s.ternary == (((((0,),),),),)
+    (a,) = enumerate_module_actions(s, 1)
+    assert a.action == (((((0,),),),),)
 
 
 def test_free_cell_reduction_is_faithful():
