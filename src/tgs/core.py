@@ -25,10 +25,10 @@ before a + 0 at each a), then commutativity, then associativity.
 
 One helper, _first, is that scan: the first tuple of a product of ranges,
 leftmost range slowest, that a test picks out; _violation and
-_monoid_violation wrap it, and every law's witness is one call of them. Loops
-stay only where a flat product costs more: is_ideal, is_prime, is_primary and
-quotient._representative_clash skip the parameter loops at some tuples and
-run thousands of times per analyze pass.
+_monoid_violation wrap it, and every law's witness is one call of them, as
+is every witness of the ideal predicates. One loop is left:
+quotient._representative_clash, which skips the parameter loop at a tuple of
+block representatives and runs once per partition of the carrier.
 
 verify_axioms returns a report that is evaluated as it is read. Its passed
 decides each law on whole maps or planes, at most once per report: ternary
@@ -184,10 +184,10 @@ def _violation(law: str, ranges, sides) -> Optional[Violation]:
 
 class _Law:
     """One law field of a report. decide(subject, at) reads maps only, at
-    holding the distinct maps through each slot, and returns a falsy value
-    when the law holds, else the fault; scan(subject, fault) then finds the
-    law's first Violation. The field is computed on its first read and kept
-    in the report's instance dict, which then shadows this descriptor."""
+    holding the distinct maps through each slot, and returns whether the law
+    fails; scan(subject) then finds the law's first Violation. The field is
+    computed on its first read and kept in the report's instance dict, which
+    then shadows this descriptor."""
 
     def __init__(self, decide, scan):
         self.decide = decide
@@ -199,8 +199,7 @@ class _Law:
     def __get__(self, rep, owner=None):
         if rep is None:
             return self
-        fault = rep._fault(self)
-        value = self.scan(rep._subject, fault) if fault else None
+        value = self.scan(rep._subject) if rep._fails(self) else None
         rep.__dict__[self.name] = value
         return value
 
@@ -219,8 +218,8 @@ class _LawReport:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
-    def _fault(self, law: _Law):
-        return memo(self, ("fault", law), lambda: law.decide(self._subject, self._at))
+    def _fails(self, law: _Law) -> bool:
+        return memo(self, ("fails", law), lambda: law.decide(self._subject, self._at))
 
     def failures(self) -> tuple:
         """The violations found, in the order of _KEYS."""
@@ -229,7 +228,7 @@ class _LawReport:
 
     @property
     def passed(self) -> bool:
-        return not any(map(self._fault, self._ORDER))
+        return not any(map(self._fails, self._ORDER))
 
     def to_dict(self) -> dict:
         out = {}
@@ -405,7 +404,7 @@ def _monoid_violation(add, prefix: str) -> Optional[Violation]:
                           lambda a, b, c: (add[add[a][b]][c], add[a][add[b][c]])))
 
 
-def _check_additive_monoid(s: GammaStructure, fault) -> Violation:
+def _check_additive_monoid(s: GammaStructure) -> Violation:
     add = s.addition
     # at each a, 0 + a then a + 0, each of which must give a
     pairs = [xy for a in range(s.order) for xy in ((0, a), (a, 0))]
@@ -422,25 +421,25 @@ def _moves_zero(at, slots) -> bool:
     return any(f[0] for i in slots for f in at[i])
 
 
-def _check_absorbing_zero(s: GammaStructure, fault) -> Violation:
+def _check_absorbing_zero(s: GammaStructure) -> Violation:
     t = s.ternary
     r, p = range(s.order), range(s.gamma_size)
     return _violation("absorbing-zero", (r, r, r, p, p), lambda a, b, c, al, be: (
         0 if a and b and c else t[al][be][a][b][c], 0))
 
 
-def _non_additive(maps, dom, cod) -> set:
-    """The maps f among maps (tuples indexed by the elements of dom) with
-    f(x + y) != f(x) + f(y) for some x, y, the sums taken in the addition
-    tables dom and cod. f is additive when f∘dom[x] == cod[f(x)]∘f as maps of
-    y, for every x."""
+def _non_additive(maps, dom, cod) -> bool:
+    """Whether some map f among maps (tuples indexed by the elements of dom)
+    has f(x + y) != f(x) + f(y) for some x, y, the sums taken in the addition
+    tables dom and cod; it stops at the first such f. f is additive when
+    f∘dom[x] == cod[f(x)]∘f as maps of y, for every x."""
     shifts = [itemgetter(*row) for row in dom]  # shifts[x](f) is f∘dom[x]
 
     def additive(f) -> bool:
         after = itemgetter(*f)  # after(g) is g∘f
         return all(shift(f) == after(cod[fx]) for shift, fx in zip(shifts, f))
 
-    return {f for f in maps if not additive(f)}
+    return not all(map(additive, maps))
 
 
 def _non_commuting(lefts, rights) -> Iterator[tuple]:
@@ -477,7 +476,7 @@ class _SlotMaps(dict):
         return maps
 
 
-def _check_distributive(s: GammaStructure, fault) -> Violation:
+def _check_distributive(s: GammaStructure) -> Violation:
     add = s.addition
     t = s.ternary
 
@@ -493,14 +492,13 @@ def _check_distributive(s: GammaStructure, fault) -> Violation:
     return Violation(f"distributivity-{pos}", tuple(args), *sides(pos, *args))
 
 
-def _check_ternary_assoc(s: GammaStructure, fault) -> Violation:
+def _check_ternary_assoc(s: GammaStructure) -> Violation:
     t = s.ternary
     r, p = range(s.order), range(s.gamma_size)
     # With L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on elements, the
-    # law reads L∘R == R∘L. The verdict kept only the first failing L it met,
-    # so the failing Ls are found again here, in (a, b) order: no (a, b)
-    # before the first with a failing L has a witness, and that one has, so
-    # the scan starts there.
+    # law reads L∘R == R∘L. The verdict keeps no map, so the failing Ls are
+    # found here, in (a, b) order: no (a, b) before the first with a failing
+    # L has a witness, and that one has, so the scan starts there.
     rights = _SlotMaps([cube for layer in t for cube in layer])[0]
     a, b = _first((r, r), lambda a, b: any(_non_commuting(
         (t[al][be][a][b] for al in p for be in p), rights)))
@@ -523,7 +521,7 @@ def _asymmetric(s: GammaStructure, at) -> bool:
                 and all(p == tuple(zip(*p)) for p in at_b))
 
 
-def _check_commutative(s: GammaStructure, fault) -> Violation:
+def _check_commutative(s: GammaStructure) -> Violation:
     t = s.ternary
 
     def sides(a, b, c, al, be):  # t(a,b,c), its swap01 and its swap02
@@ -543,7 +541,7 @@ class AxiomReport(_LawReport):
 
     additive_monoid = _Law(lambda s, at: not _is_commutative_monoid(s.addition),
                            _check_additive_monoid)
-    ternary_assoc = _Law(lambda s, at: next(_non_commuting(at[2], at[0]), None),
+    ternary_assoc = _Law(lambda s, at: next(_non_commuting(at[2], at[0]), None) is not None,
                          _check_ternary_assoc)
     distributive = _Law(lambda s, at: _non_additive(at[0] | at[1] | at[2],
                                                     s.addition, s.addition),

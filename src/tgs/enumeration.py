@@ -224,15 +224,15 @@ def enumerate_structures(n: int, m: int = 1,
 
     Streams over all additive monoid representatives unless a specific
     addition table is supplied; that table must be a commutative monoid with
-    identity 0, and it is refused before any search.
+    identity 0. The arguments and the caps are checked at the call, before
+    any search starts.
     """
     _check_caps(n, m)
     if addition is not None:
         adds = (_given_monoid(addition, n, "addition"),)
     else:
         adds = enumerate_additive_monoids(n)
-    for add in adds:
-        yield from _structures_for_monoid(add, n, m)
+    return (s for add in adds for s in _structures_for_monoid(add, n, m))
 
 
 def _enumeration_worker(task) -> list:

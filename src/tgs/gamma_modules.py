@@ -98,7 +98,7 @@ def zero_module(s: GammaStructure, carrier_order: int = 1,
 # ---------------------------------------------------------------------------
 # axioms
 
-def _check_carrier_monoid(a_: ModuleAction, fault) -> Violation:
+def _check_carrier_monoid(a_: ModuleAction) -> Violation:
     madd = a_.carrier_addition
     r = range(len(madd))
     return (_violation("carrier-identity", (r,), lambda a: (madd[0][a], a))
@@ -109,11 +109,11 @@ def _module_non_additive(a_: ModuleAction, at) -> bool:
     """Whether some map from the scalars, through slots 0 and 2, or some
     carrier map, through slot 1, is not additive."""
     s, madd = a_.scalar, a_.carrier_addition
-    return bool(_non_additive(at[0] | at[2], s.addition, madd)
-                or _non_additive(at[1], madd, madd))
+    return (_non_additive(at[0] | at[2], s.addition, madd)
+            or _non_additive(at[1], madd, madd))
 
 
-def _check_module_additivity(a_: ModuleAction, fault) -> Violation:
+def _check_module_additivity(a_: ModuleAction) -> Violation:
     s, k = a_.scalar, a_.carrier_order
     n, p = s.order, range(s.gamma_size)
     madd, act = a_.carrier_addition, a_.action
@@ -137,7 +137,7 @@ def _check_module_additivity(a_: ModuleAction, fault) -> Violation:
     return Violation(f"module-additivity-{slot}", args + (al, be), *sides(al, be, cell))
 
 
-def _check_module_zero(a_: ModuleAction, fault) -> Violation:
+def _check_module_zero(a_: ModuleAction) -> Violation:
     # zero pins the scalar slots only; the printed law says nothing about
     # a zero in the middle
     s, k = a_.scalar, a_.carrier_order
@@ -149,7 +149,7 @@ def _check_module_zero(a_: ModuleAction, fault) -> Violation:
     return Violation("module-absorbing-zero", (a, mm, b, al, be), act[al][be][a][mm][b], 0)
 
 
-def _check_module_assoc_surrogate(a_: ModuleAction, fault) -> Violation:
+def _check_module_assoc_surrogate(a_: ModuleAction) -> Violation:
     s, act = a_.scalar, a_.action
     r, p = range(s.order), range(s.gamma_size)
 
@@ -169,7 +169,7 @@ class ModuleAxiomReport(_LawReport):
                           _check_carrier_monoid)
     additivity = _Law(_module_non_additive, _check_module_additivity)
     absorbing_zero = _Law(lambda a_, at: _moves_zero(at, (0, 2)), _check_module_zero)
-    associativity = _Law(lambda a_, at: next(_non_commuting(at[1], at[1]), None),
+    associativity = _Law(lambda a_, at: next(_non_commuting(at[1], at[1]), None) is not None,
                          _check_module_assoc_surrogate)
 
     _ORDER = (associativity, carrier_monoid, additivity, absorbing_zero)

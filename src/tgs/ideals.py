@@ -4,7 +4,8 @@ Subsets of the carrier travel as int bitmasks (bit i = element i). An ideal
 must contain 0, be closed under addition, and absorb ternary products when
 any single argument lies in it. Classification predicates return Verdicts
 whose witness is the first counterexample in the documented scan order, so
-outputs are reproducible.
+outputs are reproducible; each witness is one core._first call, over the
+ranges that give that order.
 
 is_ideal is the one statement of those axioms. enumerate_ideals(s) applies it
 to every subset once per structure, and generated_ideal reads the least ideal
@@ -45,24 +46,18 @@ def is_ideal(s: GammaStructure, mask: int) -> Verdict:
     if not mask & 1:
         return Verdict(False, ("missing-zero",))
     members = mask_elements(mask)
-    add = s.addition
-    for a in members:
-        for b in members:
-            if not mask >> add[a][b] & 1:
-                return Verdict(False, ("additive-closure", a, b))
-    n, m = s.order, s.gamma_size
-    # loops, not core._first: the parameter loops are skipped at a tuple with
-    # no argument in the subset, and enumerate_ideals tests every subset
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if not (mask >> a & 1 or mask >> b & 1 or mask >> c & 1):
-                    continue
-                for al in range(m):
-                    for be in range(m):
-                        if not mask >> s.ternary[al][be][a][b][c] & 1:
-                            return Verdict(False, ("absorption", a, b, c, al, be))
-    return Verdict(True)
+    add, t = s.addition, s.ternary
+    found = _first((members, members), lambda a, b: not mask >> add[a][b] & 1)
+    if found is not None:
+        return Verdict(False, ("additive-closure",) + found)
+    r, p = range(s.order), range(s.gamma_size)
+
+    def escapes(a, b, c, al, be):  # an argument is in the subset, the product not
+        return ((mask >> a & 1 or mask >> b & 1 or mask >> c & 1)
+                and not mask >> t[al][be][a][b][c] & 1)
+
+    found = _first((r, r, r, p, p), escapes)
+    return Verdict(True) if found is None else Verdict(False, ("absorption",) + found)
 
 
 def generated_ideal(s: GammaStructure, seed: int = 0) -> int:
@@ -85,12 +80,15 @@ def enumerate_ideals(s: GammaStructure) -> tuple[int, ...]:
         key=subset_sort_key)))
 
 
-def _require_proper(s: GammaStructure, mask: int, what: str) -> None:
+def _require_proper(s: GammaStructure, mask: int, what: str) -> list[int]:
+    """Refuse a subset that is not a nonempty proper subset of s; else its
+    complement, ascending."""
     _check_bits(s, mask, "subset")
     if mask == 0:
         raise InputError("subset is empty")
     if mask == full_mask(s.order):
         raise InputError(f"{what} is only defined for proper subsets")
+    return [a for a in range(s.order) if not mask >> a & 1]
 
 
 def is_prime(s: GammaStructure, mask: int) -> Verdict:
@@ -99,27 +97,18 @@ def is_prime(s: GammaStructure, mask: int) -> Verdict:
     Witness (a, b, c, al, be): the product is in the subset, no argument is.
     Scan order: elements (a, b, c) lexicographic, then parameters (al, be).
     """
-    _require_proper(s, mask, "primeness")
-    n, m = s.order, s.gamma_size
-    # loops, not core._first: the parameter loops are skipped at a tuple with
-    # an argument in the subset, and every ideal of every structure is tested
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mask >> a & 1 or mask >> b & 1 or mask >> c & 1:
-                    continue
-                for al in range(m):
-                    for be in range(m):
-                        if mask >> s.ternary[al][be][a][b][c] & 1:
-                            return Verdict(False, (a, b, c, al, be))
-    return Verdict(True)
+    out = _require_proper(s, mask, "primeness")
+    p, t = range(s.gamma_size), s.ternary
+    found = _first((out, out, out, p, p),
+                   lambda a, b, c, al, be: mask >> t[al][be][a][b][c] & 1)
+    return Verdict(True) if found is None else Verdict(False, found)
 
 
 def is_semiprime(s: GammaStructure, mask: int) -> Verdict:
     """Cube in the subset forces the element in. Witness (a, al, be)."""
-    _require_proper(s, mask, "semiprimeness")
-    outside, p = [a for a in range(s.order) if not mask >> a & 1], range(s.gamma_size)
-    found = _first((outside, p, p), lambda a, al, be: mask >> s.ternary[al][be][a][a][a] & 1)
+    out = _require_proper(s, mask, "semiprimeness")
+    p, t = range(s.gamma_size), s.ternary
+    found = _first((out, p, p), lambda a, al, be: mask >> t[al][be][a][a][a] & 1)
     return Verdict(True) if found is None else Verdict(False, found)
 
 
@@ -127,35 +116,27 @@ def is_maximal(s: GammaStructure, mask: int) -> Verdict:
     """No ideal strictly between the subset and the carrier. Witness (between_mask,)."""
     _require_proper(s, mask, "maximality")
     top = full_mask(s.order)
-    for other in enumerate_ideals(s):
-        if other != mask and other != top and mask & other == mask:
-            return Verdict(False, (other,))
-    return Verdict(True)
+    found = _first((enumerate_ideals(s),),
+                   lambda other: other not in (mask, top) and mask & other == mask)
+    return Verdict(True) if found is None else Verdict(False, found)
 
 
 def is_primary(s: GammaStructure, mask: int) -> Verdict:
     """Product in the subset with first argument outside forces a cube in.
 
     The cubes use the same (al, be) as the product, exactly as the condition
-    is printed. Witness (a, b, c, al, be).
+    is printed. Witness (a, b, c, al, be), in the scan order of is_prime.
     """
-    _require_proper(s, mask, "primariness")
-    n, m = s.order, s.gamma_size
-    # loops, not core._first: the inner loops are skipped when a lies in the
-    # subset, and every ideal of every structure is tested
-    for a in range(n):
-        if mask >> a & 1:
-            continue
-        for b in range(n):
-            for c in range(n):
-                for al in range(m):
-                    for be in range(m):
-                        cube = s.ternary[al][be]
-                        if not mask >> cube[a][b][c] & 1:
-                            continue
-                        if not (mask >> cube[b][b][b] & 1 or mask >> cube[c][c][c] & 1):
-                            return Verdict(False, (a, b, c, al, be))
-    return Verdict(True)
+    out = _require_proper(s, mask, "primariness")
+    r, p, t = range(s.order), range(s.gamma_size), s.ternary
+
+    def bad(a, b, c, al, be):
+        cube = t[al][be]
+        return (mask >> cube[a][b][c] & 1
+                and not (mask >> cube[b][b][b] & 1 or mask >> cube[c][c][c] & 1))
+
+    found = _first((out, r, r, p, p), bad)
+    return Verdict(True) if found is None else Verdict(False, found)
 
 
 @dataclass(frozen=True)

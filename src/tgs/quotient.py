@@ -57,7 +57,10 @@ def _representative_clash(s: GammaStructure, p: Partition):
     each family in lexicographic argument order, parameters last.
     """
     # loops, not core._first: the parameter loop is skipped at a tuple of
-    # representatives, and enumerate_congruences tests every partition
+    # representatives, and enumerate_congruences tests every partition. Two
+    # _first forms, the flat product with that skip inside the test and a
+    # product over the listed non-representative tuples, took 1.3x and 2.8x
+    # as long over the 3,226 partitions of the order <= 4 test corpus
     n, m = s.order, s.gamma_size
     rep = [p.index(v) for v in p]
     add = s.addition

@@ -223,13 +223,19 @@ class HomomorphismMap:
     target: GammaStructure
     element_map: tuple
 
+    def _checked_map(self):
+        """The element map, refused unless it holds one integer in the
+        target's range per source element."""
+        f = _as_list(self.element_map, self.source.order, "element map")
+        if not (_INT.issuperset(map(type, f))
+                and all(0 <= v < self.target.order for v in f)):
+            raise InputError(f"element map image out of range: entries must be "
+                             f"integers in 0..{self.target.order - 1}")
+        return f
+
     def validate(self) -> Verdict:
         src, dst = self.source, self.target
-        f = _as_list(self.element_map, src.order, "element map")
-        if not (_INT.issuperset(map(type, f))
-                and all(0 <= v < dst.order for v in f)):
-            raise InputError(f"element map image out of range: entries must be "
-                             f"integers in 0..{dst.order - 1}")
+        f = self._checked_map()
         if src.gamma_size > dst.gamma_size:
             raise InputError("target has fewer parameters than the source")
         if f[0] != 0:
@@ -269,10 +275,10 @@ def find_homomorphisms(src: GammaStructure, dst: GammaStructure,
 
 
 def pullback_ideal(f: HomomorphismMap, mask: int) -> int:
-    """Preimage of a target subset under the element map."""
+    """Preimage of a target subset under the element map, which must hold
+    one target element per source element; it need not be a homomorphism."""
     _check_bits(f.target, mask, "subset")
-    return mask_of(a for a in range(f.source.order)
-                   if mask >> f.element_map[a] & 1)
+    return mask_of(a for a, v in enumerate(f._checked_map()) if mask >> v & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,21 @@ def test_caps():
             classify(2, jobs=jobs)
 
 
+@pytest.mark.parametrize("args, error, match", [
+    ((9,), ResourceLimitError, "order 9 exceeds cap"),
+    ((0,), InputError, "order must be a positive integer"),
+    ((2.0,), InputError, "order must be a positive integer"),
+    ((2, 3), ResourceLimitError, "gamma size 3 exceeds cap"),
+    ((2, 0), InputError, "gamma size must be a positive integer"),
+    ((2, 1, [[0, 1], [0, 1]]), InputError, "commutative monoid"),
+])
+def test_structure_search_is_refused_at_the_call(args, error, match, monkeypatch):
+    # the call itself raises: no generator is returned to be iterated
+    monkeypatch.delenv("TGS_MAX_ORDER", raising=False)
+    with pytest.raises(error, match=match):
+        enumerate_structures(*args)
+
+
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("TGS_MAX_ORDER", "2")
     with pytest.raises(ResourceLimitError, match="TGS_MAX_ORDER"):

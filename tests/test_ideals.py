@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +13,7 @@ from tgs.ideals import (classify_ideal, enumerate_ideals, generated_ideal,
 
 from oracles import (naive_generated_ideal, naive_ideals, naive_is_prime,
                      naive_is_prime_ideal_triples)
+from test_core import _mutants
 
 IDEAL_MASKS = {
     "B2": (1, 3),
@@ -58,6 +62,32 @@ def test_is_ideal_witnesses():
     assert v.witness == ("additive-closure", 2, 2)
     v = is_ideal(s, 0b001000)  # no zero
     assert not v.ok and v.witness == ("missing-zero",)
+
+
+def test_frozen_predicate_witnesses(corpus):
+    # the verdicts and witnesses of is_ideal on every nonempty subset, then
+    # of is_prime, is_primary and is_maximal on every proper subset, over the
+    # corpus, the fixtures (order 6 included) and seeded mutations of them;
+    # each structure is a fresh copy, so is_ideal scans every subset before
+    # is_maximal lists the ideals. The digest was taken while is_ideal,
+    # is_prime and is_primary were each their own loop
+    rng = random.Random(22)
+    structures = [s for _, _, s in corpus] + list(DERIVED.values()) + list(CLAIMED.values())
+    structures = [replace(s) for s in structures] + list(_mutants(structures, rng))
+    reports = []
+    for s in structures:
+        full = full_mask(s.order)
+        reports.append([
+            [is_ideal(s, mask) for mask in range(1, full + 1)],
+            [[is_prime(s, mask), is_primary(s, mask), is_maximal(s, mask)]
+             for mask in range(1, full)]])
+    kinds = {v.witness[0] for r in reports for v in r[0] if not v.ok}
+    assert kinds == {"missing-zero", "additive-closure", "absorption"}
+    for i in range(3):
+        assert {row[i].ok for r in reports for row in r[1]} == {True, False}
+    assert len(reports) == 1028
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+        "4b5ef9ae43ace1075e160f0049d4cbcb01373e3d46e7d933ee0cfee4ac788b52")
 
 
 def test_prime_verdicts_frozen():

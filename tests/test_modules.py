@@ -264,14 +264,14 @@ def test_hot_paths_never_scan(monkeypatch):
     # the searches, the module verdicts of the criterion-9 load and analyze
     # read passed, or the fields of laws that hold, so none of them may run
     # a witness scan: every scan of both report classes raises here
-    def scan(subject, fault):
+    def scan(subject):
         raise AssertionError("witness scan")
 
     for report in (AxiomReport, ModuleAxiomReport):
         for law in report._ORDER:
             monkeypatch.setattr(law, "scan", scan)
     classify(3, 2)
-    enumerate_structures(4, 1)
+    assert sum(1 for _ in enumerate_structures(4, 1))
     reps = {n: classify(n, 1).representatives for n in (1, 2, 3)}
     for s in reps[1] + reps[2] + reps[3]:
         for k in (2, 3):

@@ -245,6 +245,18 @@ def test_hom_validate_witness():
             HomomorphismMap(src, dst, f).validate()
 
 
+@pytest.mark.parametrize("f, match", [((0, 1.0, 2), "integers"),
+                                      ("abc", "must be a list"),
+                                      (None, "must be a list"),
+                                      ((0, 1), "3 entries"),
+                                      ((0, 5, 2), "out of range")])
+def test_pullback_refuses_a_bad_element_map(f, match):
+    m3 = DERIVED["M3"]
+    for check in (lambda h: h.validate(), lambda h: pullback_ideal(h, 1)):
+        with pytest.raises(InputError, match=match):
+            check(HomomorphismMap(m3, m3, f))
+
+
 def test_frozen_scan_witnesses(corpus):
     # the witnesses of has_nonzero_zero_divisors, is_semiprime on every
     # proper subset, validate on seeded maps with and without 0 fixed, and
