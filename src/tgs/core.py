@@ -40,7 +40,7 @@ extracted on first use and shared by the decisions:
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
                         elements must commute; _non_commuting tests the
                         distinct Ls against the distinct Rs up to the first
-                        L that fails, as for the module exchange law
+                        L that fails
     distributive        each distinct map x -> t(..x..) through a slot must
                         be additive
     absorbing_zero      each distinct map through a slot must send 0 to 0
@@ -445,7 +445,9 @@ def _non_additive(maps, dom, cod) -> bool:
 def _non_commuting(lefts, rights) -> Iterator[tuple]:
     """The maps f among lefts that fail to commute with some map g among
     rights, f∘g != g∘f; all are tuples indexed by one set. They are yielded
-    as lefts is read, so next() stops at the first failing map."""
+    as lefts is read, so next() stops at the first failing map. Ternary
+    associativity is decided with it: lefts are t(a,al,b,be,-), rights
+    t(-,ga,d,de,e)."""
     rights = [(g, itemgetter(*g)) for g in rights]  # (g, h with h(f) = f∘g)
 
     def commutes(f) -> bool:

@@ -17,6 +17,15 @@ engine and the same additivity buckets. Ternary associativity is not a
 hook: every completed table goes through verify_axioms, whose passed
 decides every axiom on maps, associativity first, and scans for no witness.
 
+An additivity instance reads one (al, be) cube, so cubes that share no key
+are independent: the search splits the keys into blocks, runs of
+consecutive keys, and searches each block once. A ternary table has the
+blocks {al, be}, the cubes (al, be) and (be, al) sharing their orbits; a
+module action has one block per cube. The tables are the product of the
+blocks' solutions, in the order of one search over every key. At one
+parameter there is one block, and its search yields whole tables with no
+product taken.
+
 classify runs one search task per additive monoid, so each monoid builds
 its additivity buckets once.
 """
@@ -112,25 +121,72 @@ def _additivity_buckets(count: int, m: int, index: dict, dims, adds) -> list:
     return [tuple(b) for b in buckets]
 
 
+def _blocks(cubes: list) -> list:
+    """The independent parts of a table search; cubes holds the cell keys of
+    each (al, be) cube, in position order. The free keys of a cube span
+    [min, max], and overlapping spans merge into a block: a run [lo, hi) of
+    consecutive keys, given as (lo, hi, the positions of its cubes) in key
+    order. Cubes without a free key join the first block."""
+    blocks = []
+    for lo, hi, pos in sorted((min(k for k in cube if k >= 0), max(cube) + 1, pos)
+                              for pos, cube in enumerate(cubes) if max(cube) >= 0):
+        if blocks and lo < blocks[-1][1]:
+            blocks[-1][1] = max(blocks[-1][1], hi)
+            blocks[-1][2].append(pos)
+        else:
+            blocks.append([lo, hi, [pos]])
+    blocks = blocks or [[0, 0, []]]
+    blocks[0][2] += [pos for pos, cube in enumerate(cubes) if max(cube) < 0]
+    return [(lo, hi, sorted(positions)) for lo, hi, positions in blocks]
+
+
 def _additive_tables(index: dict, m: int, dims, adds, op):
     """Every m x m x dims table whose cells map through index onto free
     values in range(len(op)), additive in each slot; as nested tuples, in
-    search order."""
+    search order.
+
+    An additivity instance reads one (al, be) cube, so the blocks of _blocks
+    share no instance, and each is searched once on its own keys. A block's
+    solution is the tuple of its cubes. The tables are the product of the
+    blocks' solutions, the first block streamed and the others kept, with
+    each cube placed at its position; as the blocks are runs in key order,
+    that is the order of one search over every key. The search of a lone
+    block yields whole tables.
+    """
     count = max(index.values()) + 1
     buckets = _additivity_buckets(count, m, index, dims, adds)
-
-    def ok(vals, k: int) -> bool:
-        for lhs, r1, r2 in buckets[k]:
-            if vals[lhs] != op[vals[r1]][vals[r2]]:
-                return False
-        return True
-
     keys = tuple(index.values())
-    # itemgetter of one key returns the value, not a 1-tuple
-    pick = itemgetter(*keys) if len(keys) > 1 else lambda vals: (vals[keys[0]],)
-    shape = (m, m) + dims
-    for vals in _backtrack(count, range(len(op)), ok):
-        yield _nest(pick(vals), shape)
+    size = len(keys) // (m * m)
+    blocks = _blocks([keys[i:i + size] for i in range(0, len(keys), size)])
+
+    def solutions(lo: int, hi: int, positions: list, shape: tuple):
+        def local(ks) -> tuple:  # a block counts its keys from 0; -1 stays
+            return tuple(k - lo if k >= 0 else k for k in ks)
+
+        own = [tuple(map(local, b)) for b in buckets[lo:hi]] if lo else buckets
+
+        def ok(vals, k: int) -> bool:
+            for lhs, r1, r2 in own[k]:
+                if vals[lhs] != op[vals[r1]][vals[r2]]:
+                    return False
+            return True
+
+        cells = local(keys[p * size + i] for p in positions for i in range(size))
+        # itemgetter of one key returns the value, not a 1-tuple
+        pick = (itemgetter(*cells) if len(cells) > 1
+                else lambda vals: (vals[cells[0]],))
+        for vals in _backtrack(hi - lo, range(len(op)), ok):
+            yield _nest(pick(vals), shape)
+
+    if len(blocks) == 1:
+        return solutions(*blocks[0], (m, m) + dims)
+    head, *rest = (solutions(*b, (len(b[2]),) + dims) for b in blocks)
+    rest = [list(sols) for sols in rest]
+    # the cubes of one solution per block, concatenated, in position order
+    order = itemgetter(*sorted(range(m * m),
+                               key=[p for b in blocks for p in b[2]].__getitem__))
+    return (_nest(order(sum(tail, cubes)), (m, m))
+            for cubes in head for tail in iproduct(*rest))
 
 
 # typed, so that 2.0 or True reaches the argument check, not the entry of 2 or 1

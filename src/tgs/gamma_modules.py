@@ -14,8 +14,9 @@ one first-witness scan. As with verify_axioms, the report is evaluated as it
 is read. Its passed decides each law on whole maps or planes, at most once
 per report: the exchange law first, the one law the action search does not
 build in, then the others only if it holds. It never scans for a witness.
-The distinct maps through each slot are extracted on first use and shared by
-the decisions:
+The exchange law walks the carrier maps of the table itself; the distinct
+maps through each slot are extracted on first use and shared by the other
+decisions:
 
     carrier monoid      decided on its rows as maps, as the additive monoid
                         is in verify_axioms
@@ -25,29 +26,33 @@ the decisions:
     absorbing zero      each distinct map through a scalar slot must send 0
                         to 0
     exchange law        with P = a (-) d and Q = b (-) c as carrier maps the
-                        law reads P∘Q == Q∘P; core._non_commuting tests each
-                        distinct map against the others
+                        law reads P∘Q == Q∘P; the maps m -> a m b are
+                        walked in table order, each new distinct one tested
+                        against the earlier ones, up to the first pair that
+                        does not commute
 
 A law's field is computed when first read, and kept; its scan runs only if
 the law failed, over the law's whole order.
 
 Actions are enumerated by the table-completion engine of enumeration, with
 additivity in all three slots replayed as cells land, so every generated
-action is additive by construction.
+action is additive by construction; each (al, be) cube is searched once,
+and the actions are the product of the cubes. A submodule test reads, for
+each carrier element m, the mask of every a m b, once per action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from operator import ne
+from itertools import chain, product as iproduct
+from operator import itemgetter, ne
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
                    Violation, _as_grid, _as_layers, _check_order, _first,
                    _given_monoid, _is_commutative_monoid, _Law, _LawReport,
                    _monoid_violation, _moves_zero, _non_additive,
-                   _non_commuting, _positive_int, _prevalidated, _violation,
+                   _positive_int, _prevalidated, _violation,
                    full_mask, mask_elements, mask_of, max_order,
                    subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
@@ -149,6 +154,25 @@ def _check_module_zero(a_: ModuleAction) -> Violation:
     return Violation("module-absorbing-zero", (a, mm, b, al, be), act[al][be][a][mm][b], 0)
 
 
+def _non_exchanging(a_: ModuleAction, at) -> bool:
+    """Whether two carrier maps mm -> a mm b, at any parameters, fail to
+    commute. The maps are walked in table order, repeats skipped, and each
+    new one is tested against the earlier distinct ones, so the walk stops at
+    the first pair that does not commute."""
+    seen = {}  # each distinct map f, with after(g) = g∘f
+    for layer in a_.action:
+        for cube in layer:
+            for plane in cube:
+                for f in zip(*plane):
+                    if f not in seen:
+                        after = itemgetter(*f)
+                        for g, before in seen.items():  # before(f) is f∘g
+                            if before(f) != after(g):
+                                return True
+                        seen[f] = after
+    return False
+
+
 def _check_module_assoc_surrogate(a_: ModuleAction) -> Violation:
     s, act = a_.scalar, a_.action
     r, p = range(s.order), range(s.gamma_size)
@@ -169,8 +193,7 @@ class ModuleAxiomReport(_LawReport):
                           _check_carrier_monoid)
     additivity = _Law(_module_non_additive, _check_module_additivity)
     absorbing_zero = _Law(lambda a_, at: _moves_zero(at, (0, 2)), _check_module_zero)
-    associativity = _Law(lambda a_, at: next(_non_commuting(at[1], at[1]), None) is not None,
-                         _check_module_assoc_surrogate)
+    associativity = _Law(_non_exchanging, _check_module_assoc_surrogate)
 
     _ORDER = (associativity, carrier_monoid, additivity, absorbing_zero)
     _KEYS = ("carrier_monoid", "additivity", "absorbing_zero", "associativity",
@@ -195,19 +218,16 @@ def enumerate_submodules(a_: ModuleAction) -> tuple:
     if k > _SUBMODULE_SCAN_CAP:
         raise ResourceLimitError(
             f"carrier order {k} exceeds submodule scan cap {_SUBMODULE_SCAN_CAP}")
-    s = a_.scalar
-    n, m = s.order, s.gamma_size
     madd = a_.carrier_addition
+    # reach[mm]: the mask of every a mm b, at any scalars and parameters; a
+    # subset is closed under the action when each member's reach lies in it
+    planes = [plane for layer in a_.action for cube in layer for plane in cube]
+    reach = [mask_of(set(chain.from_iterable(rows))) for rows in zip(*planes)]
     out = []
     for mask in range(1, 1 << k, 2):
         members = mask_elements(mask)
-        ok = all(mask >> madd[x][y] & 1 for x in members for y in members)
-        if ok:
-            ok = all(mask >> a_.action[al][be][a][mm][b] & 1
-                     for mm in members
-                     for a in range(n) for b in range(n)
-                     for al in range(m) for be in range(m))
-        if ok:
+        if (all(reach[mm] | mask == mask for mm in members)
+                and all(mask >> madd[x][y] & 1 for x in members for y in members)):
             out.append(mask)
     return tuple(sorted(out, key=subset_sort_key))
 

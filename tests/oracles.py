@@ -386,23 +386,13 @@ def _naive_action_ok(s, k, madd, act) -> bool:
 
 
 def naive_module_check(a_) -> bool:
-    """Every module law of an action, by plain loops: carrier monoid,
-    additivity in all three slots, scalar-slot zero absorption and the
-    exchange law a (b m c) d = b (a m d) c."""
+    """Every module law of an action, by plain loops: the exchange law
+    a (b m c) d = b (a m d) c, which reads action entries only and fails
+    most often, then the carrier monoid, additivity in all three slots and
+    scalar-slot zero absorption."""
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
     madd, act = a_.carrier_addition, a_.action
-    for x in range(k):
-        if madd[0][x] != x:
-            return False
-        for y in range(k):
-            if madd[x][y] != madd[y][x]:
-                return False
-            for z in range(k):
-                if madd[madd[x][y]][z] != madd[x][madd[y][z]]:
-                    return False
-    if not _naive_action_ok(s, k, madd, act):
-        return False
     for al in range(m):
         for be in range(m):
             for ga in range(m):
@@ -416,4 +406,38 @@ def naive_module_check(a_) -> bool:
                                         rhs = act[ga][de][b][act[al][be][a][mm][d]][c]
                                         if lhs != rhs:
                                             return False
-    return True
+    for x in range(k):
+        if madd[0][x] != x:
+            return False
+        for y in range(k):
+            if madd[x][y] != madd[y][x]:
+                return False
+            for z in range(k):
+                if madd[madd[x][y]][z] != madd[x][madd[y][z]]:
+                    return False
+    return _naive_action_ok(s, k, madd, act)
+
+
+def naive_submodules(a_) -> list:
+    """Carrier subsets holding 0, closed under the carrier addition and
+    under every a m b with m in the subset, by plain loops over each subset;
+    as bitmasks sorted by size, then value."""
+    s, k = a_.scalar, a_.carrier_order
+    n, m = s.order, s.gamma_size
+    madd, act = a_.carrier_addition, a_.action
+    out = []
+    for mask in range(1 << k):
+        members = [x for x in range(k) if mask >> x & 1]
+        if 0 not in members:
+            continue
+        closed = all(madd[x][y] in members for x in members for y in members)
+        for al in range(m):
+            for be in range(m):
+                for a in range(n):
+                    for mm in members:
+                        for b in range(n):
+                            if act[al][be][a][mm][b] not in members:
+                                closed = False
+        if closed:
+            out.append(mask)
+    return sorted(out, key=lambda mask: (bin(mask).count("1"), mask))

@@ -11,8 +11,9 @@ from tgs.core import (GammaStructure, ResourceLimitError, InputError,
                       canonical_form, zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
-                             render_classification_text, _backtrack,
-                             _orbit_layout, _structure_summary)
+                             render_classification_text, _additive_tables,
+                             _additivity_buckets, _backtrack, _orbit_layout,
+                             _structure_summary)
 from tgs.gamma_modules import enumerate_module_actions
 
 from oracles import (canonical_set, naive_monoid_tables, naive_structures,
@@ -149,6 +150,76 @@ def test_one_cell_tables():
     assert s.ternary == (((((0,),),),),)
     (a,) = enumerate_module_actions(s, 1)
     assert a.action == (((((0,),),),),)
+
+
+def _cells(table) -> bytes:
+    """The cells of a five-level table (cubes, planes, rows) in row-major
+    order."""
+    return bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(table)))))
+
+
+def test_additive_table_stream_digest_at_gamma_3():
+    # above the gamma cap of every public search; the (al, be) cubes (0, 1)
+    # and (1, 0) share one orbit block, at cube positions 1 and 3
+    h = hashlib.sha256()
+    count = 0
+    for add in enumerate_additive_monoids(2):
+        for table in _additive_tables(_orbit_layout(2, 3), 3, (2, 2, 2),
+                                      (add,) * 3, add):
+            h.update(_cells(table))
+            count += 1
+    assert count == 128
+    assert h.hexdigest() == (
+        "c22b7e81cfafab0976ea4eebd692bd744bee9fab8338b4bf623deb7f96fa1d50")
+
+
+def _whole_table_search(index, m, dims, adds, op):
+    """The table search as one _backtrack over every free key with the
+    whole bucket hook: the reference the block search must equal, table for
+    table and in order."""
+    count = max(index.values()) + 1
+    buckets = _additivity_buckets(count, m, index, dims, adds)
+
+    def ok(vals, k):
+        return all(vals[lhs] == op[vals[r1]][vals[r2]] for lhs, r1, r2 in buckets[k])
+
+    keys = list(index.values())
+    shape = (m, m) + dims
+    for vals in _backtrack(count, range(len(op)), ok):
+        flat = [vals[key] for key in keys]
+        for d in reversed(shape[1:]):
+            flat = [tuple(flat[i:i + d]) for i in range(0, len(flat), d)]
+        yield tuple(flat)
+
+
+def _module_layout(n, m, k):
+    # the action cells a mm b with nonzero scalars a, b are free, numbered in
+    # lexicographic order; the scalar-zero ones are pinned
+    cells = list(itertools.product(range(m), range(m), range(n), range(k), range(n)))
+    index = dict.fromkeys(cells, -1)
+    index.update((c, i) for i, c in enumerate(c for c in cells if c[2] and c[4]))
+    return index
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2),
+                                  (2, 2), (3, 2), (1, 3), (2, 3)])
+def test_orbit_search_equals_whole_table_search(n, m):
+    layout = _orbit_layout(n, m)
+    for add in enumerate_additive_monoids(n):
+        args = (layout, m, (n, n, n), (add,) * 3, add)
+        assert list(_additive_tables(*args)) == list(_whole_table_search(*args))
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3),
+                                     (1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 2)])
+def test_action_search_equals_whole_table_search(n, m, k):
+    # any scalar addition works here: the search reads it as a table
+    layout = _module_layout(n, m, k)
+    for sadd in enumerate_additive_monoids(n):
+        for madd in enumerate_additive_monoids(k):
+            args = (layout, m, (n, k, n), (sadd, madd, sadd), madd)
+            assert list(_additive_tables(*args)) == list(_whole_table_search(*args))
 
 
 def test_free_cell_reduction_is_faithful():

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import random
+from itertools import chain
 
 import pytest
 
-from oracles import naive_module_actions, naive_module_check
+from oracles import naive_module_actions, naive_module_check, naive_submodules
 from tgs.analysis import analyze
 from tgs.core import AxiomReport, InputError, ResourceLimitError, verify_axioms
 from tgs.enumeration import (classify, enumerate_additive_monoids,
@@ -172,6 +173,28 @@ def test_action_stream_digest(search_actions):
         "beed0653eeb06f7f46675f28c3ebb55cbaa9f76949b8cc481d270e456fb4b570")
 
 
+def _order_3_actions(corpus_reps):
+    """The action search's output, in order, on every carrier of order 3
+    over the (2, 2) representatives, streamed: 81,992 actions, whose four
+    (al, be) cubes the search fills independently."""
+    return (a for s in corpus_reps[(2, 2)] for a in enumerate_module_actions(s, 3))
+
+
+def test_action_stream_digest_on_order_3_carriers(corpus_reps):
+    # the ordered output of the action search with each action's verdict
+    h = hashlib.sha256()
+    count = 0
+    for a in _order_3_actions(corpus_reps):
+        rows = chain.from_iterable(chain.from_iterable(chain.from_iterable(a.action)))
+        h.update(bytes(chain.from_iterable(a.carrier_addition)))
+        h.update(bytes(chain.from_iterable(rows)))
+        h.update(bytes([verify_module_axioms(a).passed]))
+        count += 1
+    assert count == 81992
+    assert h.hexdigest() == (
+        "447c63b657dd49c57bf267e3ea272a53b68e2a180c545216b6ea23b1d59136c6")
+
+
 def _module_mutants(actions, rng):
     """Each action with one, two and three random action cells overwritten,
     then with one, two and three carrier-addition cells overwritten."""
@@ -217,11 +240,14 @@ def test_frozen_module_witnesses(corpus_reps, search_actions):
         assert verify_module_axioms(a).passed == naive_module_check(a)
 
 
-def test_passed_is_decided_before_any_witness(search_actions):
+def test_passed_is_decided_before_any_witness(search_actions, corpus_reps):
     # passed, read first, decides every law on maps; it must equal passed
     # read after every field and the oracle's verdict, over the search's
     # actions and seeded mutants of the regular modules, which break the
-    # laws the search builds in
+    # laws the search builds in; then it must equal the oracle's verdict on
+    # the order-3 carriers of the (2, 2) representatives, where the
+    # exchange-law verdict walks the most carrier maps, and on seeded
+    # mutants of one in about 256 of those actions
     regular = [regular_module(DERIVED[name]) for name in sorted(DERIVED)]
     # every action result the top of a join semilattice: zero absorption is
     # the one law it breaks
@@ -240,6 +266,36 @@ def test_passed_is_decided_before_any_witness(search_actions):
         assert first == late.passed == (not late.failures()) == naive_module_check(a)
         verdicts.add(first)
     assert verdicts == {True, False}
+    rng = random.Random(7)
+    picked = []
+    tally = {True: 0, False: 0}
+    for a in _order_3_actions(corpus_reps):
+        passed = verify_module_axioms(a).passed
+        assert passed == naive_module_check(a)
+        tally[passed] += 1
+        if not rng.randrange(256):
+            picked.append(a)
+    assert tally == {True: 2640, False: 79352}
+    for a in _module_mutants(picked, rng):
+        assert verify_module_axioms(a).passed == naive_module_check(a)
+
+
+def test_submodules_equal_a_closure_of_each_subset(corpus_reps, search_actions):
+    # the search's actions, the regular modules and seeded mutants of both,
+    # whose carrier mutants mostly break the carrier monoid
+    regular = [regular_module(s) for reps in corpus_reps.values() for s in reps]
+    regular += [regular_module(DERIVED[name]) for name in sorted(DERIVED)]
+    rng = random.Random(17)
+    mutants = list(_module_mutants(regular + rng.sample(search_actions, 300), rng))
+    # (1 + 2) + 2 = 1 but 1 + (2 + 2) = 0: no monoid; 2 + 2 = 1 leaves {0, 2}
+    odd = zero_module(DERIVED["M3"], 3, ((0, 1, 2), (1, 0, 1), (2, 1, 1)))
+    assert verify_module_axioms(odd).carrier_monoid is not None
+    assert enumerate_submodules(odd) == (1, 3, 7)
+    no_monoid = 0
+    for a in search_actions + regular + mutants + [odd]:
+        assert list(enumerate_submodules(a)) == naive_submodules(a)
+        no_monoid += verify_module_axioms(a).carrier_monoid is not None
+    assert no_monoid > 1
 
 
 def test_report_fields_read_in_any_order():
