@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .analysis import (analyze, evaluate_all_claims, render_text,
                        run_asserted_suite, run_reported_suite)
@@ -214,9 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import, and reused by every later
+    # one: parse_args fills a fresh Namespace each time and leaves the
+    # parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -7,10 +7,14 @@ whose witness is the first counterexample in the documented scan order, so
 outputs are reproducible; each witness is one core._first call, over the
 ranges that give that order.
 
-is_ideal is the one statement of those axioms. enumerate_ideals(s) applies it
-to every subset once per structure, and generated_ideal reads the least ideal
-containing a seed from that list instead of closing the seed itself, so it
-costs one ideal enumeration per structure (2^(n-1) subsets) the first time.
+is_ideal states those axioms with witnesses. enumerate_ideals(s) decides the
+same axioms once per structure on every subset containing 0 without a scan
+per subset: one pass over the tables gives each element's reach, the mask of
+every product it is an argument of, and a subset is an ideal when it holds
+the reach of each member and the sum of any two. generated_ideal reads the
+least ideal containing a seed from that list instead of closing the seed
+itself, so it costs one ideal enumeration per structure (2^(n-1) subsets)
+the first time.
 
 The four predicates (prime, semiprime, maximal, primary) run on the ideals of
 a structure in one place: ideal_classes(s) classifies each ideal once per
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (GammaStructure, InputError, Verdict, _check_bits, _first,
-                   full_mask, mask_elements, memo, memoized, subset_sort_key)
+                   full_mask, mask_elements, mask_of, memo, memoized,
+                   subset_sort_key)
 
 
 def is_ideal(s: GammaStructure, mask: int) -> Verdict:
@@ -74,10 +79,33 @@ def generated_ideal(s: GammaStructure, seed: int = 0) -> int:
 
 
 def enumerate_ideals(s: GammaStructure) -> tuple[int, ...]:
-    """Every ideal, ascending by size then bitmask. 2^n subset scan, once per structure."""
-    return memo(s, "ideals", lambda: tuple(sorted(
-        (mask for mask in range(1, 1 << s.order, 2) if is_ideal(s, mask).ok),
-        key=subset_sort_key)))
+    """Every ideal, ascending by size then bitmask; once per structure."""
+    return memo(s, "ideals", lambda: _ideal_masks(s))
+
+
+def _ideal_masks(s: GammaStructure) -> tuple[int, ...]:
+    """The subsets that contain 0 and pass is_ideal's closure and absorption
+    tests, decided on masks: one pass over the tables gives reach[x], the
+    mask of every product with x in some argument, at any parameters, and a
+    subset absorbs products exactly when it holds the reach of each member."""
+    n, add = s.order, s.addition
+    reach = [0] * n
+    for layer in s.ternary:
+        for cube in layer:
+            for a, plane in enumerate(cube):
+                for b, row in enumerate(plane):
+                    row_mask = mask_of(row)
+                    reach[a] |= row_mask
+                    reach[b] |= row_mask
+                    for c, v in enumerate(row):
+                        reach[c] |= 1 << v
+    out = []
+    for mask in range(1, 1 << n, 2):
+        members = mask_elements(mask)
+        if (all(reach[x] | mask == mask for x in members)
+                and all(mask >> add[x][y] & 1 for x in members for y in members)):
+            out.append(mask)
+    return tuple(sorted(out, key=subset_sort_key))
 
 
 def _require_proper(s: GammaStructure, mask: int, what: str) -> list[int]:

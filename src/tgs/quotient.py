@@ -11,14 +11,15 @@ ternary entry must lie in the class of the same entry taken at the block
 representatives, the least member of each block (an equivalence is a
 congruence iff each operation respects it; Burris and Sankappanavar, A
 Course in Universal Algebra, 1981). The quotient's tables are then read at
-those representatives.
+those representatives; quotient_structure skips the test for a partition
+already in the memoized congruence list, which passed it there.
 """
 
 from __future__ import annotations
 
 from .core import (ConsistencyError, GammaStructure, InputError, Verdict,
                    _INT, _check_bits, _first, _prevalidated, mask_elements,
-                   mask_of, memo)
+                   mask_of, memo, memoized)
 
 Partition = tuple
 
@@ -177,16 +178,19 @@ def quotient_structure(s: GammaStructure, p) -> GammaStructure:
     """Structure on the blocks: zero class is element 0, the rest ordered by
     smallest member. Raises ConsistencyError when p is not a congruence (the
     representative test of _representative_clash); otherwise every operation
-    is read at the block representatives. Built once per structure and
-    partition; a non-congruence is refused each time and never stored."""
+    is read at the block representatives. A partition in the memoized
+    enumerate_congruences(s) is not tested again. Built once per structure
+    and partition; a non-congruence is refused each time and never stored."""
     p = _checked_partition(s, p)
     return memo(s, ("quotient", p), lambda: _quotient(s, p))
 
 
 def _quotient(s: GammaStructure, p: Partition) -> GammaStructure:
-    clash = _representative_clash(s, p)
-    if clash is not None:
-        raise ConsistencyError(f"partition {list(p)} is not a congruence: {clash}")
+    # a partition in the memoized congruence list passed this test there
+    if p not in (memoized(s, "congruences") or ()):
+        clash = _representative_clash(s, p)
+        if clash is not None:
+            raise ConsistencyError(f"partition {list(p)} is not a congruence: {clash}")
     blocks = partition_blocks(p)
     reps = [block[0] for block in blocks]
     q_add = tuple(tuple(p[s.addition[a][b]] for b in reps) for a in reps)

@@ -1,12 +1,17 @@
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tgs.cli import main
-from tgs.core import (InputError, dumps_structure, parse_structure,
-                      structure_from_bytes)
+from tgs.analysis import analyze
+from tgs.cli import _parser, cmd_analyze, main
+from tgs.core import (InputError, _json_text, dumps_structure, parse_structure,
+                      structure_from_bytes, structure_to_dict)
+from tgs.enumeration import classify
 from tgs.fixtures import CLAIMED, DERIVED
 from tgs.ideals import lattice_dot
 from tgs.spectrum import spectrum_dot
@@ -324,3 +329,65 @@ def test_resource_cap_exits_2(tmp_path, capsys, monkeypatch):
     for argv in exhaustive:
         assert main(argv) == 0
     capsys.readouterr()
+
+
+def test_json_writer_bytes_equal_the_stdlib_on_every_cli_document(corpus_reps):
+    # the documents the CLI writes: analyze reports of the corpus, then the
+    # classify report.json and structure files of each shape it covers
+    docs = [analyze(s) for reps in corpus_reps.values() for s in reps]
+    for n, m in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2)):
+        report = classify(n, m)
+        docs.append(report.to_dict())
+        docs.extend(structure_to_dict(s) for s in report.representatives)
+    for doc in docs:
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _outcome(run, argv, tmp_path):
+    """(exit code, stdout, stderr, {file name: bytes} under tmp_path) of run(argv),
+    from a tmp_path emptied first."""
+    for path in sorted(tmp_path.rglob("*"), reverse=True):
+        path.rmdir() if path.is_dir() else path.unlink()
+    code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    files = {str(p.relative_to(tmp_path)): p.read_bytes()
+             for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    return code, out, err, files
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process(tmp_path, capsys):
+    structure = tmp_path / "l3.json"
+    structure.write_text(dumps_structure(DERIVED["L3"]))
+    calls = [["classify", "--order", "3", "--out", "{tmp}/corpus"],
+             ["analyze", str(structure), "--format", "json"],
+             ["analyze", str(structure), "--format", "json",
+              "--out", "{tmp}/a.json"],
+             ["analyze", "--bogus", str(structure)],
+             ["analyze", str(structure)]]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(argv):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-m", "tgs", *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        return done.returncode, done.stdout, done.stderr
+
+    work = tmp_path / "work"
+    work.mkdir()
+    together = [_outcome(in_process, argv, work) for argv in calls]
+    alone = [_outcome(fresh, argv, work) for argv in calls]
+    assert [outcome[0] for outcome in together] == [0, 0, 0, 1, 0]
+    assert together == alone
+    # each parse starts from the defaults, whatever the call before it set
+    assert vars(_parser().parse_args(["analyze", str(structure)])) == {
+        "command": "analyze", "file": str(structure), "format": "text",
+        "out": None, "func": cmd_analyze}

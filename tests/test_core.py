@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tgs.core import (AxiomReport, GammaStructure, InputError, _nest,
+from tgs.core import (AxiomReport, GammaStructure, InputError, _json_text, _nest,
                       _non_commuting, apply_permutation, canonical_form, dumps_structure, full_mask, mask_elements,
                       mask_of, max_order, parse_structure, structure_from_bytes,
                       structure_from_dict, structures_isomorphic,
@@ -219,6 +219,31 @@ def test_serialization_round_trip():
         assert back.addition == s.addition
         assert back.ternary == s.ternary
         assert dumps_structure(back) == text
+
+
+ADVERSARIAL_DOCUMENTS = [
+    "", "plain", "caf\u00e9 \u2203 \U0001d53d", 'quote " and \\ backslash',
+    "".join(map(chr, range(32))) + "\x7f",
+    [True, 1, False, 0, None], {"true": True, "one": 1},
+    [-1, 0, 2 ** 70, -(2 ** 70)],
+    [0.0, -0.0, 1e16, 1.5e-300, 0.1, -2.5, math.nan, math.inf, -math.inf],
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [[]]}],
+    (), (1, (2, ()), [3]), {"t": (None, ("x",))},
+    {"b": 1, "a": 2, "B": 3, "\u00e9": 4, "": 5, "a b": {"z": [], "y": {}}},
+    1, -7, 2.5, None, True, "s",
+]
+
+
+def test_json_writer_bytes_equal_the_stdlib_on_adversarial_documents():
+    for doc in ADVERSARIAL_DOCUMENTS + [ADVERSARIAL_DOCUMENTS]:
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_refuses_what_it_does_not_write():
+    for doc in ({1, 2}, {1: "a"}, {"a": {None: 1}}, [b"x"], {"a": [object()]},
+                frozenset()):
+        with pytest.raises(TypeError):
+            _json_text(doc)
 
 
 def test_parse_error_reports_position():

@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with the stdlib ast module: no module
 imports a name it never uses, no module-level private function goes
 unreferenced, no public function or class goes uncalled, no per-structure
-memo key is set in two places, the test oracles share no code with the
-package, and every name the benchmark traces still exists."""
+memo key is set in two places, the package writes JSON through one writer
+(core._json_text, never json.dump or json.dumps), the test oracles share no
+code with the package, and every name the benchmark traces still exists."""
 
 import ast
 import importlib
@@ -86,6 +87,20 @@ def test_each_memo_key_is_set_in_one_place():
                 sites[key.value] += 1
     assert sites
     assert [key for key, count in sites.items() if count > 1] == []
+
+
+def test_one_json_writer():
+    # core._json_text writes every JSON document; the loader's json.loads stays
+    calls = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                calls.append(f"{module}: json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls += [f"{module}: from json import {alias.name}"
+                          for alias in node.names if alias.name in ("dump", "dumps")]
+    assert calls == []
 
 
 def test_oracles_import_only_the_structure_type():

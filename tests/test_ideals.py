@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from tgs.core import GammaStructure, InputError, Verdict, full_mask, memoized
+from tgs.core import (GammaStructure, InputError, Verdict, full_mask, memoized,
+                      subset_sort_key, verify_axioms)
 from tgs.fixtures import CLAIMED, DERIVED
 from tgs.ideals import (classify_ideal, enumerate_ideals, generated_ideal,
                         ideal_lattice, is_ideal, is_maximal, is_primary,
@@ -36,6 +37,25 @@ def test_ideal_scan_matches_oracle_on_corpus(corpus_reps):
     for shape in ((3, 1), (2, 2)):
         for s in corpus_reps[shape]:
             assert list(enumerate_ideals(s)) == naive_ideals(s)
+
+
+def test_reach_masks_pick_what_the_is_ideal_scan_picks(corpus):
+    # enumerate_ideals decides each subset on reach masks, is_ideal scans its
+    # tables; on any table, axioms or not, both keep the same odd masks. Each
+    # structure is a fresh copy, so is_ideal runs before the list exists and
+    # scans every subset
+    bases = ([s for _, _, s in corpus] + [DERIVED[name] for name in sorted(DERIVED)]
+             + [CLAIMED[name] for name in sorted(CLAIMED)])
+    mutants = list(_mutants(bases, random.Random(2025)))
+    assert any(s.order == 1 for s in bases) and any(s.order == 6 for s in bases)
+    assert sum(not verify_axioms(s).passed for s in mutants) > len(mutants) // 2
+    for s in bases + mutants:
+        s = GammaStructure(order=s.order, gamma_size=s.gamma_size,
+                           addition=s.addition, ternary=s.ternary)
+        want = sorted((mask for mask in range(1, 1 << s.order, 2)
+                       if is_ideal(s, mask).ok), key=subset_sort_key)
+        assert memoized(s, "ideals") is None
+        assert list(enumerate_ideals(s)) == want
 
 
 def test_is_ideal_reads_the_memoized_list():

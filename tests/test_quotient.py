@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import tgs.quotient
 from tgs.core import (ConsistencyError, GammaStructure, InputError, canonical_form,
                       verify_axioms)
 from tgs.fixtures import DERIVED, mod_mul_structure
@@ -198,6 +199,36 @@ def test_quotient_rejects_non_congruence():
         with pytest.raises(ConsistencyError):
             quotient_structure(s, (0, 1, 0))
     assert ("quotient", (0, 1, 0)) not in s.__dict__.get("_memo", {})
+
+
+def test_quotient_skips_the_test_only_for_a_listed_congruence(monkeypatch):
+    # a partition in the memoized congruence list is not tested again; any
+    # other is, and a non-congruence is refused with the same message before
+    # and after the list exists
+    def message(s, p):
+        with pytest.raises(ConsistencyError) as exc:
+            quotient_structure(s, p)
+        return str(exc.value)
+
+    before = message(replace(DERIVED["L3"]), (0, 1, 0))
+    assert before == ("partition [0, 1, 0] is not a congruence: "
+                      f"{is_congruence(DERIVED['L3'], (0, 1, 0)).witness}")
+    tested = []
+    clash = tgs.quotient._representative_clash
+    monkeypatch.setattr(tgs.quotient, "_representative_clash",
+                        lambda s, p: tested.append(p) or clash(s, p))
+    for name in ("L3", "M6"):
+        s = replace(DERIVED[name])
+        listed = enumerate_congruences(s)
+        tested.clear()
+        for rho in listed:
+            assert verify_axioms(quotient_structure(s, rho)).passed
+        assert tested == []
+    s = replace(DERIVED["L3"])
+    enumerate_congruences(s)
+    tested.clear()
+    assert message(s, (0, 1, 0)) == before
+    assert tested == [(0, 1, 0)]
 
 
 def test_memoized_quotient_equals_validated_construction(corpus_reps):
