@@ -121,6 +121,19 @@ def subset_sort_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+def _closed_subsets(reach, add) -> tuple:
+    """The subsets of range(len(reach)) that contain 0, hold reach[x] for
+    each member x and are closed under add, as bitmasks sorted by
+    subset_sort_key."""
+    out = []
+    for mask in range(1, 1 << len(reach), 2):
+        members = mask_elements(mask)
+        if (all(reach[x] | mask == mask for x in members)
+                and all(mask >> add[x][y] & 1 for x in members for y in members)):
+            out.append(mask)
+    return tuple(sorted(out, key=subset_sort_key))
+
+
 def _meet(s, masks) -> int:
     """Intersection of the given subsets of s; the whole carrier if none."""
     return reduce(and_, masks, full_mask(s.order))

@@ -17,14 +17,13 @@ engine and the same additivity buckets. Ternary associativity is not a
 hook: every completed table goes through verify_axioms, whose passed
 decides every axiom on maps, associativity first, and scans for no witness.
 
-An additivity instance reads one (al, be) cube, so cubes that share no key
-are independent: the search splits the keys into blocks, runs of
-consecutive keys, and searches each block once. A ternary table has the
-blocks {al, be}, the cubes (al, be) and (be, al) sharing their orbits; a
-module action has one block per cube. The tables are the product of the
-blocks' solutions, in the order of one search over every key. At one
-parameter there is one block, and its search yields whole tables with no
-product taken.
+An additivity instance reads one (al, be) cube, and every cube carries the
+same instances, so the search fills one cube once and takes each table as a
+product of that cube's solutions over the parameter positions: a ternary
+table has one position per pair {al, be}, the cubes (al, be) and (be, al)
+sharing it, and a module action one per cube. The product, the first
+position slowest, is the order of one search over every key. At one
+parameter there is one position, and its search streams.
 
 classify runs one search task per additive monoid, so each monoid builds
 its additivity buckets once.
@@ -98,95 +97,60 @@ def _backtrack(count: int, domain, ok):
             stack.pop()
 
 
-def _additivity_buckets(count: int, m: int, index: dict, dims, adds) -> list:
-    """Additivity instances (lhs, r1, r2) of a table over cells
-    (al, be, s0, s1, s2), slot i ranging over dims[i] and summed by adds[i].
+def _additivity_buckets(count: int, index: dict, dims, adds) -> list:
+    """Additivity instances (lhs, r1, r2) of one cube over cells (s0, s1, s2),
+    slot i ranging over dims[i] and summed by adds[i].
 
     index maps each cell to its key: a cell index, or -1 for a cell pinned to
     0. Instances go to the bucket of the last key they read and hold when
     vals[lhs] == op[vals[r1]][vals[r2]]; those that read no free cell drop.
     """
     buckets = [{} for _ in range(count)]  # dicts as ordered sets
-    for al in range(m):
-        for be in range(m):
-            for slot, (d, add) in enumerate(zip(dims, adds)):
-                rest = [range(dims[j]) for j in range(3) if j != slot]
-                for uv in iproduct(*rest):
-                    for x in range(d):
-                        for y in range(x, d):
-                            ks = tuple(index[(al, be) + uv[:slot] + (z,) + uv[slot:]]
-                                       for z in (add[x][y], x, y))
-                            if max(ks) >= 0:
-                                buckets[max(ks)][ks] = None
+    for slot, (d, add) in enumerate(zip(dims, adds)):
+        rest = [range(dims[j]) for j in range(3) if j != slot]
+        for uv in iproduct(*rest):
+            for x in range(d):
+                for y in range(x, d):
+                    ks = tuple(index[uv[:slot] + (z,) + uv[slot:]]
+                               for z in (add[x][y], x, y))
+                    if max(ks) >= 0:
+                        buckets[max(ks)][ks] = None
     return [tuple(b) for b in buckets]
 
 
-def _blocks(cubes: list) -> list:
-    """The independent parts of a table search; cubes holds the cell keys of
-    each (al, be) cube, in position order. The free keys of a cube span
-    [min, max], and overlapping spans merge into a block: a run [lo, hi) of
-    consecutive keys, given as (lo, hi, the positions of its cubes) in key
-    order. Cubes without a free key join the first block."""
-    blocks = []
-    for lo, hi, pos in sorted((min(k for k in cube if k >= 0), max(cube) + 1, pos)
-                              for pos, cube in enumerate(cubes) if max(cube) >= 0):
-        if blocks and lo < blocks[-1][1]:
-            blocks[-1][1] = max(blocks[-1][1], hi)
-            blocks[-1][2].append(pos)
-        else:
-            blocks.append([lo, hi, [pos]])
-    blocks = blocks or [[0, 0, []]]
-    blocks[0][2] += [pos for pos, cube in enumerate(cubes) if max(cube) < 0]
-    return [(lo, hi, sorted(positions)) for lo, hi, positions in blocks]
+def _additive_tables(index: dict, grid, dims, adds, op):
+    """Every table of dims cubes, cube (al, be) the solution at position
+    grid[al][be], whose cells map through index onto free values in
+    range(len(op)), additive in each slot; as nested tuples, in search order.
 
-
-def _additive_tables(index: dict, m: int, dims, adds, op):
-    """Every m x m x dims table whose cells map through index onto free
-    values in range(len(op)), additive in each slot; as nested tuples, in
-    search order.
-
-    An additivity instance reads one (al, be) cube, so the blocks of _blocks
-    share no instance, and each is searched once on its own keys. A block's
-    solution is the tuple of its cubes. The tables are the product of the
-    blocks' solutions, the first block streamed and the others kept, with
-    each cube placed at its position; as the blocks are runs in key order,
-    that is the order of one search over every key. The search of a lone
-    block yields whole tables.
+    An additivity instance reads one cube, and every cube carries the same
+    instances, so one search of one cube gives the solutions of every
+    position. The tables are the product of those solutions over positions
+    0..k-1, the first position slowest: the order of one search over every
+    key, as position p owns the keys from p times the cube's count. At one
+    parameter the search streams, one table per solution; at more, the
+    product keeps the solutions as one tuple.
     """
     count = max(index.values()) + 1
-    buckets = _additivity_buckets(count, m, index, dims, adds)
+    buckets = _additivity_buckets(count, index, dims, adds)
+
+    def ok(vals, k: int) -> bool:
+        for lhs, r1, r2 in buckets[k]:
+            if vals[lhs] != op[vals[r1]][vals[r2]]:
+                return False
+        return True
+
     keys = tuple(index.values())
-    size = len(keys) // (m * m)
-    blocks = _blocks([keys[i:i + size] for i in range(0, len(keys), size)])
-
-    def solutions(lo: int, hi: int, positions: list, shape: tuple):
-        def local(ks) -> tuple:  # a block counts its keys from 0; -1 stays
-            return tuple(k - lo if k >= 0 else k for k in ks)
-
-        own = [tuple(map(local, b)) for b in buckets[lo:hi]] if lo else buckets
-
-        def ok(vals, k: int) -> bool:
-            for lhs, r1, r2 in own[k]:
-                if vals[lhs] != op[vals[r1]][vals[r2]]:
-                    return False
-            return True
-
-        cells = local(keys[p * size + i] for p in positions for i in range(size))
-        # itemgetter of one key returns the value, not a 1-tuple
-        pick = (itemgetter(*cells) if len(cells) > 1
-                else lambda vals: (vals[cells[0]],))
-        for vals in _backtrack(hi - lo, range(len(op)), ok):
-            yield _nest(pick(vals), shape)
-
-    if len(blocks) == 1:
-        return solutions(*blocks[0], (m, m) + dims)
-    head, *rest = (solutions(*b, (len(b[2]),) + dims) for b in blocks)
-    rest = [list(sols) for sols in rest]
-    # the cubes of one solution per block, concatenated, in position order
-    order = itemgetter(*sorted(range(m * m),
-                               key=[p for b in blocks for p in b[2]].__getitem__))
-    return (_nest(order(sum(tail, cubes)), (m, m))
-            for cubes in head for tail in iproduct(*rest))
+    # itemgetter of one key returns the value, not a 1-tuple
+    pick = itemgetter(*keys) if len(keys) > 1 else lambda vals: (vals[keys[0]],)
+    cubes = (_nest(pick(vals), dims)
+             for vals in _backtrack(count, range(len(op)), ok))
+    if len(grid) == 1:  # one parameter, one cube: each table is ((cube,),)
+        return zip(zip(cubes))
+    # product reads its input whole, the search kept as one tuple
+    rows = [itemgetter(*row) for row in grid]
+    return (tuple([row(sols) for row in rows])
+            for sols in iproduct(cubes, repeat=1 + max(map(max, grid))))
 
 
 # typed, so that 2.0 or True reaches the argument check, not the entry of 2 or 1
@@ -245,29 +209,34 @@ def enumerate_additive_monoids(n: int) -> tuple:
     return tuple(sorted(reps))
 
 
-def _orbit_layout(n: int, m: int) -> dict:
-    """Every ternary cell (al, be, a, b, c), in lexicographic order, mapped
-    to its commutativity orbit, or to -1 when zero absorption pins it.
+def _orbit_layout(n: int) -> dict:
+    """Every cell (a, b, c) of one ternary cube, in lexicographic order,
+    mapped to its commutativity orbit, or to -1 when zero absorption pins it.
 
     The law's swaps (al, be, a, b, c) -> (be, al, b, a, c) and
     -> (al, be, c, b, a) generate every permutation of (a, b, c) together
     with the exchange of al and be, so an orbit is an unordered parameter
-    pair with a multiset of three elements. Orbits are numbered in the order
-    their least members appear.
+    pair, numbered by _pair_grid, with a multiset of three nonzero elements,
+    numbered here in the order their least cells appear.
     """
     orbits = {}
-    index = {}
-    for al, be, a, b, c in iproduct(range(m), range(m), range(n), range(n), range(n)):
-        key = (min(al, be), max(al, be), *sorted((a, b, c)))
-        index[al, be, a, b, c] = (-1 if 0 in (a, b, c)
-                                  else orbits.setdefault(key, len(orbits)))
-    return index
+    return {cell: -1 if 0 in cell
+            else orbits.setdefault(tuple(sorted(cell)), len(orbits))
+            for cell in iproduct(range(n), repeat=3)}
+
+
+def _pair_grid(m: int) -> tuple:
+    """grid[al][be]: the unordered pair {al, be}, pairs numbered in the
+    order their first cells appear, so (al, be) and (be, al) share one."""
+    pairs = {}
+    return tuple(tuple(pairs.setdefault(frozenset((al, be)), len(pairs))
+                       for be in range(m)) for al in range(m))
 
 
 def _structures_for_monoid(add, n: int, m: int) -> Iterator[GammaStructure]:
     names = _default_names(n)
-    for tern in _additive_tables(_orbit_layout(n, m), m, (n, n, n), (add,) * 3,
-                                 add):
+    for tern in _additive_tables(_orbit_layout(n), _pair_grid(m), (n, n, n),
+                                 (add,) * 3, add):
         s = _prevalidated(GammaStructure, order=n, gamma_size=m, addition=add,
                           ternary=tern, names=names)
         if verify_axioms(s).passed:

@@ -36,9 +36,10 @@ the law failed, over the law's whole order.
 
 Actions are enumerated by the table-completion engine of enumeration, with
 additivity in all three slots replayed as cells land, so every generated
-action is additive by construction; each (al, be) cube is searched once,
-and the actions are the product of the cubes. A submodule test reads, for
-each carrier element m, the mask of every a m b, once per action.
+action is additive by construction; one cube is searched once, and the
+actions are the product of its solutions over the m*m cubes. A submodule
+test reads, for each carrier element m, the mask of every a m b, once per
+action.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ from operator import itemgetter, ne
 from typing import Iterator, Optional
 
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
-                   Violation, _as_grid, _as_layers, _check_order, _first,
-                   _given_monoid, _is_commutative_monoid, _Law, _LawReport,
+                   Violation, _as_grid, _as_layers, _check_order,
+                   _closed_subsets, _first, _given_monoid,
+                   _is_commutative_monoid, _Law, _LawReport,
                    _monoid_violation, _moves_zero, _non_additive,
                    _positive_int, _prevalidated, _violation,
                    full_mask, mask_elements, mask_of, max_order,
@@ -218,18 +220,11 @@ def enumerate_submodules(a_: ModuleAction) -> tuple:
     if k > _SUBMODULE_SCAN_CAP:
         raise ResourceLimitError(
             f"carrier order {k} exceeds submodule scan cap {_SUBMODULE_SCAN_CAP}")
-    madd = a_.carrier_addition
     # reach[mm]: the mask of every a mm b, at any scalars and parameters; a
     # subset is closed under the action when each member's reach lies in it
     planes = [plane for layer in a_.action for cube in layer for plane in cube]
     reach = [mask_of(set(chain.from_iterable(rows))) for rows in zip(*planes)]
-    out = []
-    for mask in range(1, 1 << k, 2):
-        members = mask_elements(mask)
-        if (all(reach[mm] | mask == mask for mm in members)
-                and all(mask >> madd[x][y] & 1 for x in members for y in members)):
-            out.append(mask)
-    return tuple(sorted(out, key=subset_sort_key))
+    return _closed_subsets(reach, a_.carrier_addition)
 
 
 def is_simple_module(a_: ModuleAction) -> bool:
@@ -280,14 +275,15 @@ def annihilator(a_: ModuleAction) -> AnnihilatorResult:
 # enumeration of actions
 
 def _actions_for_carrier(s: GammaStructure, k: int, madd) -> Iterator[ModuleAction]:
-    """The action cells a m b with nonzero scalars a, b are the free cells of
-    the table search; the scalar-zero ones are pinned to 0."""
+    """The cells a m b of a cube with nonzero scalars a, b are the free cells
+    of the one-cube search, the scalar-zero ones pinned to 0; every (al, be)
+    cube is a solution of that search, cube (al, be) at position al*m + be."""
     n, m = s.order, s.gamma_size
-    cells = list(iproduct(range(m), range(m), range(n), range(k), range(n)))
+    cells = list(iproduct(range(n), range(k), range(n)))
     index = dict.fromkeys(cells, -1)
-    free = [c for c in cells if c[2] and c[4]]
-    index.update((c, i) for i, c in enumerate(free))
-    for act in _additive_tables(index, m, (n, k, n),
+    index.update((c, i) for i, c in enumerate(c for c in cells if c[0] and c[2]))
+    grid = [range(al * m, al * m + m) for al in range(m)]
+    for act in _additive_tables(index, grid, (n, k, n),
                                 (s.addition, madd, s.addition), madd):
         yield _prevalidated(ModuleAction, scalar=s, carrier_order=k,
                             carrier_addition=madd, action=act)

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (GammaStructure, InputError, Verdict, _check_bits, _first,
-                   full_mask, mask_elements, mask_of, memo, memoized,
-                   subset_sort_key)
+from .core import (GammaStructure, InputError, Verdict, _check_bits,
+                   _closed_subsets, _first, full_mask, mask_elements, mask_of,
+                   memo, memoized)
 
 
 def is_ideal(s: GammaStructure, mask: int) -> Verdict:
@@ -88,8 +88,7 @@ def _ideal_masks(s: GammaStructure) -> tuple[int, ...]:
     tests, decided on masks: one pass over the tables gives reach[x], the
     mask of every product with x in some argument, at any parameters, and a
     subset absorbs products exactly when it holds the reach of each member."""
-    n, add = s.order, s.addition
-    reach = [0] * n
+    reach = [0] * s.order
     for layer in s.ternary:
         for cube in layer:
             for a, plane in enumerate(cube):
@@ -99,13 +98,7 @@ def _ideal_masks(s: GammaStructure) -> tuple[int, ...]:
                     reach[b] |= row_mask
                     for c, v in enumerate(row):
                         reach[c] |= 1 << v
-    out = []
-    for mask in range(1, 1 << n, 2):
-        members = mask_elements(mask)
-        if (all(reach[x] | mask == mask for x in members)
-                and all(mask >> add[x][y] & 1 for x in members for y in members)):
-            out.append(mask)
-    return tuple(sorted(out, key=subset_sort_key))
+    return _closed_subsets(reach, s.addition)
 
 
 def _require_proper(s: GammaStructure, mask: int, what: str) -> list[int]:

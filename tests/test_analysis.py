@@ -16,7 +16,7 @@ from tgs.analysis import (analyze, evaluate_all_claims, evaluate_claim,
                           run_reported_suite)
 from tgs.core import GammaStructure, mask_elements, mask_of
 from tgs.enumeration import _structure_summary
-from tgs.fixtures import CLAIMS, DERIVED, mod_mul_structure
+from tgs.fixtures import CLAIMED, CLAIMS, DERIVED, mod_mul_structure
 from tgs.ideals import enumerate_ideals, ideal_classes
 from tgs.radicals import jacobson_radical
 from tgs.spectrum import find_idempotents, spectrum_points
@@ -59,6 +59,17 @@ def test_asserted_suite_n3_maximal_counterexample():
     assert skipped.note == "hypothesis not met; nothing to check"
     doc = c.to_dict()
     assert doc["ok"] is False and doc["asserted"] is True
+
+
+def test_quotient_check_scans_quotients_only_when_axioms_fail():
+    # a passing structure's quotients pass by the homomorphism; one that
+    # fails its axioms still has each quotient checked
+    assert {c.name: c for c in run_asserted_suite(DERIVED["M3"])}[
+        "quotient-passes-axioms"].ok
+    check = {c.name: c for c in run_asserted_suite(CLAIMED["add3"])}[
+        "quotient-passes-axioms"]
+    assert check.ok is False
+    assert check.witnesses == (([0, 1, 2], ["distributivity-0", "absorbing-zero"]),)
 
 
 def test_asserted_suite_records_product_map_refutation():

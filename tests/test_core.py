@@ -11,7 +11,7 @@ from tgs.core import (AxiomReport, GammaStructure, InputError, _json_text, _nest
                       structure_from_dict, structures_isomorphic,
                       subset_sort_key, ternary_product, verify_axioms,
                       zero_fixing_permutations)
-from tgs.enumeration import (_additive_tables, _orbit_layout,
+from tgs.enumeration import (_additive_tables, _orbit_layout, _pair_grid,
                              enumerate_additive_monoids)
 from tgs.fixtures import CLAIMED, DERIVED
 
@@ -76,8 +76,8 @@ def _completed_tables(n, m, adds):
     """Every table the ternary search completes over the given additions."""
     return [GammaStructure(order=n, gamma_size=m, addition=add, ternary=tern)
             for add in adds
-            for tern in _additive_tables(_orbit_layout(n, m), m, (n,) * 3,
-                                         (add,) * 3, add)]
+            for tern in _additive_tables(_orbit_layout(n), _pair_grid(m),
+                                         (n,) * 3, (add,) * 3, add)]
 
 
 def _witness_reports(tables, seed):

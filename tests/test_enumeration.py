@@ -12,7 +12,7 @@ from tgs.core import (GammaStructure, ResourceLimitError, InputError,
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
                              render_classification_text, _additive_tables,
-                             _additivity_buckets, _backtrack, _orbit_layout,
+                             _backtrack, _orbit_layout, _pair_grid,
                              _structure_summary)
 from tgs.gamma_modules import enumerate_module_actions
 
@@ -161,11 +161,11 @@ def _cells(table) -> bytes:
 
 def test_additive_table_stream_digest_at_gamma_3():
     # above the gamma cap of every public search; the (al, be) cubes (0, 1)
-    # and (1, 0) share one orbit block, at cube positions 1 and 3
+    # and (1, 0) read one position of the pair grid
     h = hashlib.sha256()
     count = 0
     for add in enumerate_additive_monoids(2):
-        for table in _additive_tables(_orbit_layout(2, 3), 3, (2, 2, 2),
+        for table in _additive_tables(_orbit_layout(2), _pair_grid(3), (2, 2, 2),
                                       (add,) * 3, add):
             h.update(_cells(table))
             count += 1
@@ -174,12 +174,31 @@ def test_additive_table_stream_digest_at_gamma_3():
         "c22b7e81cfafab0976ea4eebd692bd744bee9fab8338b4bf623deb7f96fa1d50")
 
 
+def _whole_table_buckets(count, m, index, dims, adds):
+    """The additivity instances (lhs, r1, r2) of a whole table over cells
+    (al, be, s0, s1, s2), each in the bucket of the last key it reads; a
+    copy of the package's bucket builder from before it searched one cube."""
+    buckets = [{} for _ in range(count)]
+    for al in range(m):
+        for be in range(m):
+            for slot, (d, add) in enumerate(zip(dims, adds)):
+                rest = [range(dims[j]) for j in range(3) if j != slot]
+                for uv in itertools.product(*rest):
+                    for x in range(d):
+                        for y in range(x, d):
+                            ks = tuple(index[(al, be) + uv[:slot] + (z,) + uv[slot:]]
+                                       for z in (add[x][y], x, y))
+                            if max(ks) >= 0:
+                                buckets[max(ks)][ks] = None
+    return [tuple(b) for b in buckets]
+
+
 def _whole_table_search(index, m, dims, adds, op):
-    """The table search as one _backtrack over every free key with the
-    whole bucket hook: the reference the block search must equal, table for
-    table and in order."""
+    """The table search as one _backtrack over every free key of a whole
+    table layout with the whole bucket hook: the reference the one-cube
+    search must equal, table for table and in order."""
     count = max(index.values()) + 1
-    buckets = _additivity_buckets(count, m, index, dims, adds)
+    buckets = _whole_table_buckets(count, m, index, dims, adds)
 
     def ok(vals, k):
         return all(vals[lhs] == op[vals[r1]][vals[r2]] for lhs, r1, r2 in buckets[k])
@@ -205,10 +224,11 @@ def _module_layout(n, m, k):
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2),
                                   (2, 2), (3, 2), (1, 3), (2, 3)])
 def test_orbit_search_equals_whole_table_search(n, m):
-    layout = _orbit_layout(n, m)
+    cube, grid, layout = _orbit_layout(n), _pair_grid(m), _closed_orbit_layout(n, m)
     for add in enumerate_additive_monoids(n):
-        args = (layout, m, (n, n, n), (add,) * 3, add)
-        assert list(_additive_tables(*args)) == list(_whole_table_search(*args))
+        dims, adds = (n, n, n), (add,) * 3
+        assert (list(_additive_tables(cube, grid, dims, adds, add))
+                == list(_whole_table_search(layout, m, dims, adds, add)))
 
 
 @pytest.mark.parametrize("n, m, k", [(1, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3),
@@ -216,10 +236,34 @@ def test_orbit_search_equals_whole_table_search(n, m):
 def test_action_search_equals_whole_table_search(n, m, k):
     # any scalar addition works here: the search reads it as a table
     layout = _module_layout(n, m, k)
+    # the one cube is the (0, 0) cube of the layout at one parameter
+    cube = {cell[2:]: key for cell, key in _module_layout(n, 1, k).items()}
+    grid = [[al * m + be for be in range(m)] for al in range(m)]
     for sadd in enumerate_additive_monoids(n):
         for madd in enumerate_additive_monoids(k):
-            args = (layout, m, (n, k, n), (sadd, madd, sadd), madd)
-            assert list(_additive_tables(*args)) == list(_whole_table_search(*args))
+            dims, adds = (n, k, n), (sadd, madd, sadd)
+            assert (list(_additive_tables(cube, grid, dims, adds, madd))
+                    == list(_whole_table_search(layout, m, dims, adds, madd)))
+
+
+def test_one_position_search_streams(monkeypatch):
+    # a search at one parameter is one position: drawing its first table
+    # must complete one table, not every table of the monoid
+    completions = []
+
+    def counted(count, domain, ok):
+        for vals in _backtrack(count, domain, ok):
+            completions.append(1)
+            yield vals
+
+    add = enumerate_additive_monoids(4)[12]  # the most tables at order 4
+    monkeypatch.setattr(tgs.enumeration, "_backtrack", counted)
+    tables = _additive_tables(_orbit_layout(4), _pair_grid(1), (4, 4, 4),
+                              (add,) * 3, add)
+    assert completions == []
+    next(tables)
+    assert completions == [1]
+    assert 1 + sum(1 for _ in tables) == len(completions) == 672
 
 
 def test_free_cell_reduction_is_faithful():
@@ -252,10 +296,17 @@ def _closed_orbit_layout(n, m):
 
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_orbit_layout_equals_swap_closure(m):
-    # the same cells with the same keys in the same order, so the search
-    # fills the same tables in the same order
+    # the one-cube layout at the position of its pair, position p owning the
+    # keys from p times the cube's count, gives the same cells with the same
+    # keys in the same order, so the search fills the same tables in the
+    # same order
+    grid = _pair_grid(m)
     for n in range(1, 7):
-        layout = _orbit_layout(n, m)
+        cube = _orbit_layout(n)
+        size = max(cube.values()) + 1
+        layout = {(al, be, *cell): key if key < 0 else grid[al][be] * size + key
+                  for al in range(m) for be in range(m)
+                  for cell, key in cube.items()}
         assert list(layout.items()) == list(_closed_orbit_layout(n, m).items())
         # an orbit is a pair {al, be} with a multiset of three nonzero elements
         assert max(layout.values()) + 1 == math.comb(n + 1, 3) * m * (m + 1) // 2

@@ -1,9 +1,10 @@
 """Source hygiene of the package, read with the stdlib ast module: no module
 imports a name it never uses, no module-level private function goes
 unreferenced, no public function or class goes uncalled, no per-structure
-memo key is set in two places, the package writes JSON through one writer
-(core._json_text, never json.dump or json.dumps), the test oracles share no
-code with the package, and every name the benchmark traces still exists."""
+memo key is set in two places, one search engine completes every table, the
+package writes JSON through one writer (core._json_text, never json.dump or
+json.dumps), the test oracles share no code with the package, and every name
+the benchmark traces still exists."""
 
 import ast
 import importlib
@@ -87,6 +88,17 @@ def test_each_memo_key_is_set_in_one_place():
                 sites[key.value] += 1
     assert sites
     assert [key for key, count in sites.items() if count > 1] == []
+
+
+def test_one_search_engine():
+    # enumeration._backtrack completes every table: the additive monoids
+    # and the one-cube search behind every ternary table and module action
+    callers = [f"{module}.{top.name}" for module, tree in _trees().items()
+               for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_backtrack"]
+    assert sorted(callers) == ["enumeration._additive_tables",
+                               "enumeration.enumerate_additive_monoids"]
 
 
 def test_one_json_writer():

@@ -187,8 +187,9 @@ def test_quotient_m6_by_024_is_mod2():
     assert canonical_form(q) == canonical_form(mod_mul_structure(2))
 
 
-def test_quotients_pass_axioms(corpus):
-    for _, _, s in corpus[:120]:
+def test_quotients_pass_axioms(corpus_reps):
+    # the asserted suite takes this for granted of a structure that passes
+    for s in (s for reps in corpus_reps.values() for s in reps):
         for rho in enumerate_congruences(s):
             assert verify_axioms(quotient_structure(s, rho)).passed
 
