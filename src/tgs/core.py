@@ -34,8 +34,8 @@ verify_axioms returns a report that is evaluated as it is read. Its passed
 decides each law on whole maps or planes, at most once per report: ternary
 associativity first, the one law the searches do not build in, then the
 others only if it holds. It stops at the first law that fails and never
-scans for a witness. The distinct maps through each element slot are
-extracted on first use and shared by the decisions:
+scans for a witness. Each decision reads the structure alone and extracts
+the distinct maps through the element slots it needs, with _slot_maps:
 
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
                         elements must commute; _non_commuting tests the
@@ -47,10 +47,12 @@ extracted on first use and shared by the decisions:
     commutative         whole planes must equal their transposes
     additive_monoid     decided on its rows as maps
 
-A law's field is computed when first read, and kept; its scan runs only if
-the law failed. The ternary associativity scan finds the failing Ls again,
-in (a, b) order, and starts at the first (a, b) with one, where its first
-witness lies; every other scan runs its whole order.
+A report holds its subject and the verdicts decided so far; the table
+_LAWS of its class gives each law's decision and scan. A law's field is
+computed when first read, and kept; its scan runs only if the law failed.
+The ternary associativity scan finds the failing Ls again, in (a, b) order,
+and starts at the first (a, b) with one, where its first witness lies;
+every other scan runs its whole order.
 """
 
 from __future__ import annotations
@@ -196,53 +198,44 @@ def _violation(law: str, ranges, sides) -> Optional[Violation]:
     return None if args is None else Violation(law, args, *sides(*args))
 
 
-class _Law:
-    """One law field of a report. decide(subject, at) reads maps only, at
-    holding the distinct maps through each slot, and returns whether the law
-    fails; scan(subject) then finds the law's first Violation. The field is
-    computed on its first read and kept in the report's instance dict, which
-    then shadows this descriptor."""
-
-    def __init__(self, decide, scan):
-        self.decide = decide
-        self.scan = scan
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, rep, owner=None):
-        if rep is None:
-            return self
-        value = self.scan(rep._subject) if rep._fails(self) else None
-        rep.__dict__[self.name] = value
-        return value
-
-
 class _LawReport:
-    """Base of the per-law reports: each _Law field holds the first Violation
-    of one law, or None. A report decides each law at most once. passed
-    decides the laws in _ORDER, the law no constructor builds in first,
-    stops at the first that fails and never scans for a witness; a field
-    scans only when read. _KEYS is the to_dict key order, "passed" included,
-    and the law order of failures(). Reports are read-only."""
+    """Base of the per-law reports. _LAWS maps each law field, in to_dict
+    order, to (decide, scan): decide(subject) reads maps only and returns
+    whether the law fails, and scan(subject) then finds its first Violation.
+    A field holds that Violation, or None; it is computed on its first read
+    and kept in the instance dict. A report decides each law at most once.
+    passed decides the laws in _ORDER, the law no constructor builds in
+    first, stops at the first that fails and never scans for a witness.
+    _KEYS is the to_dict key order, "passed" included. Reports are
+    read-only."""
 
-    def __init__(self, subject, cubes):
-        vars(self).update(_subject=subject, _at=_SlotMaps(cubes))
+    def __init__(self, subject):
+        vars(self).update(_subject=subject, _fails={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
-    def _fails(self, law: _Law) -> bool:
-        return memo(self, ("fails", law), lambda: law.decide(self._subject, self._at))
+    def _decide(self, name: str) -> bool:
+        fails = self._fails
+        if name not in fails:
+            fails[name] = self._LAWS[name][0](self._subject)
+        return fails[name]
+
+    def __getattr__(self, name):
+        if name not in self._LAWS:
+            raise AttributeError(name)
+        value = self._LAWS[name][1](self._subject) if self._decide(name) else None
+        self.__dict__[name] = value
+        return value
 
     def failures(self) -> tuple:
-        """The violations found, in the order of _KEYS."""
-        return tuple(v for v in (getattr(self, name) for name in self._KEYS
-                                 if name != "passed") if v is not None)
+        """The violations found, in the order of _LAWS."""
+        return tuple(v for v in (getattr(self, name) for name in self._LAWS)
+                     if v is not None)
 
     @property
     def passed(self) -> bool:
-        return not any(map(self._fails, self._ORDER))
+        return not any(map(self._decide, self._ORDER))
 
     def to_dict(self) -> dict:
         out = {}
@@ -256,12 +249,11 @@ class _LawReport:
 # the structure itself
 
 def memo(s, key, compute):
-    """compute() once per object, a structure or a report; later calls return
-    the stored value.
+    """compute() once per structure; later calls return the stored value.
 
-    The store lives in the object's own __dict__ and is not a dataclass field,
-    so ==, hash and repr ignore it and it is freed with the object. Every
-    caller shares the value, so it must be immutable.
+    The store lives in the structure's own __dict__ and is not a dataclass
+    field, so ==, hash and repr ignore it and it is freed with the structure.
+    Every caller shares the value, so it must be immutable.
     """
     store = s.__dict__.setdefault("_memo", {})
     if key not in store:
@@ -429,10 +421,10 @@ def _check_additive_monoid(s: GammaStructure) -> Violation:
     return _monoid_violation(add, "additive")
 
 
-def _moves_zero(at, slots) -> bool:
-    """Whether some map through one of the given slots sends 0 elsewhere: a
-    zero in slot i gives f(0) for the maps f in at[i]."""
-    return any(f[0] for i in slots for f in at[i])
+def _moves_zero(layers, slots) -> bool:
+    """Whether some map through one of the given slots of the cubes in
+    layers sends 0 elsewhere."""
+    return any(f[0] for slot in slots for f in _slot_maps(layers, slot))
 
 
 def _check_absorbing_zero(s: GammaStructure) -> Violation:
@@ -471,25 +463,16 @@ def _non_commuting(lefts, rights) -> Iterator[tuple]:
     return (f for f in lefts if not commutes(f))
 
 
-class _SlotMaps(dict):
-    """The distinct maps through each slot of the given cubes, by slot, each
-    set built on its first use: x -> cube[x][b][c] for slot 0,
-    x -> cube[a][x][c] for slot 1 and x -> cube[a][b][x] for slot 2."""
-
-    def __init__(self, cubes):
-        super().__init__()
-        self.cubes = cubes
-
-    def __missing__(self, slot: int) -> set:
-        cubes = self.cubes
-        if slot == 0:
-            maps = {f for cube in cubes for rows in zip(*cube) for f in zip(*rows)}
-        elif slot == 1:
-            maps = {f for cube in cubes for plane in cube for f in zip(*plane)}
-        else:
-            maps = {row for cube in cubes for plane in cube for row in plane}
-        self[slot] = maps
-        return maps
+def _slot_maps(layers, slot: int) -> set:
+    """The distinct maps through one slot of the cubes in the parameter
+    layers: x -> cube[x][b][c] for slot 0, x -> cube[a][x][c] for slot 1
+    and x -> cube[a][b][x] for slot 2."""
+    cubes = [cube for layer in layers for cube in layer]
+    if slot == 0:
+        return {f for cube in cubes for rows in zip(*cube) for f in zip(*rows)}
+    if slot == 1:
+        return {f for cube in cubes for plane in cube for f in zip(*plane)}
+    return {row for cube in cubes for plane in cube for row in plane}
 
 
 def _check_distributive(s: GammaStructure) -> Violation:
@@ -514,8 +497,11 @@ def _check_ternary_assoc(s: GammaStructure) -> Violation:
     # With L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on elements, the
     # law reads L∘R == R∘L. The verdict keeps no map, so the failing Ls are
     # found here, in (a, b) order: no (a, b) before the first with a failing
-    # L has a witness, and that one has, so the scan starts there.
-    rights = _SlotMaps([cube for layer in t for cube in layer])[0]
+    # L has a witness, and that one has, so the scan starts there. Scanning
+    # from (0, 0) instead finds the same witness, but it made the test
+    # test_frozen_witnesses_at_gamma_2_and_order_5 take 4.5 s, against 1.7 s
+    # (2-core Xeon, Python 3.11).
+    rights = _slot_maps(t, 0)
     a, b = _first((r, r), lambda a, b: any(_non_commuting(
         (t[al][be][a][b] for al in p for be in p), rights)))
     return _violation("ternary-associativity", ((a,), (b,), r, r, r, p, p, p, p),
@@ -524,7 +510,7 @@ def _check_ternary_assoc(s: GammaStructure) -> Violation:
                           t[al][be][a][b][t[ga][de][c][d][e]]))
 
 
-def _asymmetric(s: GammaStructure, at) -> bool:
+def _asymmetric(s: GammaStructure) -> bool:
     """Whether t breaks commutativity. swap01 holds when cube (al, be) is cube
     (be, al) with its first two indices transposed; swap02 when, at each b,
     the plane (a, c) -> t(a,b,c) is symmetric."""
@@ -555,21 +541,23 @@ def _check_commutative(s: GammaStructure) -> Violation:
 class AxiomReport(_LawReport):
     """Per-axiom verdicts; None means the axiom holds."""
 
-    additive_monoid = _Law(lambda s, at: not _is_commutative_monoid(s.addition),
-                           _check_additive_monoid)
-    ternary_assoc = _Law(lambda s, at: next(_non_commuting(at[2], at[0]), None) is not None,
-                         _check_ternary_assoc)
-    distributive = _Law(lambda s, at: _non_additive(at[0] | at[1] | at[2],
-                                                    s.addition, s.addition),
-                        _check_distributive)
-    absorbing_zero = _Law(lambda s, at: _moves_zero(at, (0, 1, 2)),
-                          _check_absorbing_zero)
-    commutative = _Law(_asymmetric, _check_commutative)
-
-    _ORDER = (ternary_assoc, additive_monoid, distributive, absorbing_zero,
-              commutative)
-    _KEYS = ("passed", "additive_monoid", "ternary_assoc", "distributive",
-             "absorbing_zero", "commutative")
+    _LAWS = {
+        "additive_monoid": (
+            lambda s: not _is_commutative_monoid(s.addition), _check_additive_monoid),
+        "ternary_assoc": (
+            lambda s: any(_non_commuting(_slot_maps(s.ternary, 2), _slot_maps(s.ternary, 0))),
+            _check_ternary_assoc),
+        "distributive": (
+            lambda s: _non_additive(_slot_maps(s.ternary, 0) | _slot_maps(s.ternary, 1)
+                                    | _slot_maps(s.ternary, 2), s.addition, s.addition),
+            _check_distributive),
+        "absorbing_zero": (
+            lambda s: _moves_zero(s.ternary, (0, 1, 2)), _check_absorbing_zero),
+        "commutative": (_asymmetric, _check_commutative),
+    }
+    _ORDER = ("ternary_assoc", "additive_monoid", "distributive",
+              "absorbing_zero", "commutative")
+    _KEYS = ("passed", *_LAWS)
 
     def failures(self) -> list[Violation]:
         return list(super().failures())
@@ -578,7 +566,7 @@ class AxiomReport(_LawReport):
 def verify_axioms(s: GammaStructure) -> AxiomReport:
     """The axiom report of s: passed decides every axiom on maps; a field,
     the first lex witness of one axiom, is scanned when first read."""
-    return AxiomReport(s, [cube for layer in s.ternary for cube in layer])
+    return AxiomReport(s)
 
 
 # ---------------------------------------------------------------------------

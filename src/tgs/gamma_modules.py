@@ -10,13 +10,13 @@ their scalars).
 
 Witnesses are the first violating tuple in each law's scan order, as
 written in its check, and each is one call of core._first, the package's
-one first-witness scan. As with verify_axioms, the report is evaluated as it
-is read. Its passed decides each law on whole maps or planes, at most once
-per report: the exchange law first, the one law the action search does not
-build in, then the others only if it holds. It never scans for a witness.
-The exchange law walks the carrier maps of the table itself; the distinct
-maps through each slot are extracted on first use and shared by the other
-decisions:
+one first-witness scan. The report works as core's does for verify_axioms,
+from its own law table: passed decides each law on whole maps or planes,
+at most once per report, the exchange law first, the one law the action
+search does not build in, then the others only if it holds, and it never
+scans for a witness. The exchange law walks the carrier maps of the table
+itself; each other decision extracts the distinct maps through the slots
+it reads:
 
     carrier monoid      decided on its rows as maps, as the additive monoid
                         is in verify_axioms
@@ -31,8 +31,7 @@ decisions:
                         against the earlier ones, up to the first pair that
                         does not commute
 
-A law's field is computed when first read, and kept; its scan runs only if
-the law failed, over the law's whole order.
+A field scans only when its law failed, over the law's whole order.
 
 Actions are enumerated by the table-completion engine of enumeration, with
 additivity in all three slots replayed as cells land, so every generated
@@ -52,9 +51,9 @@ from typing import Iterator, Optional
 from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
                    Violation, _as_grid, _as_layers, _check_order,
                    _closed_subsets, _first, _given_monoid,
-                   _is_commutative_monoid, _Law, _LawReport,
-                   _monoid_violation, _moves_zero, _non_additive,
-                   _positive_int, _prevalidated, _violation,
+                   _is_commutative_monoid, _LawReport, _monoid_violation,
+                   _moves_zero, _non_additive, _positive_int, _prevalidated,
+                   _slot_maps, _violation,
                    full_mask, mask_elements, mask_of, max_order,
                    subset_sort_key)
 from .enumeration import _additive_tables, enumerate_additive_monoids
@@ -112,12 +111,12 @@ def _check_carrier_monoid(a_: ModuleAction) -> Violation:
             or _monoid_violation(madd, "carrier"))
 
 
-def _module_non_additive(a_: ModuleAction, at) -> bool:
+def _module_non_additive(a_: ModuleAction) -> bool:
     """Whether some map from the scalars, through slots 0 and 2, or some
     carrier map, through slot 1, is not additive."""
-    s, madd = a_.scalar, a_.carrier_addition
-    return (_non_additive(at[0] | at[2], s.addition, madd)
-            or _non_additive(at[1], madd, madd))
+    s, madd, act = a_.scalar, a_.carrier_addition, a_.action
+    return (_non_additive(_slot_maps(act, 0) | _slot_maps(act, 2), s.addition, madd)
+            or _non_additive(_slot_maps(act, 1), madd, madd))
 
 
 def _check_module_additivity(a_: ModuleAction) -> Violation:
@@ -156,7 +155,7 @@ def _check_module_zero(a_: ModuleAction) -> Violation:
     return Violation("module-absorbing-zero", (a, mm, b, al, be), act[al][be][a][mm][b], 0)
 
 
-def _non_exchanging(a_: ModuleAction, at) -> bool:
+def _non_exchanging(a_: ModuleAction) -> bool:
     """Whether two carrier maps mm -> a mm b, at any parameters, fail to
     commute. The maps are walked in table order, repeats skipped, and each
     new one is tested against the earlier distinct ones, so the walk stops at
@@ -191,23 +190,22 @@ def _check_module_assoc_surrogate(a_: ModuleAction) -> Violation:
 
 
 class ModuleAxiomReport(_LawReport):
-    carrier_monoid = _Law(lambda a_, at: not _is_commutative_monoid(a_.carrier_addition),
-                          _check_carrier_monoid)
-    additivity = _Law(_module_non_additive, _check_module_additivity)
-    absorbing_zero = _Law(lambda a_, at: _moves_zero(at, (0, 2)), _check_module_zero)
-    associativity = _Law(_non_exchanging, _check_module_assoc_surrogate)
-
-    _ORDER = (associativity, carrier_monoid, additivity, absorbing_zero)
-    _KEYS = ("carrier_monoid", "additivity", "absorbing_zero", "associativity",
-             "passed")
+    _LAWS = {
+        "carrier_monoid": (lambda a_: not _is_commutative_monoid(a_.carrier_addition),
+                           _check_carrier_monoid),
+        "additivity": (_module_non_additive, _check_module_additivity),
+        "absorbing_zero": (lambda a_: _moves_zero(a_.action, (0, 2)), _check_module_zero),
+        "associativity": (_non_exchanging, _check_module_assoc_surrogate),
+    }
+    _ORDER = ("associativity", "carrier_monoid", "additivity", "absorbing_zero")
+    _KEYS = (*_LAWS, "passed")
 
 
 def verify_module_axioms(a_: ModuleAction) -> ModuleAxiomReport:
     """The module report of a_: passed decides every law on maps; a field,
     the first witness of one law in the scan order written in its check, is
     scanned when first read."""
-    # the cube at (al, be) sits at al*m + be
-    return ModuleAxiomReport(a_, [cube for layer in a_.action for cube in layer])
+    return ModuleAxiomReport(a_)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,8 @@ def enumerate_module_actions(s: GammaStructure, carrier_order: int,
 
 
 def find_primitive_ideals(s: GammaStructure) -> tuple:
-    """Proper annihilators of simple module actions, deduplicated.
+    """Proper annihilators of simple modules, deduplicated: an action's
+    annihilator is taken only once it passes the module axioms and is simple.
 
     Carriers of order 2 up to the scalar order, and at most the order cap
     max_order(), are searched.
@@ -315,7 +314,8 @@ def find_primitive_ideals(s: GammaStructure) -> tuple:
     found = set()
     for k in range(2, min(s.order, max_order()) + 1):
         for action in enumerate_module_actions(s, k):
-            result = annihilator(action)
-            if result.proper and is_simple_module(action):
-                found.add(result.mask)
+            if verify_module_axioms(action).passed and is_simple_module(action):
+                result = annihilator(action)
+                if result.proper:
+                    found.add(result.mask)
     return tuple(sorted(found, key=subset_sort_key))

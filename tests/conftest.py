@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from tgs.enumeration import classify, enumerate_structures
@@ -16,3 +18,24 @@ def corpus():
 def corpus_reps():
     """Classification representatives keyed by (order, gamma_size)."""
     return {(n, m): classify(n, m).representatives for n, m in CORPUS_SHAPES}
+
+
+@pytest.fixture
+def law_calls(monkeypatch):
+    """count(report) wraps each decide and each scan of the report class's
+    _LAWS for this test and returns the Counter of their calls, keyed
+    ("decide", law) and ("scan", law)."""
+    def count(report):
+        calls = Counter()
+
+        def counted(f, key):
+            def call(subject):
+                calls[key] += 1
+                return f(subject)
+            return call
+
+        for name, (decide, scan) in list(report._LAWS.items()):
+            monkeypatch.setitem(report._LAWS, name, (counted(decide, ("decide", name)),
+                                                     counted(scan, ("scan", name))))
+        return calls
+    return count

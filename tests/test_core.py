@@ -14,6 +14,7 @@ from tgs.core import (AxiomReport, GammaStructure, InputError, _json_text, _nest
 from tgs.enumeration import (_additive_tables, _orbit_layout, _pair_grid,
                              enumerate_additive_monoids)
 from tgs.fixtures import CLAIMED, DERIVED
+from tgs.gamma_modules import verify_module_axioms
 
 from oracles import naive_axiom_check, naive_canonical_form
 
@@ -201,6 +202,43 @@ def test_report_fields_read_in_any_order():
     for name in laws + ["passed"]:
         with pytest.raises(AttributeError):
             setattr(rep, name, None)
+
+
+class Unreadable:
+    """A subject whose tables, like every other attribute, raise when read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name}")
+
+
+@pytest.mark.parametrize("verify, table", [(verify_axioms, "ternary"),
+                                           (verify_module_axioms, "action")])
+def test_constructing_a_report_reads_no_table(verify, table):
+    # a report stores its subject and an empty record of verdicts; passed is
+    # the first read of a table
+    subject = Unreadable()
+    rep = verify(subject)
+    assert vars(rep) == {"_subject": subject, "_fails": {}}
+    with pytest.raises(AssertionError, match=f"read {table}"):
+        rep.passed
+
+
+def test_each_law_decided_and_scanned_at_most_once(law_calls):
+    calls = law_calls(AxiomReport)
+    scanned = 0
+    for s in _mutants([DERIVED[name] for name in sorted(DERIVED)], random.Random(3)):
+        calls.clear()
+        rep = verify_axioms(s)
+        rep.passed
+        for name in AxiomReport._LAWS:
+            getattr(rep, name)
+        rep.failures()
+        rep.to_dict()
+        rep.to_dict()
+        assert set(calls.values()) == {1}
+        assert {("decide", name) for name in AxiomReport._LAWS} <= set(calls)
+        scanned += sum(kind == "scan" for kind, _ in calls)
+    assert scanned
 
 
 def test_ternary_product_accessor():

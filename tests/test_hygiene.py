@@ -3,14 +3,18 @@ imports a name it never uses, no module-level private function goes
 unreferenced, no public function or class goes uncalled, no per-structure
 memo key is set in two places, one search engine completes every table, the
 package writes JSON through one writer (core._json_text, never json.dump or
-json.dumps), the test oracles share no code with the package, and every name
-the benchmark traces still exists."""
+json.dumps), the test oracles share no code with the package, every name
+the benchmark traces still exists, and each axiom report decides and
+reports every law of its table."""
 
 import ast
 import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
+
+from tgs.core import AxiomReport
+from tgs.gamma_modules import ModuleAxiomReport
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tgs"
@@ -140,3 +144,12 @@ def test_every_traced_name_resolves():
     assert missing == []
     assert set(tracing.OUTCOMES) <= set(tracing.TRACED)
     assert all(map(callable, tracing.OUTCOMES.values()))
+
+
+def test_each_report_orders_every_law_once():
+    # passed decides the laws in _ORDER, so a law missing there would drop
+    # out of the verdict unseen; _KEYS is the law table plus "passed"
+    for report in (AxiomReport, ModuleAxiomReport):
+        assert sorted(report._ORDER) == sorted(report._LAWS)
+        assert report._KEYS.count("passed") == 1
+        assert [key for key in report._KEYS if key != "passed"] == list(report._LAWS)

@@ -6,6 +6,7 @@ from itertools import chain
 import pytest
 
 from oracles import naive_module_actions, naive_module_check, naive_submodules
+from tgs import gamma_modules
 from tgs.analysis import analyze
 from tgs.core import AxiomReport, InputError, ResourceLimitError, verify_axioms
 from tgs.enumeration import (classify, enumerate_additive_monoids,
@@ -316,6 +317,38 @@ def test_report_fields_read_in_any_order():
             setattr(rep, name, None)
 
 
+def test_passed_on_a_failing_action_decides_one_law(law_calls):
+    # the search builds in every law but the exchange law, which passed
+    # decides first, so a failing search action costs one decision
+    failing = [a for a in enumerate_module_actions(DERIVED["B2"], 2)
+               if not verify_module_axioms(a).passed]
+    assert failing
+    calls = law_calls(ModuleAxiomReport)
+    for a in failing:
+        calls.clear()
+        assert verify_module_axioms(a).passed is False
+        assert calls == {("decide", "associativity"): 1}
+
+
+def test_each_law_decided_and_scanned_at_most_once(law_calls):
+    calls = law_calls(ModuleAxiomReport)
+    regular = [regular_module(DERIVED[name]) for name in sorted(DERIVED)]
+    scanned = 0
+    for a in _module_mutants(regular, random.Random(5)):
+        calls.clear()
+        rep = verify_module_axioms(a)
+        rep.passed
+        for name in ModuleAxiomReport._LAWS:
+            getattr(rep, name)
+        rep.failures()
+        rep.to_dict()
+        rep.to_dict()
+        assert set(calls.values()) == {1}
+        assert {("decide", name) for name in ModuleAxiomReport._LAWS} <= set(calls)
+        scanned += sum(kind == "scan" for kind, _ in calls)
+    assert scanned
+
+
 def test_hot_paths_never_scan(monkeypatch):
     # the searches, the module verdicts of the criterion-9 load and analyze
     # read passed, or the fields of laws that hold, so none of them may run
@@ -324,8 +357,8 @@ def test_hot_paths_never_scan(monkeypatch):
         raise AssertionError("witness scan")
 
     for report in (AxiomReport, ModuleAxiomReport):
-        for law in report._ORDER:
-            monkeypatch.setattr(law, "scan", scan)
+        for name, (decide, _) in list(report._LAWS.items()):
+            monkeypatch.setitem(report._LAWS, name, (decide, scan))
     classify(3, 2)
     assert sum(1 for _ in enumerate_structures(4, 1))
     reps = {n: classify(n, 1).representatives for n in (1, 2, 3)}
@@ -408,6 +441,22 @@ def test_annihilator_when_no_scalar_kills_the_carrier():
     assert (a.mask, a.proper, a.prime) == (0, True, None)
     assert a.ideal == (False, ("missing-zero",))
     assert a.to_dict()["ideal_witness"] == ["missing-zero"]
+
+
+def test_primitive_ideals_read_modules_only(monkeypatch):
+    # a primitive ideal is the annihilator of a simple module: an action that
+    # fails its axioms (B2 has one among its four at carrier order 2) is
+    # never asked for its annihilator
+    taken = []
+
+    def checked(action):
+        assert verify_module_axioms(action).passed
+        taken.append(action)
+        return annihilator(action)
+
+    monkeypatch.setattr(gamma_modules, "annihilator", checked)
+    assert find_primitive_ideals(DERIVED["B2"]) == (1,)
+    assert taken
 
 
 def test_primitive_ideals_frozen():
