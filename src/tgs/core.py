@@ -32,10 +32,11 @@ block representatives and runs once per partition of the carrier.
 
 verify_axioms returns a report that is evaluated as it is read. Its passed
 decides each law on whole maps or planes, at most once per report: ternary
-associativity first, the one law the searches do not build in, then the
-others only if it holds. It stops at the first law that fails and never
-scans for a witness. Each decision reads the structure alone and extracts
-the distinct maps through the element slots it needs, with _slot_maps:
+associativity first, the one law the cube searches do not build in, then
+the others only if it holds. It stops at the first law that fails and never
+scans for a witness. Each decision reads the structure alone; all but zero
+absorption extract the distinct maps through the element slots they need,
+with _slot_maps:
 
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
                         elements must commute; _non_commuting tests the
@@ -43,7 +44,8 @@ the distinct maps through the element slots it needs, with _slot_maps:
                         L that fails
     distributive        each distinct map x -> t(..x..) through a slot must
                         be additive
-    absorbing_zero      each distinct map through a slot must send 0 to 0
+    absorbing_zero      every cell with a zero argument must hold 0, read
+                        off each cube's cells, no maps built
     commutative         whole planes must equal their transposes
     additive_monoid     decided on its rows as maps
 
@@ -422,9 +424,14 @@ def _check_additive_monoid(s: GammaStructure) -> Violation:
 
 
 def _moves_zero(layers, slots) -> bool:
-    """Whether some map through one of the given slots of the cubes in
-    layers sends 0 elsewhere."""
-    return any(f[0] for slot in slots for f in _slot_maps(layers, slot))
+    """Whether some cube in layers has a nonzero cell with a 0 in one of the
+    given slots: in its plane cube[0] for slot 0, a row cube[x][0] for slot
+    1, or at cube[x][y][0] for slot 2."""
+    cubes = [cube for layer in layers for cube in layer]
+    return any(any(map(any, cube[0])) if slot == 0
+               else any(any(plane[0]) for plane in cube) if slot == 1
+               else any(row[0] for plane in cube for row in plane)
+               for slot in slots for cube in cubes)
 
 
 def _check_absorbing_zero(s: GammaStructure) -> Violation:

@@ -13,17 +13,23 @@ of a cell (al, be, a, b, c) is its unordered parameter pair {al, be} with
 the multiset of a, b and c. Zero absorption pins every cell with a zero
 argument, and each distributivity instance is replayed as soon as its last
 free cell is placed. gamma_modules fills module actions with the same
-engine and the same additivity buckets. Ternary associativity is not a
-hook: every completed table goes through verify_axioms, whose passed
-decides every axiom on maps, associativity first, and scans for no witness.
+engine and the same additivity buckets.
 
 An additivity instance reads one (al, be) cube, and every cube carries the
 same instances, so the search fills one cube once and takes each table as a
 product of that cube's solutions over the parameter positions: a ternary
 table has one position per pair {al, be}, the cubes (al, be) and (be, al)
 sharing it, and a module action one per cube. The product, the first
-position slowest, is the order of one search over every key. At one
-parameter there is one position, and its search streams.
+position slowest, is the order of one search over every key.
+
+Ternary associativity is not a hook of the cube search. Each cube solution
+goes through verify_axioms once, as a structure at one parameter, whose
+passed decides every axiom on maps. A table of passing cubes passes iff
+the row maps of every two of its cubes commute, so at more than one
+parameter a second _backtrack joins the passing cubes over the positions,
+in the order of the product, and its hook checks each pick against the
+earlier ones. At one parameter there is one position: the passing cubes
+are the tables, and they stream.
 
 classify runs one search task per additive monoid, so each monoid builds
 its additivity buckets once.
@@ -42,9 +48,10 @@ from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
                    ResourceLimitError, _addition_images, _check_order,
-                   _default_names, _given_monoid, _nest, _positive_int,
-                   _prevalidated, _serialize_tables, canonical_form, mask_size,
-                   structure_from_bytes, verify_axioms)
+                   _default_names, _given_monoid, _nest, _non_commuting,
+                   _positive_int, _prevalidated, _serialize_tables, _slot_maps,
+                   canonical_form, mask_size, structure_from_bytes,
+                   verify_axioms)
 from .ideals import ideal_classes
 from .quotient import enumerate_congruences, roundtrip_failures
 from .radicals import is_semisimple, jacobson_radical
@@ -234,13 +241,44 @@ def _pair_grid(m: int) -> tuple:
 
 
 def _structures_for_monoid(add, n: int, m: int) -> Iterator[GammaStructure]:
+    """Every axiom-passing table over add at m parameters, in the order of
+    the product of cube solutions over the positions of _pair_grid(m).
+
+    Associativity composes a row t(a,b,-) of one cube with a map through
+    slot 0 of another, and a symmetric cube's slot-0 maps are its rows: so
+    a table of cubes that pass at one parameter passes iff the rows of
+    every two of its cubes commute.
+    """
     names = _default_names(n)
-    for tern in _additive_tables(_orbit_layout(n), _pair_grid(m), (n, n, n),
-                                 (add,) * 3, add):
-        s = _prevalidated(GammaStructure, order=n, gamma_size=m, addition=add,
-                          ternary=tern, names=names)
-        if verify_axioms(s).passed:
-            yield s
+
+    def structure(gamma: int, tern) -> GammaStructure:
+        return _prevalidated(GammaStructure, order=n, gamma_size=gamma,
+                             addition=add, ternary=tern, names=names)
+
+    tables = _additive_tables(_orbit_layout(n), _pair_grid(1), (n, n, n),
+                              (add,) * 3, add)
+    passing = (s for s in (structure(1, tern) for tern in tables)
+               if verify_axioms(s).passed)
+    if m == 1:  # one position: each passing cube is a table, streamed
+        yield from passing
+        return
+    cubes = [s.ternary[0][0] for s in passing]
+    rows = [_slot_maps(((cube,),), 2) for cube in cubes]
+    commute = {}  # (earlier pick, pick) -> whether their rows commute
+
+    def ok(vals, k: int) -> bool:
+        j = vals[k]
+        for i in vals[:k]:
+            if (i, j) not in commute:
+                commute[i, j] = not any(_non_commuting(rows[j], rows[i]))
+            if not commute[i, j]:
+                return False
+        return True
+
+    grid = _pair_grid(m)
+    for picks in _backtrack(1 + max(map(max, grid)), range(len(cubes)), ok):
+        yield structure(m, tuple(tuple(cubes[picks[p]] for p in row)
+                                 for row in grid))
 
 
 def enumerate_structures(n: int, m: int = 1,

@@ -148,6 +148,18 @@ def test_passed_is_decided_before_any_witness(corpus):
     assert verdicts == {True, False}
 
 
+def test_zero_absorption_decision_agrees_with_its_scan():
+    # the decision reads the cells with a zero argument, the scan walks
+    # (a, b, c, al, be): the law fails exactly when the scan finds a witness
+    decide, scan = AxiomReport._LAWS["absorbing_zero"]
+    tables = [CLAIMED[name] for name in sorted(CLAIMED)]
+    tables += list(_mutants([DERIVED[name] for name in sorted(DERIVED)],
+                            random.Random(5)))
+    verdicts = [decide(s) for s in tables]
+    assert verdicts == [scan(s) is not None for s in tables]
+    assert set(verdicts) == {True, False}
+
+
 def test_non_commuting_stops_at_the_first_failing_map():
     # maps of {0, 1, 2}: the identity and the 3-cycle commute with the
     # cycle, a constant map does not; lefts may not be read past it

@@ -7,13 +7,14 @@ import pytest
 
 import tgs.enumeration
 from tgs.core import (GammaStructure, ResourceLimitError, InputError,
-                      _relabel_tables, _serialize_tables, apply_permutation,
-                      canonical_form, zero_fixing_permutations)
+                      _prevalidated, _relabel_tables, _serialize_tables,
+                      apply_permutation, canonical_form, verify_axioms,
+                      zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
                              render_classification_text, _additive_tables,
                              _backtrack, _orbit_layout, _pair_grid,
-                             _structure_summary)
+                             _structure_summary, _structures_for_monoid)
 from tgs.gamma_modules import enumerate_module_actions
 
 from oracles import (canonical_set, naive_monoid_tables, naive_structures,
@@ -21,7 +22,8 @@ from oracles import (canonical_set, naive_monoid_tables, naive_structures,
 
 # counts frozen from the naive oracles before the pruned paths were trusted
 MONOID_COUNTS = {1: 1, 2: 2, 3: 5, 4: 19, 5: 78}
-CANDIDATE_COUNTS = {(1, 1): 1, (2, 1): 4, (3, 1): 19, (4, 1): 206, (2, 2): 16}
+CANDIDATE_COUNTS = {(1, 1): 1, (2, 1): 4, (3, 1): 19, (4, 1): 206, (2, 2): 16,
+                    (3, 2): 175}
 # sha256 of the ordered stream of serialized tables: the search must emit the
 # same structures in the same order, not just as many
 CANDIDATE_DIGESTS = {
@@ -30,6 +32,7 @@ CANDIDATE_DIGESTS = {
     (3, 1): "32b17d258f4bf5a66bd115eea443f2951ec353759fba601f1757309ff4c74a11",
     (4, 1): "0592f19dc4dacb16811fc3dfc6390b2610b41137526ea3cc1ff037f93487c36d",
     (2, 2): "e532ee85991296e76c8082a1d7e61e34f082e49714edc945e6e680456638f16e",
+    (3, 2): "7f1ca366c2077628f92a3f83d3644ccb076df0e4402e20da54acf14761bbf7ed",
 }
 MONOID_DIGEST = "7cfd1a5e7b019c50b7d7772c25dfdc62d6245e213c3283ff8f8fc8b579e939a0"
 CANONICAL_COUNTS = {(1, 1): 1, (2, 1): 4, (3, 1): 19, (4, 1): 175, (2, 2): 16}
@@ -248,7 +251,8 @@ def test_action_search_equals_whole_table_search(n, m, k):
 
 def test_one_position_search_streams(monkeypatch):
     # a search at one parameter is one position: drawing its first table
-    # must complete one table, not every table of the monoid
+    # must complete one table, not every table of the monoid; so must
+    # drawing the first structure when the first table passes
     completions = []
 
     def counted(count, domain, ok):
@@ -264,6 +268,38 @@ def test_one_position_search_streams(monkeypatch):
     next(tables)
     assert completions == [1]
     assert 1 + sum(1 for _ in tables) == len(completions) == 672
+    completions.clear()
+    structures = _structures_for_monoid(add, 4, 1)
+    first = next(structures)
+    assert completions == [1]
+    assert first.ternary == next(_additive_tables(
+        _orbit_layout(4), _pair_grid(1), (4, 4, 4), (add,) * 3, add))
+
+
+def _filtered_structures(add, n, m):
+    """The ternary route before the cube join: every product of cube
+    solutions over the positions of the pair grid, each table kept when
+    verify_axioms passes it. The reference the join must equal."""
+    names = tuple(map(str, range(n)))
+    for tern in _additive_tables(_orbit_layout(n), _pair_grid(m), (n, n, n),
+                                 (add,) * 3, add):
+        s = _prevalidated(GammaStructure, order=n, gamma_size=m, addition=add,
+                          ternary=tern, names=names)
+        if verify_axioms(s).passed:
+            yield s
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2),
+                                  (2, 2), (3, 2), (1, 3), (2, 3)])
+def test_cube_join_equals_filtered_product(n, m):
+    # gamma 3 is above the cap of enumerate_structures, so the join is read
+    # per monoid there
+    adds = enumerate_additive_monoids(n)
+    if m <= 2:
+        joined = list(enumerate_structures(n, m))
+    else:
+        joined = [s for add in adds for s in _structures_for_monoid(add, n, m)]
+    assert joined == [s for add in adds for s in _filtered_structures(add, n, m)]
 
 
 def test_free_cell_reduction_is_faithful():
@@ -335,8 +371,7 @@ def test_classify_deterministic_across_jobs():
 def test_classify_completes_each_table_once(jobs):
     # dedup would hide a lost or doubled table from structure_count, so the
     # tasks together must pass exactly the tables enumerate_structures does
-    expected = {**CANDIDATE_COUNTS, (3, 2): 175}
-    for (n, m), count in sorted(expected.items()):
+    for (n, m), count in sorted(CANDIDATE_COUNTS.items()):
         assert classify(n, m, jobs=jobs).candidate_count == count
 
 
@@ -380,14 +415,15 @@ def test_classify_pool_bounded_by_tasks_and_cpus(monkeypatch):
     assert sizes == [2, 8, 3]  # one worker runs in-process
 
 
-def test_orbit_stabilizer_identity(corpus):
-    # per addition A, with G its 0-fixing automorphisms: the search finds each
-    # G-orbit of labeled tables whole, once, so the tables found for A number
-    # the sum of |G| / |Stab_G(T)| over the representatives T found for A
+def _assert_orbit_stabilizer(structures):
+    """Per addition A, with G its 0-fixing automorphisms: the search finds
+    each G-orbit of labeled tables whole, once, so the tables found for A
+    number the sum of |G| / |Stab_G(T)| over the representatives T found
+    for A. Returns the numbers of additions and of representatives."""
     found = {}
-    shape_3_2 = ((3, 2, s) for s in enumerate_structures(3, 2))
-    for n, m, s in (*corpus, *shape_3_2):
-        found.setdefault((n, m, s.addition), []).append(s)
+    for s in structures:
+        found.setdefault((s.order, s.gamma_size, s.addition), []).append(s)
+    classes = 0
     for (n, m, add), tables in found.items():
         group = [sigma for sigma in zero_fixing_permutations(n)
                  if _relabel_tables(sigma, add)[0] == add]
@@ -398,6 +434,23 @@ def test_orbit_stabilizer_identity(corpus):
                        if _relabel_tables(sigma, add, t.ternary)[1] == t.ternary)
             orbits += len(group) // stab
         assert len(tables) == orbits, (n, m, add)
+        classes += len(reps)
+    return len(found), classes
+
+
+def test_orbit_stabilizer_identity(corpus):
+    _assert_orbit_stabilizer([*(s for _, _, s in corpus),
+                              *enumerate_structures(3, 2)])
+
+
+def test_counts_at_order_4_and_two_parameters():
+    # beyond the oracles and the paper: the labeled tables and their classes,
+    # checked by the orbit-stabilizer identity on each of the 19 additions;
+    # tables over distinct additions are never isomorphic, so the classes
+    # add up over additions
+    tables = list(enumerate_structures(4, 2))
+    assert len(tables) == 4202
+    assert _assert_orbit_stabilizer(tables) == (19, 3446)
 
 
 def test_search_output_equals_validated_construction():
@@ -411,7 +464,7 @@ def test_search_output_equals_validated_construction():
 
 def test_given_addition_yields_its_part_of_the_stream(corpus):
     # the route of the order-5 search: one given addition, here as lists
-    for n, m in CANDIDATE_COUNTS:
+    for n, m in sorted({(n, m) for n, m, _ in corpus}):
         for add in enumerate_additive_monoids(n):
             part = [s for n2, m2, s in corpus
                     if (n2, m2) == (n, m) and s.addition == add]

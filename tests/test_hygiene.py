@@ -95,13 +95,15 @@ def test_each_memo_key_is_set_in_one_place():
 
 
 def test_one_search_engine():
-    # enumeration._backtrack completes every table: the additive monoids
-    # and the one-cube search behind every ternary table and module action
+    # enumeration._backtrack completes every table: the additive monoids,
+    # the one-cube search behind every ternary table and module action, and
+    # the join of a ternary table's passing cubes
     callers = [f"{module}.{top.name}" for module, tree in _trees().items()
                for top in tree.body for node in ast.walk(top)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "_backtrack"]
     assert sorted(callers) == ["enumeration._additive_tables",
+                               "enumeration._structures_for_monoid",
                                "enumeration.enumerate_additive_monoids"]
 
 
