@@ -14,6 +14,11 @@ each checkout, one traced classify run (its per-layer metrics and
 "search at" lines) and
 `tgs classify --order 4 --gamma 2` in a fresh interpreter at --jobs 1 and
 --jobs 2, with a time limit. Stdlib only; run from anywhere.
+
+Both checkouts are copied first, PARENT_DIR to <tmp>/a/repo and CHANGE_DIR
+to <tmp>/b/repo, and every run reads its copy: bench/run.py's peak_rss_mb
+moves with the name of the directory it runs in, so both sides run from
+directories of one name and one path length. The record names the copies.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import signal
 import statistics
 import subprocess
@@ -33,6 +39,17 @@ import time
 WORKLOADS = ("classify", "analyze", "modules", "order5")
 METRICS = ("setup_s", "pass_s", "peak_rss_mb")
 CLASSIFY_42_TIMEOUT_S = 60
+
+
+def stage(sides: dict, tmp: str) -> dict:
+    """Copies of the checkouts at <tmp>/a/repo, <tmp>/b/repo, in side
+    order, without their git data and bytecode caches."""
+    staged = {}
+    for letter, (side, root) in zip("ab", sides.items()):
+        staged[side] = os.path.join(tmp, letter, "repo")
+        shutil.copytree(root, staged[side], ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache"))
+    return staged
 
 
 def bench_run(root: str, workload: str, seed: int, trace: int) -> tuple:
@@ -114,21 +131,15 @@ def classify_42(root: str, jobs: int) -> dict:
             "report_json": report.decode()}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("out")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed0", type=int, default=2801)
-    args = parser.parse_args(argv)
-    sides = {"parent": os.path.abspath(args.parent),
-             "change": os.path.abspath(args.change)}
+def run_all(checkouts: dict, sides: dict, args) -> dict:
+    """The record of every run, each side run from its staged copy."""
     record = {"host": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                       f"Python {platform.python_version()}",
               "pairs_command": "python3 bench/run.py --workload W --seed S "
                                "--seconds 10 --trace 0, parent and change "
                                "alternating which runs first",
+              "staged": {side: {"from": checkouts[side], "ran_in": sides[side]}
+                         for side in sides},
               "pairs": {}}
     for w, workload in enumerate(WORKLOADS):
         seed0 = args.seed0 + w * args.pairs
@@ -147,6 +158,21 @@ def main(argv=None) -> int:
             "runs": runs,
             "same_report_json_across_jobs":
                 None if None in reports else len(reports) == 1}
+    return record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("out")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, default=2801)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": os.path.abspath(args.parent),
+                 "change": os.path.abspath(args.change)}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        record = run_all(checkouts, stage(checkouts, tmp), args)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

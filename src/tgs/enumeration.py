@@ -16,20 +16,20 @@ free cell is placed. gamma_modules fills module actions with the same
 engine and the same additivity buckets.
 
 An additivity instance reads one (al, be) cube, and every cube carries the
-same instances, so the search fills one cube once and takes each table as a
-product of that cube's solutions over the parameter positions: a ternary
-table has one position per pair {al, be}, the cubes (al, be) and (be, al)
-sharing it, and a module action one per cube. The product, the first
-position slowest, is the order of one search over every key.
+same instances, so the search fills one cube once and yields its
+solutions. A ternary table is their join, with one position per pair
+{al, be}, the cubes (al, be) and (be, al) sharing it; a module action, in
+gamma_modules, is their product over the m*m cubes.
 
 Ternary associativity is not a hook of the cube search. Each cube solution
 goes through verify_axioms once, as a structure at one parameter, whose
 passed decides every axiom on maps. A table of passing cubes passes iff
-the row maps of every two of its cubes commute, so at more than one
-parameter a second _backtrack joins the passing cubes over the positions,
-in the order of the product, and its hook checks each pick against the
-earlier ones. At one parameter there is one position: the passing cubes
-are the tables, and they stream.
+the row maps of every two of its cubes commute, decided once per unordered
+pair of passing cubes; at more than one parameter a second _backtrack
+joins the passing cubes over the positions, in the order of their
+product, the first position slowest, and its hook checks each pick
+against the earlier ones. At one parameter there is one position: the
+passing cubes are the tables, and they stream.
 
 classify runs one search task per additive monoid, so each monoid builds
 its additivity buckets once.
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 from multiprocessing import Pool
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
@@ -125,19 +124,10 @@ def _additivity_buckets(count: int, index: dict, dims, adds) -> list:
     return [tuple(b) for b in buckets]
 
 
-def _additive_tables(index: dict, grid, dims, adds, op):
-    """Every table of dims cubes, cube (al, be) the solution at position
-    grid[al][be], whose cells map through index onto free values in
-    range(len(op)), additive in each slot; as nested tuples, in search order.
-
-    An additivity instance reads one cube, and every cube carries the same
-    instances, so one search of one cube gives the solutions of every
-    position. The tables are the product of those solutions over positions
-    0..k-1, the first position slowest: the order of one search over every
-    key, as position p owns the keys from p times the cube's count. At one
-    parameter the search streams, one table per solution; at more, the
-    product keeps the solutions as one tuple.
-    """
+def _cube_solutions(index: dict, dims, adds, op) -> Iterator[tuple]:
+    """Every cube of shape dims whose cells map through index onto free
+    values in range(len(op)), additive in each slot; as nested tuples, in
+    search order, streamed."""
     count = max(index.values()) + 1
     buckets = _additivity_buckets(count, index, dims, adds)
 
@@ -148,16 +138,8 @@ def _additive_tables(index: dict, grid, dims, adds, op):
         return True
 
     keys = tuple(index.values())
-    # itemgetter of one key returns the value, not a 1-tuple
-    pick = itemgetter(*keys) if len(keys) > 1 else lambda vals: (vals[keys[0]],)
-    cubes = (_nest(pick(vals), dims)
-             for vals in _backtrack(count, range(len(op)), ok))
-    if len(grid) == 1:  # one parameter, one cube: each table is ((cube,),)
-        return zip(zip(cubes))
-    # product reads its input whole, the search kept as one tuple
-    rows = [itemgetter(*row) for row in grid]
-    return (tuple([row(sols) for row in rows])
-            for sols in iproduct(cubes, repeat=1 + max(map(max, grid))))
+    for vals in _backtrack(count, range(len(op)), ok):
+        yield _nest(map(vals.__getitem__, keys), dims)
 
 
 # typed, so that 2.0 or True reaches the argument check, not the entry of 2 or 1
@@ -242,7 +224,8 @@ def _pair_grid(m: int) -> tuple:
 
 def _structures_for_monoid(add, n: int, m: int) -> Iterator[GammaStructure]:
     """Every axiom-passing table over add at m parameters, in the order of
-    the product of cube solutions over the positions of _pair_grid(m).
+    the product of cube solutions over the positions of _pair_grid(m), the
+    first position slowest.
 
     Associativity composes a row t(a,b,-) of one cube with a map through
     slot 0 of another, and a symmetric cube's slot-0 maps are its rows: so
@@ -255,25 +238,25 @@ def _structures_for_monoid(add, n: int, m: int) -> Iterator[GammaStructure]:
         return _prevalidated(GammaStructure, order=n, gamma_size=gamma,
                              addition=add, ternary=tern, names=names)
 
-    tables = _additive_tables(_orbit_layout(n), _pair_grid(1), (n, n, n),
-                              (add,) * 3, add)
-    passing = (s for s in (structure(1, tern) for tern in tables)
-               if verify_axioms(s).passed)
+    def passes(cube) -> bool:
+        return verify_axioms(structure(1, ((cube,),))).passed
+
+    cubes = filter(passes, _cube_solutions(_orbit_layout(n), (n, n, n),
+                                           (add,) * 3, add))
     if m == 1:  # one position: each passing cube is a table, streamed
-        yield from passing
+        yield from (structure(1, ((cube,),)) for cube in cubes)
         return
-    cubes = [s.ternary[0][0] for s in passing]
+    cubes = list(cubes)
     rows = [_slot_maps(((cube,),), 2) for cube in cubes]
-    commute = {}  # (earlier pick, pick) -> whether their rows commute
+    partners = [set() for _ in cubes]  # the cubes whose rows commute with each
+    for j, row in enumerate(rows):
+        for i in range(j + 1):
+            if not any(_non_commuting(row, rows[i])):
+                partners[i].add(j)
+                partners[j].add(i)
 
     def ok(vals, k: int) -> bool:
-        j = vals[k]
-        for i in vals[:k]:
-            if (i, j) not in commute:
-                commute[i, j] = not any(_non_commuting(rows[j], rows[i]))
-            if not commute[i, j]:
-                return False
-        return True
+        return partners[vals[k]].issuperset(vals[:k])
 
     grid = _pair_grid(m)
     for picks in _backtrack(1 + max(map(max, grid)), range(len(cubes)), ok):

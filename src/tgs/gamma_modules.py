@@ -35,10 +35,10 @@ A field scans only when its law failed, over the law's whole order.
 
 Actions are enumerated by the table-completion engine of enumeration, with
 additivity in all three slots replayed as cells land, so every generated
-action is additive by construction; one cube is searched once, and the
-actions are the product of its solutions over the m*m cubes. A submodule
-test reads, for each carrier element m, the mask of every a m b, once per
-action.
+action is additive by construction; the engine yields the solutions of one
+cube, and _actions_for_carrier takes their product over the m*m cubes. A
+submodule test reads, for each carrier element m, the mask of every a m b,
+once per action.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
                    _slot_maps, _violation,
                    full_mask, mask_elements, mask_of, max_order,
                    subset_sort_key)
-from .enumeration import _additive_tables, enumerate_additive_monoids
+from .enumeration import _cube_solutions, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
 
 _SUBMODULE_SCAN_CAP = 16
@@ -250,16 +250,23 @@ class AnnihilatorResult:
         }
 
 
-def annihilator(a_: ModuleAction) -> AnnihilatorResult:
-    """First-slot annihilator; primeness evaluated only for simple modules
-    with a proper, nonempty annihilator, reported rather than assumed."""
+def _annihilator_mask(a_: ModuleAction) -> int:
+    """The mask of the scalars a with a m b == 0 at every carrier m, scalar b
+    and parameters."""
     s, k = a_.scalar, a_.carrier_order
     n, m = s.order, s.gamma_size
-    mask = mask_of(a for a in range(n)
+    return mask_of(a for a in range(n)
                    if all(a_.action[al][be][a][mm][b] == 0
                           for al in range(m) for be in range(m)
                           for mm in range(k) for b in range(n)))
-    proper = mask != full_mask(n)
+
+
+def annihilator(a_: ModuleAction) -> AnnihilatorResult:
+    """First-slot annihilator; primeness evaluated only for simple modules
+    with a proper, nonempty annihilator, reported rather than assumed."""
+    s = a_.scalar
+    mask = _annihilator_mask(a_)
+    proper = mask != full_mask(s.order)
     prime = None
     if mask and proper and is_simple_module(a_):
         prime = is_prime(s, mask)
@@ -275,14 +282,21 @@ def annihilator(a_: ModuleAction) -> AnnihilatorResult:
 def _actions_for_carrier(s: GammaStructure, k: int, madd) -> Iterator[ModuleAction]:
     """The cells a m b of a cube with nonzero scalars a, b are the free cells
     of the one-cube search, the scalar-zero ones pinned to 0; every (al, be)
-    cube is a solution of that search, cube (al, be) at position al*m + be."""
+    cube is a solution of that search, and the actions are the product of
+    the solutions over the m*m cubes, cube (al, be) at position al*m + be,
+    the first position slowest."""
     n, m = s.order, s.gamma_size
     cells = list(iproduct(range(n), range(k), range(n)))
     index = dict.fromkeys(cells, -1)
     index.update((c, i) for i, c in enumerate(c for c in cells if c[0] and c[2]))
-    grid = [range(al * m, al * m + m) for al in range(m)]
-    for act in _additive_tables(index, grid, (n, k, n),
-                                (s.addition, madd, s.addition), madd):
+    cubes = _cube_solutions(index, (n, k, n), (s.addition, madd, s.addition), madd)
+    if m == 1:  # product reads its input whole; one cube streams
+        actions = zip(zip(cubes))
+    else:
+        rows = [itemgetter(*range(al * m, al * m + m)) for al in range(m)]
+        actions = (tuple([row(picks) for row in rows])
+                   for picks in iproduct(cubes, repeat=m * m))
+    for act in actions:
         yield _prevalidated(ModuleAction, scalar=s, carrier_order=k,
                             carrier_addition=madd, action=act)
 
@@ -306,7 +320,8 @@ def enumerate_module_actions(s: GammaStructure, carrier_order: int,
 
 def find_primitive_ideals(s: GammaStructure) -> tuple:
     """Proper annihilators of simple modules, deduplicated: an action's
-    annihilator is taken only once it passes the module axioms and is simple.
+    annihilator mask is taken only once it passes the module axioms and is
+    simple.
 
     Carriers of order 2 up to the scalar order, and at most the order cap
     max_order(), are searched.
@@ -315,7 +330,6 @@ def find_primitive_ideals(s: GammaStructure) -> tuple:
     for k in range(2, min(s.order, max_order()) + 1):
         for action in enumerate_module_actions(s, k):
             if verify_module_axioms(action).passed and is_simple_module(action):
-                result = annihilator(action)
-                if result.proper:
-                    found.add(result.mask)
+                found.add(_annihilator_mask(action))
+    found.discard(full_mask(s.order))
     return tuple(sorted(found, key=subset_sort_key))

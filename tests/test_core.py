@@ -11,11 +11,11 @@ from tgs.core import (AxiomReport, GammaStructure, InputError, _json_text, _nest
                       structure_from_dict, structures_isomorphic,
                       subset_sort_key, ternary_product, verify_axioms,
                       zero_fixing_permutations)
-from tgs.enumeration import (_additive_tables, _orbit_layout, _pair_grid,
-                             enumerate_additive_monoids)
+from tgs.enumeration import enumerate_additive_monoids
 from tgs.fixtures import CLAIMED, DERIVED
 from tgs.gamma_modules import verify_module_axioms
 
+from cube_product import ternary_tables
 from oracles import naive_axiom_check, naive_canonical_form
 
 
@@ -77,8 +77,7 @@ def _completed_tables(n, m, adds):
     """Every table the ternary search completes over the given additions."""
     return [GammaStructure(order=n, gamma_size=m, addition=add, ternary=tern)
             for add in adds
-            for tern in _additive_tables(_orbit_layout(n), _pair_grid(m),
-                                         (n,) * 3, (add,) * 3, add)]
+            for tern in ternary_tables(add, n, m)]
 
 
 def _witness_reports(tables, seed):

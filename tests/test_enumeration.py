@@ -12,11 +12,12 @@ from tgs.core import (GammaStructure, ResourceLimitError, InputError,
                       zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
-                             render_classification_text, _additive_tables,
-                             _backtrack, _orbit_layout, _pair_grid,
+                             render_classification_text, _backtrack,
+                             _cube_solutions, _orbit_layout, _pair_grid,
                              _structure_summary, _structures_for_monoid)
-from tgs.gamma_modules import enumerate_module_actions
+from tgs.gamma_modules import _actions_for_carrier, enumerate_module_actions
 
+from cube_product import ternary_tables
 from oracles import (canonical_set, naive_monoid_tables, naive_structures,
                      naive_structures_fully)
 
@@ -168,8 +169,7 @@ def test_additive_table_stream_digest_at_gamma_3():
     h = hashlib.sha256()
     count = 0
     for add in enumerate_additive_monoids(2):
-        for table in _additive_tables(_orbit_layout(2), _pair_grid(3), (2, 2, 2),
-                                      (add,) * 3, add):
+        for table in ternary_tables(add, 2, 3):
             h.update(_cells(table))
             count += 1
     assert count == 128
@@ -227,26 +227,25 @@ def _module_layout(n, m, k):
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2),
                                   (2, 2), (3, 2), (1, 3), (2, 3)])
 def test_orbit_search_equals_whole_table_search(n, m):
-    cube, grid, layout = _orbit_layout(n), _pair_grid(m), _closed_orbit_layout(n, m)
+    layout = _closed_orbit_layout(n, m)
     for add in enumerate_additive_monoids(n):
-        dims, adds = (n, n, n), (add,) * 3
-        assert (list(_additive_tables(cube, grid, dims, adds, add))
-                == list(_whole_table_search(layout, m, dims, adds, add)))
+        assert (list(ternary_tables(add, n, m))
+                == list(_whole_table_search(layout, m, (n, n, n), (add,) * 3, add)))
 
 
 @pytest.mark.parametrize("n, m, k", [(1, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3),
                                      (1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 2)])
 def test_action_search_equals_whole_table_search(n, m, k):
-    # any scalar addition works here: the search reads it as a table
+    # the package's product of cube solutions over the m*m cubes; any scalar
+    # ternary table works here, as the action search reads the addition only
     layout = _module_layout(n, m, k)
-    # the one cube is the (0, 0) cube of the layout at one parameter
-    cube = {cell[2:]: key for cell, key in _module_layout(n, 1, k).items()}
-    grid = [[al * m + be for be in range(m)] for al in range(m)]
+    zero = [[[[[0] * n] * n] * n] * m] * m
     for sadd in enumerate_additive_monoids(n):
+        s = GammaStructure(order=n, gamma_size=m, addition=sadd, ternary=zero)
         for madd in enumerate_additive_monoids(k):
-            dims, adds = (n, k, n), (sadd, madd, sadd)
-            assert (list(_additive_tables(cube, grid, dims, adds, madd))
-                    == list(_whole_table_search(layout, m, dims, adds, madd)))
+            adds = (sadd, madd, sadd)
+            assert ([a.action for a in _actions_for_carrier(s, k, madd)]
+                    == list(_whole_table_search(layout, m, (n, k, n), adds, madd)))
 
 
 def test_one_position_search_streams(monkeypatch):
@@ -262,8 +261,7 @@ def test_one_position_search_streams(monkeypatch):
 
     add = enumerate_additive_monoids(4)[12]  # the most tables at order 4
     monkeypatch.setattr(tgs.enumeration, "_backtrack", counted)
-    tables = _additive_tables(_orbit_layout(4), _pair_grid(1), (4, 4, 4),
-                              (add,) * 3, add)
+    tables = _cube_solutions(_orbit_layout(4), (4, 4, 4), (add,) * 3, add)
     assert completions == []
     next(tables)
     assert completions == [1]
@@ -272,8 +270,8 @@ def test_one_position_search_streams(monkeypatch):
     structures = _structures_for_monoid(add, 4, 1)
     first = next(structures)
     assert completions == [1]
-    assert first.ternary == next(_additive_tables(
-        _orbit_layout(4), _pair_grid(1), (4, 4, 4), (add,) * 3, add))
+    assert first.ternary == ((next(_cube_solutions(
+        _orbit_layout(4), (4, 4, 4), (add,) * 3, add)),),)
 
 
 def _filtered_structures(add, n, m):
@@ -281,8 +279,7 @@ def _filtered_structures(add, n, m):
     solutions over the positions of the pair grid, each table kept when
     verify_axioms passes it. The reference the join must equal."""
     names = tuple(map(str, range(n)))
-    for tern in _additive_tables(_orbit_layout(n), _pair_grid(m), (n, n, n),
-                                 (add,) * 3, add):
+    for tern in ternary_tables(add, n, m):
         s = _prevalidated(GammaStructure, order=n, gamma_size=m, addition=add,
                           ternary=tern, names=names)
         if verify_axioms(s).passed:
@@ -451,6 +448,44 @@ def test_counts_at_order_4_and_two_parameters():
     tables = list(enumerate_structures(4, 2))
     assert len(tables) == 4202
     assert _assert_orbit_stabilizer(tables) == (19, 3446)
+
+
+# order 5, per addition index: (labeled tables, classes), frozen before the
+# one-cube search lost its product; additions 16, 39 and 50 (633 tables and
+# 343 classes of the 2,679 and 2,106 at order 5) take about 55 s together on
+# a 2-core host, and stay out of tier 1 until associativity is a hook of the
+# cube search
+ORDER_5_COUNTS = {
+    0: (15, 10), 1: (4, 4), 2: (12, 12), 3: (11, 11), 4: (28, 17), 5: (11, 11),
+    6: (42, 42), 7: (9, 9), 8: (8, 8), 9: (18, 18), 10: (7, 7), 11: (4, 4),
+    12: (2, 2), 13: (2, 2), 14: (4, 3), 15: (8, 8), 17: (28, 28), 18: (60, 40),
+    19: (36, 22), 20: (25, 25), 21: (5, 5), 22: (20, 20), 23: (19, 13),
+    24: (16, 16), 25: (23, 15), 26: (47, 29), 27: (25, 25), 28: (65, 65),
+    29: (14, 14), 30: (18, 18), 31: (47, 32), 32: (14, 14), 33: (34, 34),
+    34: (56, 56), 35: (19, 19), 36: (56, 56), 37: (12, 12), 38: (3, 3),
+    40: (37, 37), 41: (128, 128), 42: (34, 34), 43: (145, 84), 44: (47, 32),
+    45: (14, 14), 46: (55, 55), 47: (53, 53), 48: (138, 80), 49: (57, 57),
+    51: (47, 47), 52: (8, 8), 53: (13, 13), 54: (48, 48), 55: (10, 10),
+    56: (10, 10), 57: (29, 19), 58: (7, 7), 59: (21, 21), 60: (19, 19),
+    61: (49, 30), 62: (18, 18), 63: (70, 70), 64: (19, 19), 65: (3, 3),
+    66: (11, 11), 67: (5, 5), 68: (17, 17), 69: (16, 16), 70: (12, 12),
+    71: (7, 7), 72: (18, 18), 73: (16, 11), 74: (5, 5), 75: (23, 8),
+    76: (5, 5), 77: (5, 3)
+}
+
+
+def test_counts_at_order_5_by_addition():
+    monoids = enumerate_additive_monoids(5)
+    found = {}
+    for i in ORDER_5_COUNTS:
+        tables = list(enumerate_structures(5, 1, addition=monoids[i]))
+        additions, classes = _assert_orbit_stabilizer(tables)
+        assert additions == 1
+        found[i] = (len(tables), classes)
+    assert found == ORDER_5_COUNTS
+    assert len(found) == 75
+    assert sum(t for t, _ in found.values()) == 2046
+    assert sum(c for _, c in found.values()) == 1763
 
 
 def test_search_output_equals_validated_construction():

@@ -102,7 +102,7 @@ def test_one_search_engine():
                for top in tree.body for node in ast.walk(top)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "_backtrack"]
-    assert sorted(callers) == ["enumeration._additive_tables",
+    assert sorted(callers) == ["enumeration._cube_solutions",
                                "enumeration._structures_for_monoid",
                                "enumeration.enumerate_additive_monoids"]
 

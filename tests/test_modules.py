@@ -446,22 +446,42 @@ def test_annihilator_when_no_scalar_kills_the_carrier():
 def test_primitive_ideals_read_modules_only(monkeypatch):
     # a primitive ideal is the annihilator of a simple module: an action that
     # fails its axioms (B2 has one among its four at carrier order 2) is
-    # never asked for its annihilator
+    # never asked for its annihilator mask, and no ideal or prime verdict
+    # is taken
     taken = []
+    mask = gamma_modules._annihilator_mask
 
     def checked(action):
         assert verify_module_axioms(action).passed
         taken.append(action)
-        return annihilator(action)
+        return mask(action)
 
-    monkeypatch.setattr(gamma_modules, "annihilator", checked)
+    def refused(*args):
+        raise AssertionError("annihilator report taken")
+
+    monkeypatch.setattr(gamma_modules, "_annihilator_mask", checked)
+    monkeypatch.setattr(gamma_modules, "annihilator", refused)
     assert find_primitive_ideals(DERIVED["B2"]) == (1,)
     assert taken
 
 
-def test_primitive_ideals_frozen():
-    assert find_primitive_ideals(DERIVED["M3"]) == (1,)
-    assert find_primitive_ideals(DERIVED["B2"]) == (1,)
-    from tgs.enumeration import enumerate_structures
-    one = next(iter(enumerate_structures(1, 1)))
-    assert find_primitive_ideals(one) == ()
+# find_primitive_ideals of each representative, in classification order, and
+# of each derived fixture, frozen while the masks were still read from
+# annihilator reports
+PRIMITIVE_IDEALS = {
+    (1, 1): ((),),
+    (2, 1): ((1,),) * 4,
+    (3, 1): ((3,), (3,), (1,), (1,), (1,), *((1, 5),) * 8, *((1, 3),) * 3,
+             (1,), (1,), (1,)),
+    (2, 2): ((1,),) * 16,
+}
+PRIMITIVE_IDEALS_DERIVED = {"B2": (1,), "L3": (1, 3), "M3": (1,), "M4": (5,),
+                            "M6": (9, 21), "N3": (1,)}
+
+
+def test_primitive_ideals_frozen(corpus_reps):
+    assert {shape: tuple(map(find_primitive_ideals, corpus_reps[shape]))
+            for shape in PRIMITIVE_IDEALS} == PRIMITIVE_IDEALS
+    assert sum(map(len, PRIMITIVE_IDEALS.values())) == 40
+    assert ({name: find_primitive_ideals(s) for name, s in DERIVED.items()}
+            == PRIMITIVE_IDEALS_DERIVED)
