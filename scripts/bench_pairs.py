@@ -9,7 +9,9 @@ For each workload of bench/run.py and each pair i, runs
 
 in both checkouts, the side that runs first alternating with i, and keeps
 the end-to-end metrics of each run (the JSON line bench/run.py prints
-last). Seeds run from --seed0, one block of --pairs per workload. Then, in
+last). Seeds run from --seed0, one block of --pairs per workload. Each
+workload's summary gives, per metric, both sides' quartiles, the parent's
+interquartile width, and whether the claim rule holds (see summary). Then, in
 each checkout, one traced classify run (its per-layer metrics and
 "search at" lines) and
 `tgs classify --order 4 --gamma 2` in a fresh interpreter at --jobs 1 and
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -38,6 +41,7 @@ import time
 
 WORKLOADS = ("classify", "analyze", "modules", "order5")
 METRICS = ("setup_s", "pass_s", "peak_rss_mb")
+CLAIM_SHARE = 0.9  # 9 of 10 pairs
 CLASSIFY_42_TIMEOUT_S = 60
 
 
@@ -85,13 +89,26 @@ def pairs(sides: dict, workload: str, seeds) -> dict:
             "attempted": sum(r["attempted"] for r in results),
             "failed": sum(r["failed"] for r in results),
             **{m: [r["metrics"][m]["value"] for r in results] for m in METRICS}}
-    parent, change = out["parent"], out["change"]
-    out["summary"] = {m: {
-        "parent": spread(parent[m]), "change": spread(change[m]),
-        "median_ratio": statistics.median(change[m]) / statistics.median(parent[m]),
-        "change_lower_in": sum(c < p for p, c in zip(parent[m], change[m])),
-        "pairs": len(seeds)} for m in METRICS}
+    out["summary"] = {m: summary(out["parent"][m], out["change"][m])
+                      for m in METRICS}
     return out
+
+
+def summary(parent: list, change: list) -> dict:
+    """The spread of both sides over the pairs, and whether the claim rule
+    holds for a lower-is-better metric: the change is lower in at least
+    CLAIM_SHARE of the pairs, and its median lies below the parent's by more
+    than the parent's interquartile width, so one burst of host noise in a
+    pair decides neither."""
+    p, c = spread(parent), spread(change)
+    lower = sum(y < x for x, y in zip(parent, change))
+    iqr = p["q3"] - p["q1"]
+    return {"parent": p, "change": c,
+            "median_ratio": c["median"] / p["median"],
+            "change_lower_in": lower, "pairs": len(parent),
+            "parent_iqr": iqr,
+            "claim_holds": (lower >= math.ceil(CLAIM_SHARE * len(parent))
+                            and p["median"] - c["median"] > iqr)}
 
 
 def traced_classify(root: str, seed: int) -> dict:

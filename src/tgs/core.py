@@ -26,9 +26,9 @@ before a + 0 at each a), then commutativity, then associativity.
 One helper, _first, is that scan: the first tuple of a product of ranges,
 leftmost range slowest, that a test picks out; _violation and
 _monoid_violation wrap it, and every law's witness is one call of them, as
-is every witness of the ideal predicates. One loop is left:
-quotient._representative_clash, which skips the parameter loop at a tuple of
-block representatives and runs once per partition of the carrier.
+is every witness of the ideal predicates and of a partition that is not a
+congruence (quotient._representative_clash). Whole tables are relabeled,
+tested and projected as bytes, by one gather and one translate each.
 
 verify_axioms returns a report that is evaluated as it is read. Its passed
 decides each law on whole maps or planes, at most once per report: ternary
@@ -62,8 +62,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import reduce
-from itertools import permutations, product
+from functools import lru_cache, reduce
+from itertools import chain, permutations, product
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import and_, itemgetter, ne
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -577,21 +577,68 @@ def verify_axioms(s: GammaStructure) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# relabeling and canonical form
+# relabeling and canonical form: the byte kernel
+#
+# A structure's tables, serialized, are its body: the addition rows, then the
+# rows of each ternary cube, parameter pairs in lexicographic order; bytes,
+# one per entry. Every whole-table relabel and projection reads a body with
+# one gather and maps its values with one translate: relabeling by sigma is
+# the gather of sigma^-1, then the translate of sigma (canonical_form,
+# apply_permutation, the monoid dedup of the search); a partition p is a
+# congruence iff the body projected through p equals its gather at the block
+# representatives, projected through p, and that gather at the
+# representatives alone, projected, is the quotient (quotient._respects).
 
-def _relabel_tables(sigma: Sequence[int], addition, ternary=()) -> tuple:
-    """(addition, ternary) relabeled by the bijection sigma as nested tuples:
-    the entry at [a][b] moves to [sigma[a]][sigma[b]] and its value v becomes
-    sigma[v], and likewise for every ternary cube. Leave ternary empty to
-    relabel an addition table alone."""
-    inv = [0] * len(sigma)
-    for a, x in enumerate(sigma):
-        inv[x] = a
-    add = tuple(tuple(sigma[addition[a][b]] for b in inv) for a in inv)
-    tern = tuple(tuple(tuple(tuple(tuple(sigma[cube[a][b][c]] for c in inv)
-                                   for b in inv) for a in inv)
-                       for cube in layer) for layer in ternary)
-    return add, tern
+def _serialize_tables(order, gamma_size, addition, ternary) -> bytes:
+    """The bytes order and gamma_size, then the body of the tables."""
+    cells = chain.from_iterable
+    return bytes(chain((order, gamma_size), cells(addition),
+                       cells(cells(cells(cells(ternary))))))
+
+
+def _body(s: GammaStructure) -> bytes:
+    """The body of s's tables; once per structure."""
+    return memo(s, "body", lambda: _serialize_tables(
+        s.order, s.gamma_size, s.addition, s.ternary)[2:])
+
+
+def _from_body(n: int, m: int, body: bytes, names: tuple) -> GammaStructure:
+    """The structure of shape (n, m) whose tables serialize to body, built
+    without validation: only for a body read from validated tables."""
+    return _prevalidated(GammaStructure, order=n, gamma_size=m, names=names,
+                         addition=_nest(body[:n * n], (n, n)),
+                         ternary=_nest(body[n * n:], (m, m, n, n, n)))
+
+
+# Keyed by shape and carrier map, never by a table. At the default caps,
+# order 5 and gamma 2, every gather the package asks for fits, about 300;
+# past them the least recently used are built again.
+@lru_cache(maxsize=1024)
+def _gather(n: int, m: int, phi: tuple):
+    """The gather of the carrier map phi on bodies of shape (n, m), m = 0 for
+    the addition alone: the body of shape (len(phi), m) whose entry at each
+    argument tuple x is the entry at phi(x), as bytes."""
+    cells = [x * n + y for x, y in product(phi, repeat=2)]
+    for cube in range(m * m):
+        base = n * n + cube * n ** 3
+        cells += [base + (x * n + y) * n + z for x, y, z in product(phi, repeat=3)]
+    get = itemgetter(*cells)
+    if len(cells) == 1:  # an itemgetter of one index returns the int alone
+        return lambda body: bytes((get(body),))
+    return lambda body: bytes(get(body))
+
+
+def _translation(phi) -> bytes:
+    """The bytes.translate table that maps each value v < len(phi) to phi[v]."""
+    return bytes(phi).ljust(256, b"\0")
+
+
+@lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple:
+    """(sigma^-1, the translation of sigma) for each 0-fixing sigma of order n,
+    in the order of zero_fixing_permutations: what a relabeling reads."""
+    return tuple((tuple(sorted(range(n), key=sigma.__getitem__)), _translation(sigma))
+                 for sigma in zero_fixing_permutations(n))
 
 
 def apply_permutation(s: GammaStructure, sigma: Sequence[int]) -> GammaStructure:
@@ -605,24 +652,9 @@ def apply_permutation(s: GammaStructure, sigma: Sequence[int]) -> GammaStructure
         raise InputError(f"sigma must be a permutation of 0..{n - 1}, got {sigma}")
     if sigma[0] != 0:
         raise InputError("sigma must fix the zero element")
-    add, tern = _relabel_tables(sigma, s.addition, s.ternary)
-    names = [""] * n
-    for a in range(n):
-        names[sigma[a]] = s.names[a]
-    return GammaStructure(order=n, gamma_size=m, addition=add, ternary=tern, names=tuple(names))
-
-
-def _serialize_tables(order, gamma_size, addition, ternary) -> bytes:
-    out = bytearray((order, gamma_size))
-    for row in addition:
-        out.extend(row)
-    for al in range(gamma_size):
-        for be in range(gamma_size):
-            cube = ternary[al][be]
-            for plane in cube:
-                for row in plane:
-                    out.extend(row)
-    return bytes(out)
+    inverse = tuple(sorted(range(n), key=sigma.__getitem__))
+    return _from_body(n, m, _gather(n, m, inverse)(_body(s)).translate(_translation(sigma)),
+                      tuple(s.names[a] for a in inverse))
 
 
 def zero_fixing_permutations(n: int):
@@ -630,31 +662,22 @@ def zero_fixing_permutations(n: int):
         yield (0,) + tail
 
 
-def _addition_images(addition) -> dict:
-    """The tables that the 0-fixing relabelings make of an addition table,
-    each mapped to the list of relabelings that make it."""
-    images = {}
-    for sigma in zero_fixing_permutations(len(addition)):
-        images.setdefault(_relabel_tables(sigma, addition)[0], []).append(sigma)
-    return images
-
-
 def canonical_form(s: GammaStructure) -> bytes:
     """Lexicographically minimal table serialization over all 0-fixing relabelings.
 
     Parameters are treated as labeled: gamma permutations do not act.
 
-    The serialization puts the addition table right after the header
-    (order, gamma size), which every relabeling shares, and before the
-    ternary tables. So the least serialization comes from a relabeling whose
-    relabeled addition is least, and only those relabelings, the
-    automorphisms of the least addition composed with one of them (usually
-    1 or 2 of the (n-1)!), relabel the ternary tables.
+    The addition comes first in the serialization, after the header that
+    every relabeling shares. So every relabeling gathers the addition alone,
+    and only those whose addition is least, usually 1 or 2 of the (n-1)!,
+    gather the whole body.
     """
-    images = _addition_images(s.addition)
-    return min(_serialize_tables(s.order, s.gamma_size,
-                                 *_relabel_tables(sigma, s.addition, s.ternary))
-               for sigma in images[min(images)])
+    n, m, body = s.order, s.gamma_size, _body(s)
+    relabelings = _relabelings(n)
+    adds = [_gather(n, 0, inv)(body).translate(t) for inv, t in relabelings]
+    least = min(adds)
+    return bytes((n, m)) + min(_gather(n, m, inv)(body).translate(t)
+                               for (inv, t), add in zip(relabelings, adds) if add == least)
 
 
 def _nest(flat, shape) -> tuple:

@@ -6,8 +6,8 @@ placement, all in one generator frame with a stack of per-cell value
 iterators. Additive monoids come first, with associativity as the hook;
 it checks only the triples that read the cell just placed. The first
 labeled monoid found of each relabeling class puts all its 0-fixing
-relabelings into a set, so every later member of the class costs one set
-lookup, and the class keeps the least of them, its canonical form.
+relabelings, as bytes, into a set, so every later member of the class costs
+one set lookup, and the class keeps the least of them, its canonical form.
 Ternary tables follow, filled one value per commutativity orbit: the orbit
 of a cell (al, be, a, b, c) is its unordered parameter pair {al, be} with
 the multiset of a, b and c. Zero absorption pins every cell with a zero
@@ -41,16 +41,14 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product as iproduct
-from multiprocessing import Pool
+from itertools import chain, product as iproduct
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
-                   ResourceLimitError, _addition_images, _check_order,
-                   _default_names, _given_monoid, _nest, _non_commuting,
-                   _positive_int, _prevalidated, _serialize_tables, _slot_maps,
-                   canonical_form, mask_size, structure_from_bytes,
-                   verify_axioms)
+                   ResourceLimitError, _check_order, _default_names,
+                   _from_body, _gather, _given_monoid, _nest, _non_commuting,
+                   _positive_int, _prevalidated, _relabelings, _slot_maps,
+                   canonical_form, mask_size, verify_axioms)
 from .ideals import ideal_classes
 from .quotient import enumerate_congruences, roundtrip_failures
 from .radicals import is_semisimple, jacobson_radical
@@ -185,17 +183,18 @@ def enumerate_additive_monoids(n: int) -> tuple:
                         return False
         return True
 
-    # seen holds serializations, far smaller than nested tuples; the least
-    # relabeling is the canonical one, as the serialization (n, 0, rows...)
-    # orders tables the way tuples of rows do
+    # seen holds bodies, the addition rows as bytes, which order tables the
+    # way tuples of rows do; the least relabeling is the canonical one
     seen = set()
     reps = []
     for _ in _backtrack(len(cells), range(n), ok):
-        if _serialize_tables(n, 0, table, ()) not in seen:
-            images = _addition_images(table)
-            seen.update(_serialize_tables(n, 0, g, ()) for g in images)
+        body = bytes(chain.from_iterable(table))
+        if body not in seen:
+            images = {_gather(n, 0, inv)(body).translate(t)
+                      for inv, t in _relabelings(n)}
+            seen |= images
             reps.append(min(images))
-    return tuple(sorted(reps))
+    return tuple(_nest(rep, (n, n)) for rep in sorted(reps))
 
 
 def _orbit_layout(n: int) -> dict:
@@ -316,6 +315,7 @@ class ClassificationReport:
     structure_count: int
     representatives: tuple = field(repr=False)
     summaries: tuple = field(repr=False)
+    canonical_forms: tuple = field(repr=False)  # of the representatives
     complete: bool = True
 
     @property
@@ -345,11 +345,10 @@ class ClassificationReport:
 
     def to_dict(self) -> dict:
         structures = []
-        for idx, (s, summary) in enumerate(zip(self.representatives, self.summaries)):
-            digest = hashlib.sha256(canonical_form(s)).hexdigest()
+        for idx, (form, summary) in enumerate(zip(self.canonical_forms, self.summaries)):
             structures.append({
                 "index": idx,
-                "canonical_sha256": digest,
+                "canonical_sha256": hashlib.sha256(form).hexdigest(),
                 "summary": summary,
             })
         return {
@@ -382,10 +381,13 @@ def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
     if workers == 1:
         chunks = [_enumeration_worker(t) for t in tasks]
     else:
+        from multiprocessing import Pool  # about 6 ms of imports, paid only here
         with Pool(workers) as pool:
             chunks = pool.map(_enumeration_worker, tasks)
     forms = [cb for chunk in chunks for cb in chunk]
-    representatives = tuple(structure_from_bytes(cb) for cb in sorted(set(forms)))
+    canonical = tuple(sorted(set(forms)))
+    # canonical forms derive from validated tables; no second validation
+    representatives = tuple(_from_body(n, m, cb[2:], _default_names(n)) for cb in canonical)
     summaries = tuple(_structure_summary(s) for s in representatives)
     return ClassificationReport(
         order=n,
@@ -395,6 +397,7 @@ def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
         structure_count=len(representatives),
         representatives=representatives,
         summaries=summaries,
+        canonical_forms=canonical,
     )
 
 

@@ -10,16 +10,20 @@ enumerate_congruences and quotient_structure alike: every addition and
 ternary entry must lie in the class of the same entry taken at the block
 representatives, the least member of each block (an equivalence is a
 congruence iff each operation respects it; Burris and Sankappanavar, A
-Course in Universal Algebra, 1981). The quotient's tables are then read at
-those representatives; quotient_structure skips the test for a partition
-already in the memoized congruence list, which passed it there.
+Course in Universal Algebra, 1981; Freese, "Computing congruences
+efficiently", 2008), one comparison of bytes in _respects; the quotient's
+tables are read at those representatives. quotient_structure skips the test
+for a partition already in the memoized congruence list, which passed it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, product
+
 from .core import (ConsistencyError, GammaStructure, InputError, Verdict,
-                   _INT, _check_bits, _first, _prevalidated, mask_elements,
-                   mask_of, memo, memoized)
+                   _INT, _body, _check_bits, _first, _from_body, _gather,
+                   _translation, mask_elements, mask_of, memo, memoized)
 
 Partition = tuple
 
@@ -48,39 +52,37 @@ def partition_blocks(p: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
-def _representative_clash(s: GammaStructure, p: Partition):
-    """First entry whose class differs from the same entry taken at the block
-    representatives (each block's least member), or None.
+def _projection(p: Partition) -> tuple:
+    """(each element's block's least member, the translation of p)."""
+    return tuple(map(p.index, p)), _translation(p)
 
-    An equivalence is a congruence iff each operation respects it, and that
-    holds iff every entry agrees with its representative entry: then related
-    arguments reach the same representative entry. One pass, addition first,
-    each family in lexicographic argument order, parameters last.
-    """
-    # loops, not core._first: the parameter loop is skipped at a tuple of
-    # representatives, and enumerate_congruences tests every partition. Two
-    # _first forms, the flat product with that skip inside the test and a
-    # product over the listed non-representative tuples, took 1.3x and 2.8x
-    # as long over the 3,226 partitions of the order <= 4 test corpus
-    n, m = s.order, s.gamma_size
-    rep = [p.index(v) for v in p]
-    add = s.addition
-    for a in range(n):
-        for b in range(n):
-            ra, rb = rep[a], rep[b]
-            if p[add[a][b]] != p[add[ra][rb]]:
-                return ("add", ra, a, rb, b)
-    cubes = [(al, be, s.ternary[al][be]) for al in range(m) for be in range(m)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                ra, rb, rc = rep[a], rep[b], rep[c]
-                if (ra, rb, rc) == (a, b, c):
-                    continue
-                for al, be, cube in cubes:
-                    if p[cube[a][b][c]] != p[cube[ra][rb][rc]]:
-                        return ("tern", ra, a, rb, b, rc, c, al, be)
-    return None
+
+def _respects(s: GammaStructure, p: Partition, projection: tuple) -> bool:
+    """Whether every entry lies in the class of the same entry taken at the
+    block representatives: the body of s and its gather at them, both
+    projected through p, are equal. projection is _projection(p)."""
+    (rep, onto), body = projection, _body(s)
+    return body.translate(onto) == _gather(s.order, s.gamma_size, rep)(body).translate(onto)
+
+
+def _representative_clash(s: GammaStructure, p: Partition) -> tuple:
+    """The first entry of a partition that _respects refuses whose class
+    differs from the same entry taken at the block representatives: addition
+    pairs (a, b), then ternary (a, b, c, al, be), each in lexicographic
+    order, parameters last."""
+    rep = _projection(p)[0]
+    r, q = range(s.order), range(s.gamma_size)
+
+    def entry(args, at):  # the entry at args, each element x read at at[x]
+        if len(args) == 2:
+            return s.addition[at[args[0]]][at[args[1]]]
+        a, b, c, al, be = args
+        return s.ternary[al][be][at[a]][at[b]][at[c]]
+
+    (args,) = _first((chain(product(r, r), product(r, r, r, q, q)),),
+                     lambda args: p[entry(args, r)] != p[entry(args, rep)])
+    moved = tuple(x for a in args[:3] for x in (rep[a], a))
+    return ("add",) + moved if len(args) == 2 else ("tern",) + moved + args[3:]
 
 
 def _checked_partition(s: GammaStructure, p) -> Partition:
@@ -92,7 +94,7 @@ def _checked_partition(s: GammaStructure, p) -> Partition:
 
 def is_congruence(s: GammaStructure, p) -> Verdict:
     """Compatibility with addition and with every ternary argument position,
-    decided by the representative test of _representative_clash.
+    decided by the representative test of _respects.
 
     Witnesses name a representative and a member of the same block per
     argument: ("add", ra, a, rb, b) when a+b and ra+rb lie in different
@@ -101,25 +103,24 @@ def is_congruence(s: GammaStructure, p) -> Verdict:
     addition before ternary, arguments in lexicographic order, parameters
     last.
     """
-    clash = _representative_clash(s, _checked_partition(s, p))
-    return Verdict(True) if clash is None else Verdict(False, clash)
+    p = _checked_partition(s, p)
+    ok = _respects(s, p, _projection(p))
+    return Verdict(True) if ok else Verdict(False, _representative_clash(s, p))
 
 
-def _iter_rgs(n: int):
-    """All restricted growth strings of length n, lexicographically."""
-    def rec(prefix, mx):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(mx + 2):
-            yield from rec(prefix + [v], max(mx, v))
-    yield from rec([0], 0)
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple:
+    """(p, _projection(p)) per restricted growth string p of length n, in lex order."""
+    strings = [(0,)]
+    for _ in range(n - 1):
+        strings = [p + (v,) for p in strings for v in range(max(p) + 2)]
+    return tuple((p, _projection(p)) for p in strings)
 
 
 def enumerate_congruences(s: GammaStructure) -> tuple[Partition, ...]:
     """All congruences, in lexicographic restricted-growth order; once per structure."""
     return memo(s, "congruences", lambda: tuple(
-        p for p in _iter_rgs(s.order) if _representative_clash(s, p) is None))
+        p for p, projection in _partitions(s.order) if _respects(s, p, projection)))
 
 
 def bourne_congruence(s: GammaStructure, mask: int) -> Partition:
@@ -176,9 +177,9 @@ def roundtrip_failures(s: GammaStructure) -> list:
 
 def quotient_structure(s: GammaStructure, p) -> GammaStructure:
     """Structure on the blocks: zero class is element 0, the rest ordered by
-    smallest member. Raises ConsistencyError when p is not a congruence (the
-    representative test of _representative_clash); otherwise every operation
-    is read at the block representatives. A partition in the memoized
+    smallest member. Raises ConsistencyError, naming the first clash, when p
+    is not a congruence (_respects); otherwise every operation is read at
+    the block representatives. A partition in the memoized
     enumerate_congruences(s) is not tested again. Built once per structure
     and partition; a non-congruence is refused each time and never stored."""
     p = _checked_partition(s, p)
@@ -187,19 +188,15 @@ def quotient_structure(s: GammaStructure, p) -> GammaStructure:
 
 def _quotient(s: GammaStructure, p: Partition) -> GammaStructure:
     # a partition in the memoized congruence list passed this test there
-    if p not in (memoized(s, "congruences") or ()):
-        clash = _representative_clash(s, p)
-        if clash is not None:
-            raise ConsistencyError(f"partition {list(p)} is not a congruence: {clash}")
+    if (p not in (memoized(s, "congruences") or ())
+            and not _respects(s, p, _projection(p))):
+        raise ConsistencyError(f"partition {list(p)} is not a congruence: "
+                               f"{_representative_clash(s, p)}")
     blocks = partition_blocks(p)
-    reps = [block[0] for block in blocks]
-    q_add = tuple(tuple(p[s.addition[a][b]] for b in reps) for a in reps)
-    q_tern = tuple(tuple(tuple(tuple(tuple(p[cube[a][b][c]] for c in reps)
-                                     for b in reps) for a in reps)
-                         for cube in layer) for layer in s.ternary)
+    # the body of s read at the representatives, its values projected by p
+    body = _gather(s.order, s.gamma_size, tuple(b[0] for b in blocks))(_body(s))
     names = tuple("{" + ",".join(s.names[i] for i in block) + "}" for block in blocks)
-    return _prevalidated(GammaStructure, order=len(blocks), gamma_size=s.gamma_size,
-                         addition=q_add, ternary=q_tern, names=names)
+    return _from_body(len(blocks), s.gamma_size, body.translate(_translation(p)), names)
 
 
 def has_nonzero_zero_divisors(s: GammaStructure) -> Verdict:

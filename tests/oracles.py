@@ -334,6 +334,27 @@ def naive_congruences(s):
     return sorted(found)
 
 
+def replays_clash(s, p, witness):
+    """Whether the witness of a non-congruence p of s holds: its
+    representatives are block minima, each paired element shares its
+    representative's class, and the two results lie in different classes."""
+    kind, *args = witness
+    if kind == "add":
+        pairs, (x, y) = args, (s.addition, s.addition)
+    else:
+        pairs, (al, be) = args[:6], args[6:]
+        x = y = s.ternary[al][be]
+    reps, elems = pairs[0::2], pairs[1::2]
+    for r, e in zip(reps, elems):
+        if r != p.index(p[r]) or p[r] != p[e]:
+            return False
+    for i in reps:
+        x = x[i]
+    for i in elems:
+        y = y[i]
+    return p[x] != p[y]
+
+
 # ---------------------------------------------------------------------------
 # modules
 

@@ -391,3 +391,14 @@ def test_one_parser_serves_every_call_as_a_fresh_process(tmp_path, capsys):
     assert vars(_parser().parse_args(["analyze", str(structure)])) == {
         "command": "analyze", "file": str(structure), "format": "text",
         "out": None, "func": cmd_analyze}
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # classify imports its pool only when it starts one; every other start
+    # of the CLI skips those imports
+    code = ("import sys, tgs, tgs.cli; "
+            "print('multiprocessing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.stdout == "False\n"

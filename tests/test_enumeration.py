@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 
 import pytest
 
 import tgs.enumeration
 from tgs.core import (GammaStructure, ResourceLimitError, InputError,
-                      _prevalidated, _relabel_tables, _serialize_tables,
+                      _prevalidated, _serialize_tables,
                       apply_permutation, canonical_form, verify_axioms,
                       zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
@@ -20,6 +21,7 @@ from tgs.gamma_modules import _actions_for_carrier, enumerate_module_actions
 from cube_product import ternary_tables
 from oracles import (canonical_set, naive_monoid_tables, naive_structures,
                      naive_structures_fully)
+from relabel import relabel_tables
 
 # counts frozen from the naive oracles before the pruned paths were trusted
 MONOID_COUNTS = {1: 1, 2: 2, 3: 5, 4: 19, 5: 78}
@@ -395,7 +397,8 @@ def test_classify_pool_bounded_by_tasks_and_cpus(monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(tgs.enumeration, "Pool", RecordingPool)
+    # classify imports the pool only when it starts one, from multiprocessing
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(tgs.enumeration.os, "cpu_count", lambda: 8)
     # (2, 1) has 2 monoids, one task each
     expected = json.dumps(classify(2, 1).to_dict(), sort_keys=True)
@@ -423,12 +426,12 @@ def _assert_orbit_stabilizer(structures):
     classes = 0
     for (n, m, add), tables in found.items():
         group = [sigma for sigma in zero_fixing_permutations(n)
-                 if _relabel_tables(sigma, add)[0] == add]
+                 if relabel_tables(sigma, add)[0] == add]
         reps = {canonical_form(t): t for t in tables}
         orbits = 0
         for t in reps.values():
             stab = sum(1 for sigma in group
-                       if _relabel_tables(sigma, add, t.ternary)[1] == t.ternary)
+                       if relabel_tables(sigma, add, t.ternary)[1] == t.ternary)
             orbits += len(group) // stab
         assert len(tables) == orbits, (n, m, add)
         classes += len(reps)

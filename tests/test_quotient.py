@@ -14,7 +14,7 @@ from tgs.quotient import (bourne_congruence, congruence_to_ideal,
                           partition_blocks, quotient_structure)
 from tgs.spectrum import find_homomorphisms
 
-from oracles import naive_congruences, naive_partitions
+from oracles import naive_congruences, naive_partitions, replays_clash
 
 CONGRUENCE_COUNTS = {"B2": 2, "M3": 2, "M4": 3, "M6": 4, "L3": 4, "N3": 3}
 
@@ -69,26 +69,6 @@ def test_is_congruence_witnesses():
         is_congruence(s, (0, 1))
 
 
-def _replays(s, p, witness):
-    """Representatives are block minima, each paired element shares its
-    representative's class, and the two results lie in different classes."""
-    kind, *args = witness
-    if kind == "add":
-        pairs, (x, y) = args, (s.addition, s.addition)
-    else:
-        pairs, (al, be) = args[:6], args[6:]
-        x = y = s.ternary[al][be]
-    reps, elems = pairs[0::2], pairs[1::2]
-    for r, e in zip(reps, elems):
-        if r != p.index(p[r]) or p[r] != p[e]:
-            return False
-    for i in reps:
-        x = x[i]
-    for i in elems:
-        y = y[i]
-    return p[x] != p[y]
-
-
 def test_witnesses_replay_and_quotient_agrees(corpus_reps):
     failures = 0
     for s, p in _all_partitions(corpus_reps):
@@ -97,7 +77,7 @@ def test_witnesses_replay_and_quotient_agrees(corpus_reps):
             assert quotient_structure(s, p).order == max(p) + 1
             continue
         failures += 1
-        assert _replays(s, p, v.witness), (p, v.witness)
+        assert replays_clash(s, p, v.witness), (p, v.witness)
         with pytest.raises(ConsistencyError):
             quotient_structure(s, p)
     assert failures
@@ -215,9 +195,10 @@ def test_quotient_skips_the_test_only_for_a_listed_congruence(monkeypatch):
     assert before == ("partition [0, 1, 0] is not a congruence: "
                       f"{is_congruence(DERIVED['L3'], (0, 1, 0)).witness}")
     tested = []
-    clash = tgs.quotient._representative_clash
-    monkeypatch.setattr(tgs.quotient, "_representative_clash",
-                        lambda s, p: tested.append(p) or clash(s, p))
+    respects = tgs.quotient._respects
+    monkeypatch.setattr(tgs.quotient, "_respects",
+                        lambda s, p, projection: tested.append(p)
+                        or respects(s, p, projection))
     for name in ("L3", "M6"):
         s = replace(DERIVED[name])
         listed = enumerate_congruences(s)
