@@ -4,7 +4,9 @@ Every table here is completed by one backtracking engine, _backtrack: cells
 take values in lexicographic order and a hook accepts or rejects each
 placement, all in one generator frame with a stack of per-cell value
 iterators. Additive monoids come first, with associativity as the hook;
-it checks only the triples that read the cell just placed. The first
+the addition is one flat list, a + b at a*n + b, and the hook checks only
+the triples that read the cell just placed, finding the sums x + y equal
+to a given element by a scan of the placed cells by value. The first
 labeled monoid found of each relabeling class puts all its 0-fixing
 relabelings, as bytes, into a set, so every later member of the class costs
 one set lookup, and the class keeps the least of them, its canonical form.
@@ -40,8 +42,8 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, product as iproduct
+from functools import lru_cache, wraps
+from itertools import product as iproduct
 from typing import Iterator, Optional
 
 from .core import (DEFAULT_MAX_GAMMA, GammaStructure, InputError,
@@ -140,27 +142,32 @@ def _cube_solutions(index: dict, dims, adds, op) -> Iterator[tuple]:
         yield _nest(map(vals.__getitem__, keys), dims)
 
 
-# typed, so that 2.0 or True reaches the argument check, not the entry of 2 or 1
-@lru_cache(maxsize=None, typed=True)
+def _checked_first(search):
+    """search(n), cached per order, behind _check_caps(n, 1) at every call."""
+    cached = lru_cache(maxsize=None)(search)
+
+    @wraps(search)
+    def call(n: int) -> tuple:
+        _check_caps(n, 1)
+        return cached(n)
+    return call
+
+
+@_checked_first
 def enumerate_additive_monoids(n: int) -> tuple:
     """Commutative monoid tables with identity at index 0, one per 0-fixing
     relabeling class, ordered by canonical serialization."""
-    _check_caps(n, 1)
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
-    table = [[None] * n for _ in range(n)]
-    for a in range(n):
-        table[0][a] = a
-        table[a][0] = a
-
+    table = [None] * (n * n)  # a + b at a*n + b
+    table[:n] = table[::n] = range(n)
     units = range(1, n)
-
-    def holds(x: int, y: int, z: int) -> bool:
-        # (x + y) + z == x + (y + z), or some lookup is not placed yet
-        s1, u1 = table[x][y], table[y][z]
-        if s1 is None or u1 is None:
-            return True
-        lhs, rhs = table[s1][z], table[x][u1]
-        return lhs is None or rhs is None or lhs == rhs
+    # per cell (a, b): its two positions; the positions of the later cells;
+    # its orientations (u, w) as (u, u*n, w, w*n); and the (x*n, y*n) of the
+    # sums x + y it holds. Sets, so a cell with a == b has one of each.
+    at = [(a * n + b, b * n + a) for a, b in cells]
+    later = [[i for pos in at[k + 1:] for i in pos] for k in range(len(cells))]
+    turns = [{(a, a * n, b, b * n), (b, b * n, a, a * n)} for a, b in cells]
+    pairs = [{(a * n, b * n), (b * n, a * n)} for a, b in cells]
 
     def ok(vals, k: int) -> bool:
         # Place cell k and clear the later ones, left over from other
@@ -168,19 +175,32 @@ def enumerate_additive_monoids(n: int) -> tuple:
         # every other triple whose lookups are all placed was checked when
         # its last lookup landed. The table is symmetric, so (x, y, z) and
         # (z, y, x) state one equation, and it suffices to take the triples
-        # that read the cell as x + y or as s + z with s = x + y. A triple
-        # with a 0 in it holds by the identity row.
-        for j in range(k, len(cells)):
-            a, b = cells[j]
-            table[a][b] = table[b][a] = vals[k] if j == k else None
-        p, q = cells[k]
-        for u, w in ((p, q), (q, p)):
-            if not all(holds(u, w, z) for z in units):
-                return False
-            for x in units:
-                for y in units:
-                    if table[x][y] == u and not holds(x, y, w):
+        # that read the cell as u + w, (u + w) + z == u + (w + z), or as
+        # s + w with s = x + y = u, (x + y) + w == x + (y + w); the placed
+        # cells c <= k with vals[c] == u hold every such x + y. A triple
+        # with a 0 in it holds by the identity row, and one with a lookup
+        # not placed yet, None, waits for it.
+        v = vals[k]
+        p, q = at[k]
+        table[p] = table[q] = v
+        for i in later[k]:
+            table[i] = None
+        vn = v * n
+        for u, un, w, wn in turns[k]:
+            for z in units:
+                wz = table[wn + z]
+                if wz is not None:
+                    lhs, rhs = table[vn + z], table[un + wz]
+                    if lhs != rhs and lhs is not None and rhs is not None:
                         return False
+            for c in range(k + 1):
+                if vals[c] == u:
+                    for xn, yn in pairs[c]:
+                        yw = table[yn + w]
+                        if yw is not None:
+                            rhs = table[xn + yw]
+                            if rhs != v and rhs is not None:
+                                return False
         return True
 
     # seen holds bodies, the addition rows as bytes, which order tables the
@@ -188,7 +208,7 @@ def enumerate_additive_monoids(n: int) -> tuple:
     seen = set()
     reps = []
     for _ in _backtrack(len(cells), range(n), ok):
-        body = bytes(chain.from_iterable(table))
+        body = bytes(table)
         if body not in seen:
             images = {_gather(n, 0, inv)(body).translate(t)
                       for inv, t in _relabelings(n)}

@@ -19,6 +19,7 @@ from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
 from tgs.gamma_modules import _actions_for_carrier, enumerate_module_actions
 
 from cube_product import ternary_tables
+from monoid_hook import associativity_hook
 from oracles import (canonical_set, naive_monoid_tables, naive_structures,
                      naive_structures_fully)
 from relabel import relabel_tables
@@ -76,6 +77,90 @@ def test_monoid_oracle_equality(n):
             if img in rep_set:
                 images.add(img)
         assert len(images) == 1
+
+
+def _logged(ok, calls):
+    """ok, each call appended to calls as (cell, value, verdict)."""
+    def hook(vals, k):
+        verdict = ok(vals, k)
+        calls.append((k, vals[k], verdict))
+        return verdict
+    return hook
+
+
+@pytest.mark.parametrize("n, count", [(1, 0), (2, 2), (3, 30), (4, 720),
+                                      (5, 23185)])
+def test_monoid_hook_equals_reference(n, count, monkeypatch):
+    # the flat-table hook decides every placement as the holds-based one
+    # does: the same (cell, value, verdict) at every call, in the same order
+    calls, reference = [], []
+    monkeypatch.setattr(tgs.enumeration, "_backtrack",
+                        lambda size, domain, ok:
+                        _backtrack(size, domain, _logged(ok, calls)))
+    enumerate_additive_monoids.__wrapped__(n)  # the search, past the cache
+    cells, ok = associativity_hook(n)
+    for _ in _backtrack(cells, range(n), _logged(ok, reference)):
+        pass
+    assert calls == reference
+    assert len(calls) == count
+
+
+def _monoid_search(n, monkeypatch):
+    """The representatives of a run of the monoid search at order n, past
+    the cache, and the number of labeled tables it completed."""
+    completed = []
+
+    def counting(count, domain, ok):
+        for vals in _backtrack(count, domain, ok):
+            completed.append(None)
+            yield vals
+
+    monkeypatch.setattr(tgs.enumeration, "_backtrack", counting)
+    return enumerate_additive_monoids.__wrapped__(n), len(completed)
+
+
+def _labelings(reps) -> int:
+    """The labeled monoids with identity 0 in the classes of reps: the sum
+    of (n - 1)! / |Aut(A)| over the representatives A."""
+    total = 0
+    for add in reps:
+        n = len(add)
+        aut = sum(1 for sigma in zero_fixing_permutations(n)
+                  if relabel_tables(sigma, add)[0] == add)
+        total += math.factorial(n - 1) // aut
+    return total
+
+
+@pytest.mark.parametrize("n, labeled", [(4, 94), (5, 1486)])
+def test_monoid_search_completes_each_labeling_once(n, labeled, monkeypatch):
+    # the orbit-stabilizer count of the labeled tables; at order 5 past the
+    # oracles' reach
+    reps, completed = _monoid_search(n, monkeypatch)
+    assert reps == enumerate_additive_monoids(n)
+    assert completed == _labelings(reps) == labeled
+
+
+def test_monoid_classes_at_order_6(monkeypatch):
+    # the commutative monoids of order 6 (OEIS A058131) and their labelings;
+    # kept out of MONOID_COUNTS, over which MONOID_DIGEST is frozen; about 2 s
+    monkeypatch.setenv("TGS_MAX_ORDER", "6")
+    reps, completed = _monoid_search(6, monkeypatch)
+    assert len(reps) == 421
+    assert completed == _labelings(reps) == 38890
+
+
+def test_monoid_cap_is_checked_before_the_cache(monkeypatch):
+    # a result cached under a raised cap is refused once the cap is back
+    # down, and a lowered cap refuses an order cached under the default
+    monkeypatch.setenv("TGS_MAX_ORDER", "6")
+    assert len(enumerate_additive_monoids(6)) == 421
+    monkeypatch.delenv("TGS_MAX_ORDER")
+    with pytest.raises(ResourceLimitError, match="order 6 exceeds cap 5"):
+        enumerate_additive_monoids(6)
+    assert len(enumerate_additive_monoids(3)) == 5
+    monkeypatch.setenv("TGS_MAX_ORDER", "2")
+    with pytest.raises(ResourceLimitError, match="order 3 exceeds cap 2"):
+        enumerate_additive_monoids(3)
 
 
 @pytest.mark.parametrize("shape", sorted(CANDIDATE_COUNTS))
