@@ -52,11 +52,28 @@ def _write_or_print(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _refuse_earlier_output(out: str) -> None:
+    """Refuse a directory that holds a report or structure files, which a
+    smaller run would leave in place beside its own; delete nothing."""
+    try:
+        names = os.listdir(out)
+    except FileNotFoundError:
+        return
+    earlier = sorted(f for f in names if f == "report.json"
+                     or f.startswith("structure_") and f.endswith(".json"))
+    if earlier:
+        raise InputError(f"{out} already holds classify output"
+                         f" ({earlier[0]}); give an empty or new directory")
+
+
 def cmd_classify(args) -> int:
+    if args.out is not None:
+        _refuse_earlier_output(args.out)
     report = classify(args.order, args.gamma, jobs=args.jobs)
     text = render_classification_text(report)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
+        # one representative at a time, rebuilt from its canonical form
         for idx, s in enumerate(report.representatives):
             _write_or_print(dumps_structure(s),
                             os.path.join(args.out, f"structure_{idx:03d}.json"))

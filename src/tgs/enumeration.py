@@ -33,8 +33,12 @@ product, the first position slowest, and its hook checks each pick
 against the earlier ones. At one parameter there is one position: the
 passing cubes are the tables, and they stream.
 
-classify runs one search task per additive monoid, so each monoid builds
-its additivity buckets once.
+classify runs one task per additive monoid, the whole pipeline of that
+monoid: search, dedup by canonical form, and a summary of each
+representative. The dedup is exact per monoid: a canonical form is a least
+relabeling with the addition first, so its addition is the least table of
+the monoid's class, the one enumerate_additive_monoids holds, and the
+monoids, sorted by table, list their forms in sorted order.
 """
 
 from __future__ import annotations
@@ -300,10 +304,17 @@ def enumerate_structures(n: int, m: int = 1,
     return (s for add in adds for s in _structures_for_monoid(add, n, m))
 
 
-def _enumeration_worker(task) -> list:
+def _enumeration_worker(task) -> tuple:
+    """(tables passed, [(canonical form, summary), ...] by form) of one
+    additive monoid: one row per relabeling class, its representative
+    rebuilt from the form, summarized and dropped with its memo."""
     n, m, monoid_idx = task
     add = enumerate_additive_monoids(n)[monoid_idx]
-    return [canonical_form(s) for s in _structures_for_monoid(add, n, m)]
+    forms = [canonical_form(s) for s in _structures_for_monoid(add, n, m)]
+    names = _default_names(n)
+    # canonical forms derive from validated tables; no second validation
+    return len(forms), [(cb, _structure_summary(_from_body(n, m, cb[2:], names)))
+                        for cb in sorted(set(forms))]
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +339,26 @@ def _structure_summary(s: GammaStructure) -> dict:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The classes of one classify run, in canonical order: each class's
+    canonical form and invariant summary, row for row, with the counts.
+
+    It holds no structure. representatives rebuilds each one from its form
+    as it is read, so a caller that writes them out holds one at a time.
+    """
     order: int
     gamma_size: int
     monoid_count: int
     candidate_count: int
     structure_count: int
-    representatives: tuple = field(repr=False)
     summaries: tuple = field(repr=False)
     canonical_forms: tuple = field(repr=False)  # of the representatives
     complete: bool = True
+
+    @property
+    def representatives(self) -> Iterator[GammaStructure]:
+        names = _default_names(self.order)
+        return (_from_body(self.order, self.gamma_size, cb[2:], names)
+                for cb in self.canonical_forms)
 
     @property
     def claimed(self) -> Optional[dict]:
@@ -388,9 +410,10 @@ class ClassificationReport:
 def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
     """Enumerate, deduplicate by canonical form, and summarize invariants.
 
-    The report content does not depend on the worker count: workers return
-    the canonical form of each structure they find, and a single aggregation
-    pass deduplicates and sorts them.
+    The report content does not depend on the worker count: each task
+    returns its monoid's classes, deduplicated, sorted and summarized, and
+    no class spans two monoids (see the module docstring), so classify
+    concatenates the rows in monoid order and sums the counts.
     """
     _check_caps(n, m)
     if type(jobs) is not int or jobs < 1:
@@ -399,25 +422,20 @@ def classify(n: int, m: int = 1, jobs: int = 1) -> ClassificationReport:
     tasks = [(n, m, mi) for mi in range(len(monoids))]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        chunks = [_enumeration_worker(t) for t in tasks]
+        results = [_enumeration_worker(t) for t in tasks]
     else:
         from multiprocessing import Pool  # about 6 ms of imports, paid only here
         with Pool(workers) as pool:
-            chunks = pool.map(_enumeration_worker, tasks)
-    forms = [cb for chunk in chunks for cb in chunk]
-    canonical = tuple(sorted(set(forms)))
-    # canonical forms derive from validated tables; no second validation
-    representatives = tuple(_from_body(n, m, cb[2:], _default_names(n)) for cb in canonical)
-    summaries = tuple(_structure_summary(s) for s in representatives)
+            results = pool.map(_enumeration_worker, tasks)
+    rows = [row for _, chunk in results for row in chunk]
     return ClassificationReport(
         order=n,
         gamma_size=m,
         monoid_count=len(monoids),
-        candidate_count=len(forms),
-        structure_count=len(representatives),
-        representatives=representatives,
-        summaries=summaries,
-        canonical_forms=canonical,
+        candidate_count=sum(passed for passed, _ in results),
+        structure_count=len(rows),
+        summaries=tuple(summary for _, summary in rows),
+        canonical_forms=tuple(cb for cb, _ in rows),
     )
 
 

@@ -17,7 +17,8 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_reps():
     """Classification representatives keyed by (order, gamma_size)."""
-    return {(n, m): classify(n, m).representatives for n, m in CORPUS_SHAPES}
+    return {(n, m): tuple(classify(n, m).representatives)
+            for n, m in CORPUS_SHAPES}
 
 
 @pytest.fixture

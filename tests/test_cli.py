@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -53,6 +54,72 @@ def test_classify_report_identical_across_jobs(tmp_path, capsys):
                  "--out", str(b)]) == 0
     capsys.readouterr()
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+def _tree_digest(path) -> tuple:
+    """(file count, sha256 of the manifest) of a directory: the manifest has
+    one line "<sha256 of the file>  <name>" per file, by name, as printed by
+    `sha256sum *` there."""
+    names = sorted(os.listdir(path))
+    lines = "".join(f"{hashlib.sha256((path / f).read_bytes()).hexdigest()}  {f}\n"
+                    for f in names)
+    return len(names), hashlib.sha256(lines.encode()).hexdigest()
+
+
+# every file `tgs classify --out` writes (report.json, report.txt and each
+# structure file), frozen from the release before per-monoid summaries
+CLASSIFY_TREES = {
+    (3, 1): (21, "81a46e17ab4e19925e319a94cf1c7588fefca92ddacbca9b8f2c1445424a74d5"),
+    (4, 1): (177, "b6e4c56e942fa0571fc14477f0d66f7b29e37c58f6f1942555e08e79d78fe71a"),
+    (2, 2): (18, "0374229c70f35d4fda081318d1c1682b00d6dec1fa1af49dfa4ec471cac3cf2a"),
+    (3, 2): (177, "4be00da7b1e385d2f0fca234718ba16fcd8a6d60b091f24553c0cfce1deb6560"),
+}
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("n, m", sorted(CLASSIFY_TREES))
+def test_classify_files_frozen(tmp_path, capsys, n, m, jobs):
+    out = tmp_path / "out"
+    assert main(["classify", "--order", str(n), "--gamma", str(m),
+                 "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "report.txt").read_text()
+    assert _tree_digest(out) == CLASSIFY_TREES[(n, m)]
+
+
+def test_classify_refuses_a_directory_with_earlier_output(tmp_path, capsys,
+                                                          monkeypatch):
+    out = tmp_path / "out"
+    assert main(["classify", "--order", "3", "--out", str(out)]) == 0
+    before = _tree_digest(out)
+    assert before == CLASSIFY_TREES[(3, 1)]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr("tgs.cli.classify", no_search)
+    capsys.readouterr()
+    # a smaller run into the same directory would leave 15 stale files
+    assert main(["classify", "--order", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {out} already holds classify output"
+                            " (report.json); give an empty or new directory\n")
+    assert _tree_digest(out) == before
+    # one structure file is enough; other files do not count
+    (out / "report.json").unlink()
+    (out / "report.txt").unlink()
+    for f in out.glob("structure_*.json"):
+        if f.name != "structure_007.json":
+            f.unlink()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["classify", "--order", "2", "--out", str(out)]) == 1
+    assert "(structure_007.json)" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["notes.txt", "structure_007.json"]
+    monkeypatch.undo()
+    (out / "structure_007.json").unlink()
+    assert main(["classify", "--order", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(os.listdir(out)) == 7
 
 
 def test_analyze_text(tmp_path, capsys, order6):

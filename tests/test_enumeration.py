@@ -14,8 +14,9 @@ from tgs.core import (GammaStructure, ResourceLimitError, InputError,
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
                              enumerate_additive_monoids, enumerate_structures,
                              render_classification_text, _backtrack,
-                             _cube_solutions, _orbit_layout, _pair_grid,
-                             _structure_summary, _structures_for_monoid)
+                             _cube_solutions, _enumeration_worker,
+                             _orbit_layout, _pair_grid, _structure_summary,
+                             _structures_for_monoid)
 from tgs.gamma_modules import _actions_for_carrier, enumerate_module_actions
 
 from cube_product import ternary_tables
@@ -684,7 +685,7 @@ def test_cap_env_override(monkeypatch):
 
 def test_report_counts_consistent():
     report = classify(4, 1)
-    assert report.structure_count == len(report.representatives)
+    assert report.structure_count == len(tuple(report.representatives))
     assert report.structure_count <= report.candidate_count
     assert report.complete
     doc = report.to_dict()
@@ -692,3 +693,23 @@ def test_report_counts_consistent():
     assert len(doc["structures"]) == report.structure_count
     for row in doc["structures"]:
         assert set(row) >= {"index", "canonical_sha256", "summary"}
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2),
+                                  (3, 2), (4, 2)])
+def test_each_task_holds_its_monoids_classes(n, m):
+    """Each classify task deduplicates its own monoid's structures, which is
+    exact: every form a task returns starts with the header and its
+    monoid's table, so no class spans two monoids, and the tasks' sorted
+    forms, concatenated in monoid order, are the sorted set of all forms."""
+    every, rows = [], []  # every form, and the rows of every task
+    for i, add in enumerate(enumerate_additive_monoids(n)):
+        forms = [canonical_form(s) for s in enumerate_structures(n, m, add)]
+        passed, chunk = _enumeration_worker((n, m, i))
+        assert passed == len(forms)
+        assert [cb for cb, _ in chunk] == sorted(set(forms))
+        prefix = bytes((n, m)) + bytes(itertools.chain.from_iterable(add))
+        assert all(cb.startswith(prefix) for cb, _ in chunk)
+        every += forms
+        rows += chunk
+    assert [cb for cb, _ in rows] == sorted(set(every))

@@ -361,7 +361,7 @@ def test_hot_paths_never_scan(monkeypatch):
             monkeypatch.setitem(report._LAWS, name, (decide, scan))
     classify(3, 2)
     assert sum(1 for _ in enumerate_structures(4, 1))
-    reps = {n: classify(n, 1).representatives for n in (1, 2, 3)}
+    reps = {n: tuple(classify(n, 1).representatives) for n in (1, 2, 3)}
     for s in reps[1] + reps[2] + reps[3]:
         for k in (2, 3):
             for a in enumerate_module_actions(s, k):
