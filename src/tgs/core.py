@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, permutations, product
@@ -604,10 +605,13 @@ def _body(s: GammaStructure) -> bytes:
 
 def _from_body(n: int, m: int, body: bytes, names: tuple) -> GammaStructure:
     """The structure of shape (n, m) whose tables serialize to body, built
-    without validation: only for a body read from validated tables."""
-    return _prevalidated(GammaStructure, order=n, gamma_size=m, names=names,
-                         addition=_nest(body[:n * n], (n, n)),
-                         ternary=_nest(body[n * n:], (m, m, n, n, n)))
+    without validation: only for a body read from validated tables. Its memo
+    holds body from the start, the value _body would compute."""
+    s = _prevalidated(GammaStructure, order=n, gamma_size=m, names=names,
+                      addition=_nest(body[:n * n], (n, n)),
+                      ternary=_nest(body[n * n:], (m, m, n, n, n)))
+    s.__dict__["_memo"] = {"body": body}
+    return s
 
 
 # Keyed by shape and carrier map, never by a table. At the default caps,
@@ -710,6 +714,13 @@ def structures_isomorphic(s1: GammaStructure, s2: GammaStructure) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON interchange
+#
+# _json_text is the one JSON writer. A structure file is its text of
+# structure_to_dict, and all files of one shape (n, m) share everything but
+# the names and the entries: dumps_structure fills one template per shape,
+# built once by _json_text from a placeholder structure (names "@i", entry k
+# of the body written -1-k) whose placeholders become %s and %d slots in
+# text order, so its bytes are the writer's by construction.
 
 def structure_to_dict(s: GammaStructure) -> dict:
     return {
@@ -852,7 +863,37 @@ def _write_json(o, newline: str, out: list) -> None:
 
 
 def dumps_structure(s: GammaStructure) -> str:
-    return _json_text(structure_to_dict(s))
+    """The text _json_text(structure_to_dict(s)) writes, filled into the
+    template of s's shape: its names escaped, then its body's entries."""
+    text, slots = _structure_template(s.order, s.gamma_size)
+    return text % slots((*map(_json_str, s.names), *_body(s)))
+
+
+# Keyed by shape alone; past 64 shapes the least recently used are built again.
+@lru_cache(maxsize=64)
+def _structure_template(n: int, m: int) -> tuple:
+    """(text, slots) for dumps_structure at shape (n, m). text is the JSON
+    text of a placeholder structure, names "@i" and body entry k written
+    -1-k, with each placeholder turned into a %s or %d slot (its keys and
+    numbers hold no other %); slots gathers, from the names then the body
+    entries, the value of each slot in text order."""
+    size = n * n + m * m * n ** 3
+    entries = [-1 - k for k in range(size)]
+    placeholder = _prevalidated(
+        GammaStructure, order=n, gamma_size=m,
+        names=tuple(f"@{i}" for i in range(n)),
+        addition=_nest(entries[:n * n], (n, n)),
+        ternary=_nest(entries[n * n:], (m, m, n, n, n)))
+    order = []
+
+    def slot(match) -> str:
+        name, entry = match.groups()
+        order.append(int(name) if name else n - 1 - int(entry))
+        return "%s" if name else "%d"
+
+    text = re.sub(r'"@(\d+)"|(-\d+)', slot,
+                  _json_text(structure_to_dict(placeholder)))
+    return text, itemgetter(*order)
 
 
 def parse_structure(text: str) -> GammaStructure:

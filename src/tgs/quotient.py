@@ -11,9 +11,16 @@ ternary entry must lie in the class of the same entry taken at the block
 representatives, the least member of each block (an equivalence is a
 congruence iff each operation respects it; Burris and Sankappanavar, A
 Course in Universal Algebra, 1981; Freese, "Computing congruences
-efficiently", 2008), one comparison of bytes in _respects; the quotient's
-tables are read at those representatives. quotient_structure skips the test
-for a partition already in the memoized congruence list, which passed it.
+efficiently", 2008), comparisons of bytes in _respects: the addition's n*n
+entries first, as canonical_form does, and the whole body only for a
+partition the addition respects, so most partitions cost no ternary gather.
+The quotient's tables are read at those representatives. quotient_structure
+skips the test for a partition already in the memoized congruence list,
+which passed it. A partition already in restricted growth form, as every
+listed congruence is, passes normalize_partition as it is.
+
+The Bourne relation of a subset links a and b when the masks {a+i} and
+{b+j}, i and j in the subset, meet; its classes are the linked components.
 """
 
 from __future__ import annotations
@@ -29,12 +36,15 @@ Partition = tuple
 
 
 def normalize_partition(p) -> Partition:
-    """Relabel block ids into restricted growth form (first occurrence order)."""
+    """Relabel block ids into restricted growth form (first occurrence order).
+    A tuple already in that form is returned as it is."""
     if not isinstance(p, (list, tuple)) or not p:
         raise InputError(f"a partition must be a nonempty list or tuple, got {p!r}")
     # a float or bool label hashes equal to an int and would merge blocks
     if not _INT.issuperset(map(type, p)):
         raise InputError(f"partition labels must be integers, got {list(p)}")
+    if type(p) is tuple and _in_form(p):
+        return p
     seen: dict = {}
     out = []
     for v in p:
@@ -42,6 +52,20 @@ def normalize_partition(p) -> Partition:
             seen[v] = len(seen)
         out.append(seen[v])
     return tuple(out)
+
+
+def _in_form(p) -> bool:
+    """Whether the int labels p are in restricted growth form: each label is
+    at least 0 and at most one above every label before it."""
+    top = -1
+    for v in p:
+        if v > top:
+            if v != top + 1:
+                return False
+            top = v
+        elif v < 0:
+            return False
+    return True
 
 
 def partition_blocks(p: Partition) -> tuple[tuple[int, ...], ...]:
@@ -60,9 +84,13 @@ def _projection(p: Partition) -> tuple:
 def _respects(s: GammaStructure, p: Partition, projection: tuple) -> bool:
     """Whether every entry lies in the class of the same entry taken at the
     block representatives: the body of s and its gather at them, both
-    projected through p, are equal. projection is _projection(p)."""
-    (rep, onto), body = projection, _body(s)
-    return body.translate(onto) == _gather(s.order, s.gamma_size, rep)(body).translate(onto)
+    projected through p, are equal. The addition, the first n*n bytes, is
+    compared first, and the whole body only if the addition respects p.
+    projection is _projection(p)."""
+    (rep, onto), body, n = projection, _body(s), s.order
+    return (body[:n * n].translate(onto) == _gather(n, 0, rep)(body).translate(onto)
+            and body.translate(onto)
+            == _gather(n, s.gamma_size, rep)(body).translate(onto))
 
 
 def _representative_clash(s: GammaStructure, p: Partition) -> tuple:
@@ -125,7 +153,7 @@ def enumerate_congruences(s: GammaStructure) -> tuple[Partition, ...]:
 
 def bourne_congruence(s: GammaStructure, mask: int) -> Partition:
     """Smallest congruence-like relation identifying a and b when some
-    a+i = b+j with i, j in the given ideal; closed transitively (union-find).
+    a+i = b+j with i, j in the given ideal; closed transitively.
     Computed once per structure and mask."""
     _check_bits(s, mask, "subset")
     if not mask & 1:
@@ -134,28 +162,19 @@ def bourne_congruence(s: GammaStructure, mask: int) -> Partition:
 
 
 def _bourne_classes(s: GammaStructure, mask: int) -> Partition:
+    """a and b are linked when their masks {a+i} and {b+j}, i and j in the
+    subset, meet; the classes are the linked components, each element
+    labeled by the least member of its class until they are renumbered."""
     n = s.order
     members = mask_elements(mask)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    add = s.addition
+    sums = [mask_of(map(row.__getitem__, members)) for row in s.addition]
+    label = list(range(n))
     for a in range(n):
-        reach_a = {add[a][i] for i in members}
         for b in range(a + 1, n):
-            if any(add[b][j] in reach_a for j in members):
-                union(a, b)
-    return normalize_partition(tuple(find(x) for x in range(n)))
+            if sums[a] & sums[b] and label[a] != label[b]:
+                low, high = sorted((label[a], label[b]))
+                label = [low if v == high else v for v in label]
+    return normalize_partition(tuple(label))
 
 
 def congruence_to_ideal(s: GammaStructure, p) -> int:

@@ -272,6 +272,58 @@ def naive_is_prime_ideal_triples(s, mask, all_ideals) -> bool:
     return True
 
 
+def naive_prime_witness(s, mask):
+    """The first (a, b, c, al, be), elements lexicographic and parameters
+    last, with no argument in the subset and the product in it; None if
+    there is none."""
+    n, m = s.order, s.gamma_size
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mask >> a & 1 or mask >> b & 1 or mask >> c & 1:
+                    continue
+                for al in range(m):
+                    for be in range(m):
+                        if mask >> s.ternary[al][be][a][b][c] & 1:
+                            return (a, b, c, al, be)
+    return None
+
+
+def naive_semiprime_witness(s, mask):
+    """The first (a, al, be) with a outside the subset and its cube at
+    (al, be) inside; None if there is none."""
+    n, m = s.order, s.gamma_size
+    for a in range(n):
+        if mask >> a & 1:
+            continue
+        for al in range(m):
+            for be in range(m):
+                if mask >> s.ternary[al][be][a][a][a] & 1:
+                    return (a, al, be)
+    return None
+
+
+def naive_primary_witness(s, mask):
+    """The first (a, b, c, al, be), in the order of naive_prime_witness,
+    with a outside the subset, the product inside and neither cube
+    t(b, al, b, be, b) nor t(c, al, c, be, c) inside; None if there is
+    none."""
+    n, m = s.order, s.gamma_size
+    for a in range(n):
+        if mask >> a & 1:
+            continue
+        for b in range(n):
+            for c in range(n):
+                for al in range(m):
+                    for be in range(m):
+                        cube = s.ternary[al][be]
+                        if (mask >> cube[a][b][c] & 1
+                                and not mask >> cube[b][b][b] & 1
+                                and not mask >> cube[c][c][c] & 1):
+                            return (a, b, c, al, be)
+    return None
+
+
 def naive_radical_by_primes(s, mask):
     n = s.order
     carrier = (1 << n) - 1
@@ -307,31 +359,84 @@ def naive_partitions(n):
     return out
 
 
+def naive_is_congruence(s, rho):
+    """Whether related elements give related sums and products, in every
+    argument position, at every parameter pair."""
+    n, m = s.order, s.gamma_size
+    for a in range(n):
+        for b in range(n):
+            if rho[a] != rho[b]:
+                continue
+            for c in range(n):
+                if rho[s.addition[a][c]] != rho[s.addition[b][c]]:
+                    return False
+                if rho[s.addition[c][a]] != rho[s.addition[c][b]]:
+                    return False
+            for x in range(n):
+                for y in range(n):
+                    for al in range(m):
+                        for be in range(m):
+                            cube = s.ternary[al][be]
+                            if (rho[cube[a][x][y]] != rho[cube[b][x][y]]
+                                    or rho[cube[x][a][y]] != rho[cube[x][b][y]]
+                                    or rho[cube[x][y][a]] != rho[cube[x][y][b]]):
+                                return False
+    return True
+
+
 def naive_congruences(s):
     """Partition scan with the compatibility conditions written out."""
+    return sorted(rho for rho in naive_partitions(s.order)
+                  if naive_is_congruence(s, rho))
+
+
+def naive_first_clash(s, rho):
+    """The first entry whose class differs from the class of the same entry
+    taken at the least members of its arguments' classes: sums (a, b), then
+    products (a, b, c, al, be), each lexicographic with parameters last.
+    Returned as ("add", ra, a, rb, b) or ("tern", ra, a, rb, b, rc, c, al,
+    be), ra the least member of a's class; None if there is none."""
     n, m = s.order, s.gamma_size
-    found = []
-    for rho in naive_partitions(n):
-        ok = True
+    least = [min(x for x in range(n) if rho[x] == rho[a]) for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if rho[s.addition[a][b]] != rho[s.addition[least[a]][least[b]]]:
+                return ("add", least[a], a, least[b], b)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for al in range(m):
+                    for be in range(m):
+                        cube = s.ternary[al][be]
+                        if (rho[cube[a][b][c]]
+                                != rho[cube[least[a]][least[b]][least[c]]]):
+                            return ("tern", least[a], a, least[b], b,
+                                    least[c], c, al, be)
+    return None
+
+
+def naive_bourne(s, mask):
+    """Classes of the relation a ~ b when a + i == b + j for some i, j in
+    the subset, closed transitively, as block indices in order of each
+    block's least member."""
+    n = s.order
+    block = list(range(n))
+    changed = True
+    while changed:
+        changed = False
         for a in range(n):
             for b in range(n):
-                if rho[a] != rho[b]:
+                if block[a] == block[b]:
                     continue
-                for c in range(n):
-                    if rho[s.addition[a][c]] != rho[s.addition[b][c]]:
-                        ok = False
-                for x in range(n):
-                    for y in range(n):
-                        for al in range(m):
-                            for be in range(m):
-                                cube = s.ternary[al][be]
-                                if (rho[cube[a][x][y]] != rho[cube[b][x][y]]
-                                        or rho[cube[x][a][y]] != rho[cube[x][b][y]]
-                                        or rho[cube[x][y][a]] != rho[cube[x][y][b]]):
-                                    ok = False
-        if ok:
-            found.append(rho)
-    return sorted(found)
+                if any(s.addition[a][i] == s.addition[b][j]
+                       for i in range(n) if mask >> i & 1
+                       for j in range(n) if mask >> j & 1):
+                    low = min(block[a], block[b])
+                    high = max(block[a], block[b])
+                    block = [low if v == high else v for v in block]
+                    changed = True
+    firsts = sorted(set(block))
+    return tuple(firsts.index(v) for v in block)
 
 
 def replays_clash(s, p, witness):

@@ -9,12 +9,13 @@ from dataclasses import replace
 import pytest
 
 import tgs.analysis
+import tgs.cli
 import tgs.quotient
 import tgs.spectrum
 from tgs.analysis import (analyze, evaluate_all_claims, evaluate_claim,
                           render_text, run_asserted_suite,
                           run_reported_suite)
-from tgs.core import GammaStructure, mask_elements, mask_of
+from tgs.core import AxiomReport, GammaStructure, mask_elements, mask_of
 from tgs.enumeration import _structure_summary
 from tgs.fixtures import CLAIMED, CLAIMS, DERIVED, mod_mul_structure
 from tgs.ideals import enumerate_ideals, ideal_classes
@@ -70,6 +71,22 @@ def test_quotient_check_scans_quotients_only_when_axioms_fail():
         "quotient-passes-axioms"]
     assert check.ok is False
     assert check.witnesses == (([0, 1, 2], ["distributivity-0", "absorbing-zero"]),)
+
+
+def test_axioms_are_decided_once_per_structure(law_calls, capsys):
+    # analyze and tgs verify decide the axioms before the asserted suite
+    # runs, and the suite's quotient check reads their verdict from the
+    # structure's memo instead of deciding the laws again
+    calls = law_calls(AxiomReport)
+    once = {("decide", law): 1 for law in AxiomReport._LAWS}
+    for name in sorted(DERIVED):
+        calls.clear()
+        analyze(replace(DERIVED[name]))
+        assert {k: v for k, v in calls.items() if k[0] == "decide"} == once
+        calls.clear()
+        tgs.cli._verify_structure(replace(DERIVED[name]), "all", name)
+        assert {k: v for k, v in calls.items() if k[0] == "decide"} == once
+    capsys.readouterr()
 
 
 def test_asserted_suite_records_product_map_refutation():

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from tgs.core import (AxiomReport, GammaStructure, InputError, _json_text, _nest,
-                      _non_commuting, apply_permutation, canonical_form, dumps_structure, full_mask, mask_elements,
+                      _non_commuting, _structure_template, apply_permutation,
+                      canonical_form, dumps_structure, full_mask, mask_elements,
                       mask_of, max_order, parse_structure, structure_from_bytes,
-                      structure_from_dict, structures_isomorphic,
+                      structure_from_dict, structure_to_dict, structures_isomorphic,
                       subset_sort_key, ternary_product, verify_axioms,
                       zero_fixing_permutations)
 from tgs.enumeration import enumerate_additive_monoids
@@ -71,6 +72,21 @@ def _mutants(passing, rng):
                 rng.choice(rows)[rng.randrange(n)] = rng.randrange(n)
             yield GammaStructure(order=n, gamma_size=s.gamma_size,
                                  addition=add, ternary=tern)
+
+
+def _random_tables(rng, n, m, count):
+    """count tables of shape (n, m) with every entry drawn at random, 0 half
+    the time, so that they hold subsets of every kind; nearly all fail
+    their axioms."""
+    def entry():
+        return 0 if rng.random() < 0.5 else rng.randrange(n)
+
+    for _ in range(count):
+        yield GammaStructure(
+            order=n, gamma_size=m,
+            addition=[[entry() for _ in range(n)] for _ in range(n)],
+            ternary=[[[[[entry() for _ in range(n)] for _ in range(n)]
+                       for _ in range(n)] for _ in range(m)] for _ in range(m)])
 
 
 def _completed_tables(n, m, adds):
@@ -259,6 +275,26 @@ def test_ternary_product_accessor():
         ternary_product(s, 6, 0, 0, 0, 0)
     with pytest.raises(InputError, match="not an integer"):
         ternary_product(DERIVED["M3"], 1.5, 0, 1, 0, 1)
+
+
+def test_structure_text_is_the_stdlib_text():
+    # dumps_structure fills one template per shape; its text is json.dumps
+    # of structure_to_dict at every shape up to order 6 and gamma 2, with
+    # names that need escaping, and the template cache is bounded
+    rng = random.Random(61)
+    names = ['"', "\\", "%", "%s", "%d%%", "caf\u00e9", "\u2203\U0001d53d",
+             'a"b\\c%', "", " ", "\n\t"]
+    structures = [DERIVED[name] for name in sorted(DERIVED)]
+    for n in range(1, 7):
+        for m in (1, 2):
+            for s in _random_tables(rng, n, m, 2):
+                structures += [s, GammaStructure(
+                    order=n, gamma_size=m, addition=s.addition,
+                    ternary=s.ternary, names=rng.sample(names, n))]
+    for s in structures:
+        assert dumps_structure(s) == json.dumps(
+            structure_to_dict(s), indent=2, sort_keys=True) + "\n"
+    assert _structure_template.cache_info().maxsize is not None
 
 
 def test_serialization_round_trip():

@@ -13,8 +13,9 @@ from tgs.ideals import (classify_ideal, enumerate_ideals, generated_ideal,
                         is_prime, is_semiprime, lattice_dot)
 
 from oracles import (naive_generated_ideal, naive_ideals, naive_is_prime,
-                     naive_is_prime_ideal_triples)
-from test_core import _mutants
+                     naive_is_prime_ideal_triples, naive_primary_witness,
+                     naive_prime_witness, naive_semiprime_witness)
+from test_core import _mutants, _random_tables
 
 IDEAL_MASKS = {
     "B2": (1, 3),
@@ -108,6 +109,32 @@ def test_frozen_predicate_witnesses(corpus):
     assert len(reports) == 1028
     assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
         "4b5ef9ae43ace1075e160f0049d4cbcb01373e3d46e7d933ee0cfee4ac788b52")
+
+
+def test_predicates_match_the_oracles_on_every_subset(corpus_reps):
+    # is_prime and is_primary decide first and scan for a witness only on
+    # failure, from the first element their loops found; for them and for
+    # is_semiprime, verdict and witness must be the oracle's first witness
+    # on every proper nonempty subset, ideal or not, of random tables
+    # (nearly all failing their axioms), seeded mutations of
+    # representatives, and the representatives, at gamma 1 and 2
+    rng = random.Random(3301)
+    reps = [s for shape in ((3, 1), (4, 1), (2, 2)) for s in corpus_reps[shape]]
+    structures = [s for n in range(1, 6) for m in (1, 2)
+                  for s in _random_tables(rng, n, m, 12 if n < 5 else 3)]
+    structures += list(_mutants(rng.sample(reps, 40), rng)) + reps
+    assert {s.gamma_size for s in structures} == {1, 2}
+    assert not all(verify_axioms(s).passed for s in structures)
+    outcomes = set()
+    for s in structures:
+        for mask in range(1, full_mask(s.order)):
+            for predicate, oracle in ((is_prime, naive_prime_witness),
+                                      (is_semiprime, naive_semiprime_witness),
+                                      (is_primary, naive_primary_witness)):
+                witness = oracle(s, mask)
+                assert predicate(s, mask) == Verdict(witness is None, witness)
+                outcomes.add((predicate.__name__, witness is None))
+    assert len(outcomes) == 6
 
 
 def test_prime_verdicts_frozen():

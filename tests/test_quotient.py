@@ -1,11 +1,13 @@
 import hashlib
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import tgs.quotient
-from tgs.core import (ConsistencyError, GammaStructure, InputError, canonical_form,
-                      verify_axioms)
+from tgs.core import (ConsistencyError, GammaStructure, InputError, Verdict,
+                      canonical_form, verify_axioms)
 from tgs.fixtures import DERIVED, mod_mul_structure
 from tgs.ideals import enumerate_ideals, is_ideal
 from tgs.quotient import (bourne_congruence, congruence_to_ideal,
@@ -14,7 +16,9 @@ from tgs.quotient import (bourne_congruence, congruence_to_ideal,
                           partition_blocks, quotient_structure)
 from tgs.spectrum import find_homomorphisms
 
-from oracles import naive_congruences, naive_partitions, replays_clash
+from oracles import (naive_bourne, naive_congruences, naive_first_clash,
+                     naive_is_congruence, naive_partitions, replays_clash)
+from test_core import _random_tables
 
 CONGRUENCE_COUNTS = {"B2": 2, "M3": 2, "M4": 3, "M6": 4, "L3": 4, "N3": 3}
 
@@ -95,6 +99,56 @@ def test_witness_stream_frozen(corpus_reps):
         if not v.ok:
             digest.update(repr((p, v.witness)).encode())
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+def _zero_product(s):
+    """s with the same addition and every product 0: every partition
+    respects that product, so its congruences are those of the addition."""
+    n, m = s.order, s.gamma_size
+    return GammaStructure(order=n, gamma_size=m, addition=s.addition,
+                          ternary=[[[[[0] * n] * n] * n] * m] * m)
+
+
+def test_congruence_test_matches_the_oracle_on_random_partitions(corpus_reps):
+    # _respects compares the addition first and the whole body only when
+    # the addition respects the partition; verdicts, witnesses and the
+    # congruence lists must be the oracle's on random tables (nearly all
+    # failing their axioms) and on representatives, for random labelings
+    # of every partition, many of them respecting the addition and not
+    # the product
+    rng = random.Random(4711)
+    structures = [s for n in range(1, 6) for m in (1, 2)
+                  for s in _random_tables(rng, n, m, 6)]
+    structures += [s for shape in ((3, 1), (4, 1), (2, 2))
+                   for s in rng.sample(corpus_reps[shape], min(30, len(corpus_reps[shape])))]
+    kinds = Counter()
+    for s in structures:
+        assert list(enumerate_congruences(replace(s))) == naive_congruences(s)
+        additive = _zero_product(s)
+        for p in naive_partitions(s.order):
+            labels = rng.sample(range(-3, 9), max(p) + 1)
+            relabeled = [labels[v] for v in p]
+            for q in (p, relabeled, tuple(relabeled)):
+                clash = naive_first_clash(s, q)
+                assert is_congruence(s, q) == Verdict(clash is None, clash)
+            kinds[naive_is_congruence(additive, p), naive_is_congruence(s, p)] += 1
+    assert kinds[True, False] and kinds[True, True] and kinds[False, False]
+
+
+def test_bourne_congruence_matches_the_oracle(corpus_reps):
+    # on every subset holding 0, ideal or not, of random tables and of
+    # representatives
+    rng = random.Random(1013)
+    structures = [s for n in range(1, 6) for m in (1, 2)
+                  for s in _random_tables(rng, n, m, 6)]
+    structures += [s for shape in ((3, 1), (4, 1), (2, 2)) for s in corpus_reps[shape]]
+    merged = 0
+    for s in structures:
+        for mask in range(1, 1 << s.order, 2):
+            rho = naive_bourne(s, mask)
+            assert bourne_congruence(s, mask) == rho
+            merged += max(rho) + 1 < s.order
+    assert merged
 
 
 def test_partition_labels_must_be_ints():
@@ -230,6 +284,20 @@ def test_partition_helpers():
     assert normalize_partition((1, 0, 1)) == (0, 1, 0)
     assert partition_blocks((0, 1, 0, 1)) == ((0, 2), (1, 3))
     assert normalize_partition((0, 2, 0)) == (0, 1, 0)
+
+
+def test_partitions_in_form_pass_as_they_are():
+    # a tuple already in restricted growth form comes back as it is; any
+    # other labeling is renumbered, a list always copied to a tuple
+    for n in range(1, 6):
+        for p in naive_partitions(n):
+            assert normalize_partition(p) is p
+            assert normalize_partition(list(p)) == p
+    for p, want in (((0, -1), (0, 1)), ((-1, -1), (0, 0)), ((1, 0), (0, 1)),
+                    ((0, 2, 1), (0, 1, 2)), ((0, 0, 2), (0, 0, 1)),
+                    ((0, 1, 3, 2), (0, 1, 2, 3))):
+        assert normalize_partition(p) == want
+        assert partition_blocks(p) == partition_blocks(want)
 
 
 def test_roundtrip_collisions_frozen():
