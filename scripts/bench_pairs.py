@@ -11,9 +11,20 @@ in both checkouts, the side that runs first alternating with i, and keeps
 the end-to-end metrics of each run (the JSON line bench/run.py prints
 last). Seeds run from --seed0, one block of --pairs per workload. Each
 workload's summary gives, per metric, both sides' quartiles, the parent's
-interquartile width, and whether the claim rule holds (see summary). Then, in
-each checkout, one traced classify run (its per-layer metrics and
-"search at" lines) and
+interquartile width, and whether the claim rule holds (see summary).
+
+A run-level pair compares two medians taken about 10 s apart, so a load
+burst on the host moves one side of a pair. The interleaved passes take
+that out: per workload, one manifest of seeded inputs is written once, by
+the parent's bench/workloads.py, and each side's bench/worker.py runs a
+pass on it in turn, parent, change, change, parent, for INTERLEAVED_ROUNDS
+rounds; the k-th pass of one side is paired with the k-th of the other,
+its neighbour in time. Every pass's outputs go through the bench's gate.
+The record gives each pair's ratio of pass_s, change over parent, their
+median and the number of pairs in which the change is lower.
+
+Then, in each checkout, one traced classify run and one traced modules
+run (per-layer metrics, and for classify its "search at" lines), and
 `tgs classify --order 4 --gamma 2` in a fresh interpreter at --jobs 1 and
 --jobs 2, with a time limit. Stdlib only; run from anywhere.
 
@@ -26,10 +37,13 @@ directories of one name and one path length. The record names the copies.
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import itertools
 import json
 import math
 import os
 import platform
+import random
 import re
 import shutil
 import signal
@@ -43,6 +57,7 @@ WORKLOADS = ("classify", "analyze", "modules", "order5")
 METRICS = ("setup_s", "pass_s", "peak_rss_mb")
 CLAIM_SHARE = 0.9  # 9 of 10 pairs
 CLASSIFY_42_TIMEOUT_S = 60
+INTERLEAVED_ROUNDS = 10  # each round parent, change, change, parent
 
 
 def stage(sides: dict, tmp: str) -> dict:
@@ -111,12 +126,87 @@ def summary(parent: list, change: list) -> dict:
                             and p["median"] - c["median"] > iqr)}
 
 
-def traced_classify(root: str, seed: int) -> dict:
+def traced(root: str, workload: str, seed: int) -> dict:
     """The per-layer metrics and "search at" lines of one traced run."""
-    result, lines = bench_run(root, "classify", seed, 1)
+    result, lines = bench_run(root, workload, seed, 1)
     return {"search": [line.strip() for line in lines if "search at" in line],
             "per_layer": {name: m["value"]
                           for name, m in result["metrics"].items()}}
+
+
+def _bench_workloads(root: str):
+    """bench/workloads.py of the checkout root, as a module of its own."""
+    path = os.path.join(root, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def worker_pass(root: str, manifest: str, result: str, mode: str) -> dict:
+    """One pass of root's bench/worker.py on manifest, started as bench/run.py
+    starts it; its result JSON."""
+    t0 = time.clock_gettime(time.CLOCK_MONOTONIC)
+    subprocess.run(
+        [sys.executable, os.path.join(root, "bench", "worker.py"), manifest,
+         result, repr(t0), mode],
+        cwd=root, capture_output=True, check=True,
+        env=dict(os.environ, PYTHONHASHSEED="0"))
+    with open(result, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def interleaved(sides: dict, workload: str, seed: int, tmp: str) -> dict:
+    """Passes of both sides on one manifest, ABBA (see the module
+    docstring); sides is ordered parent, change."""
+    wl = _bench_workloads(sides["parent"])
+    with open(os.path.join(sides["parent"], "bench", "data.json"),
+              encoding="utf-8") as fh:
+        data = json.load(fh)
+    work = tempfile.mkdtemp(prefix=f"{workload}-", dir=tmp)
+    inputs = os.path.join(work, "inputs")
+    os.makedirs(inputs)
+    ops, expected = wl.prepare(workload, data,
+                               random.Random(f"{workload}:{seed}"), inputs)
+    manifest = os.path.join(work, "manifest.json")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump({"workload": workload, "ops": ops}, fh)
+    serial = itertools.count()
+
+    def one(side: str, mode: str = "pass") -> dict:
+        result = os.path.join(work, f"r{next(serial)}.json")
+        res = worker_pass(sides[side], manifest, result, mode)
+        if mode == "pass":
+            res["failed"] = sum(wl.check(workload, exp, out, {}) is not None
+                                for exp, out in zip(expected, res["outputs"]))
+            shutil.rmtree(result + ".out", ignore_errors=True)
+        os.remove(result)
+        return res
+
+    for side in sides:  # warm each side's files and bytecode; discarded
+        one(side, "setup")
+    runs = {side: [] for side in sides}
+    parent, change = sides
+    for _ in range(INTERLEAVED_ROUNDS):
+        for side in (parent, change, change, parent):
+            runs[side].append(one(side))
+    out = {"seed": seed, "rounds": INTERLEAVED_ROUNDS,
+           "order": "parent, change, change, parent per round"}
+    for side, results in runs.items():
+        out[side] = {"failed": sum(r["failed"] for r in results),
+                     "pass_s": [sum(r["latencies"]) for r in results],
+                     "peak_rss_mb": [r["peak_rss_mb"] for r in results]}
+    ratios = [c / p for p, c in zip(out[parent]["pass_s"], out[change]["pass_s"])]
+    out["pass_ratios"] = ratios
+    out["median_pass_ratio"] = statistics.median(ratios)
+    out["change_lower_in"] = sum(r < 1 for r in ratios)
+    out["pairs"] = len(ratios)
+    out["summary"] = {m: summary(out[parent][m], out[change][m])
+                      for m in ("pass_s", "peak_rss_mb")}
+    print(f"{workload} interleaved: median pass ratio "
+          f"{out['median_pass_ratio']:.3f}, change lower in "
+          f"{out['change_lower_in']} of {len(ratios)}", flush=True)
+    return out
 
 
 def classify_42(root: str, jobs: int) -> dict:
@@ -148,7 +238,7 @@ def classify_42(root: str, jobs: int) -> dict:
             "report_json": report.decode()}
 
 
-def run_all(checkouts: dict, sides: dict, args) -> dict:
+def run_all(checkouts: dict, sides: dict, args, tmp: str) -> dict:
     """The record of every run, each side run from its staged copy."""
     record = {"host": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                       f"Python {platform.python_version()}",
@@ -163,10 +253,14 @@ def run_all(checkouts: dict, sides: dict, args) -> dict:
         record["pairs"][workload] = pairs(
             sides, workload, range(seed0, seed0 + args.pairs))
     trace_seed = args.seed0 + len(WORKLOADS) * args.pairs
-    record["traced_classify"] = {
-        "seed": trace_seed,
-        **{side: traced_classify(root, trace_seed)
-           for side, root in sides.items()}}
+    for workload in ("classify", "modules"):
+        record[f"traced_{workload}"] = {
+            "seed": trace_seed,
+            **{side: traced(root, workload, trace_seed)
+               for side, root in sides.items()}}
+    record["interleaved"] = {
+        workload: interleaved(sides, workload, trace_seed + 1 + w, tmp)
+        for w, workload in enumerate(WORKLOADS)}
     record["classify_4_2"] = {}
     for side, root in sides.items():
         runs = [classify_42(root, jobs) for jobs in (1, 2)]
@@ -189,7 +283,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        record = run_all(checkouts, stage(checkouts, tmp), args)
+        record = run_all(checkouts, stage(checkouts, tmp), args, tmp)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from functools import cache
 
 from .analysis import (_axioms_pass, analyze, evaluate_all_claims,
                        render_text, run_asserted_suite, run_reported_suite)
-from .core import (InputError, ResourceLimitError, _check_order, _json_text,
-                   dumps_structure, load_structure, verify_axioms)
+from .core import (InputError, ResourceLimitError, _check_order,
+                   _default_names, _json_text, _structure_template,
+                   load_structure, verify_axioms)
 from .enumeration import classify, render_classification_text
 from .fixtures import DERIVED
 from .ideals import lattice_dot
@@ -73,9 +75,11 @@ def cmd_classify(args) -> int:
     text = render_classification_text(report)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        # one representative at a time, rebuilt from its canonical form
-        for idx, s in enumerate(report.representatives):
-            _write_or_print(dumps_structure(s),
+        # each representative written from its canonical form's bytes
+        write = _structure_template(report.order, report.gamma_size)
+        names = _default_names(report.order)
+        for idx, form in enumerate(report.canonical_forms):
+            _write_or_print(write(names, form[2:]),
                             os.path.join(args.out, f"structure_{idx:03d}.json"))
         _write_or_print(_json_text(report.to_dict()),
                         os.path.join(args.out, "report.json"))
@@ -104,19 +108,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report["axioms"]["passed"] else EXIT_AXIOMS
 
 
-def _verify_structure(s, suite: str, label: str) -> int:
+def _verify_structure(s, suite: str, label: str) -> tuple:
+    """Print the outcome of every check over s; return the exit code and
+    the outcomes, (check, "hold" | "fail" | "skip") in the order printed,
+    the axioms counting as one check."""
     rep = verify_axioms(s)
     if not _axioms_pass(s, rep):
         print(f"{label}: axioms FAIL")
         for v in rep.failures():
             print(f"  {v.law} at {tuple(v.args)}: {v.lhs} != {v.rhs}")
-        return EXIT_AXIOMS
+        return EXIT_AXIOMS, [("axioms", "fail")]
     print(f"{label}: axioms pass")
+    outcomes = [("axioms", "hold")]
     if suite == "axioms":
-        return EXIT_OK
+        return EXIT_OK, outcomes
 
     code = EXIT_OK
     for c in run_asserted_suite(s):
+        outcomes.append((c.name, "skip" if c.ok is None else "hold" if c.ok else "fail"))
         if c.ok is None:
             print(f"  [skip] {c.name}: {c.note}")
         elif c.ok:
@@ -126,17 +135,19 @@ def _verify_structure(s, suite: str, label: str) -> int:
             print(f"  [FAIL] {c.name}")
             for w in c.witnesses[:5]:
                 print(f"         witness: {w}")
-    _print_reported_suite(s)
-    return code
+    outcomes += [(c.name, "hold" if c.ok else "fail") for c in _print_reported_suite(s)]
+    return code, outcomes
 
 
-def _print_reported_suite(s) -> None:
-    for c in run_reported_suite(s):
+def _print_reported_suite(s) -> list:
+    checks = run_reported_suite(s)
+    for c in checks:
         if c.ok:
             print(f"  [reported] {c.name}: holds exhaustively")
         else:
             print(f"  [reported] {c.name}: {len(c.witnesses)} discrepancies,"
                   f" first: {c.witnesses[0]}")
+    return checks
 
 
 def _verify_fixtures() -> int:
@@ -172,6 +183,7 @@ def cmd_verify(args) -> int:
         # input error, then resource cap, axiom failure, assertion failure
         rank = {EXIT_INPUT: 4, EXIT_RESOURCE: 3, EXIT_AXIOMS: 2, EXIT_ASSERT: 1,
                 EXIT_OK: 0}
+        tally = Counter()
         for fname in files:
             try:
                 s = _load(os.path.join(target, fname), exhaustive)
@@ -179,13 +191,18 @@ def cmd_verify(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_RESOURCE
             else:
-                code = _verify_structure(s, args.suite, fname)
+                code, outcomes = _verify_structure(s, args.suite, fname)
+                tally.update(outcomes)
             if rank[code] > rank[worst]:
                 worst = code
+        # one line per check, in the order the checks first ran
+        for name in dict.fromkeys(name for name, _ in tally):
+            print(f"tally {name}: {tally[name, 'hold']} hold,"
+                  f" {tally[name, 'fail']} fail, {tally[name, 'skip']} skip")
         return worst
     if os.path.exists(target):
         s = _load(target, exhaustive)
-        return _verify_structure(s, args.suite, target)
+        return _verify_structure(s, args.suite, target)[0]
     if target == "fixtures":
         return _verify_fixtures()
     raise InputError(f"no such file or directory: {target}")

@@ -864,19 +864,20 @@ def _write_json(o, newline: str, out: list) -> None:
 
 def dumps_structure(s: GammaStructure) -> str:
     """The text _json_text(structure_to_dict(s)) writes, filled into the
-    template of s's shape: its names escaped, then its body's entries."""
-    text, slots = _structure_template(s.order, s.gamma_size)
-    return text % slots((*map(_json_str, s.names), *_body(s)))
+    template of s's shape."""
+    return _structure_template(s.order, s.gamma_size)(s.names, _body(s))
 
 
 # Keyed by shape alone; past 64 shapes the least recently used are built again.
 @lru_cache(maxsize=64)
-def _structure_template(n: int, m: int) -> tuple:
-    """(text, slots) for dumps_structure at shape (n, m). text is the JSON
-    text of a placeholder structure, names "@i" and body entry k written
-    -1-k, with each placeholder turned into a %s or %d slot (its keys and
-    numbers hold no other %); slots gathers, from the names then the body
-    entries, the value of each slot in text order."""
+def _structure_template(n: int, m: int):
+    """The writer of structure files at shape (n, m): write(names, body) is
+    the text dumps_structure gives for the structure with these names and
+    body, and builds no table. It fills text, the JSON text of a placeholder
+    structure, names "@i" and body entry k written -1-k, with each
+    placeholder turned into a %s or %d slot (its keys and numbers hold no
+    other %); slots gathers, from the names escaped, then the body entries,
+    the value of each slot in text order."""
     size = n * n + m * m * n ** 3
     entries = [-1 - k for k in range(size)]
     placeholder = _prevalidated(
@@ -893,7 +894,8 @@ def _structure_template(n: int, m: int) -> tuple:
 
     text = re.sub(r'"@(\d+)"|(-\d+)', slot,
                   _json_text(structure_to_dict(placeholder)))
-    return text, itemgetter(*order)
+    slots = itemgetter(*order)
+    return lambda names, body: text % slots((*map(_json_str, names), *body))
 
 
 def parse_structure(text: str) -> GammaStructure:

@@ -245,6 +245,19 @@ def _pair_grid(m: int) -> tuple:
                        for be in range(m)) for al in range(m))
 
 
+def _partners(maps: list) -> list:
+    """partners[i]: the indices j such that every map of maps[i] commutes
+    with every map of maps[j], i itself included when its own maps commute;
+    decided once per unordered pair."""
+    partners = [set() for _ in maps]
+    for j, fs in enumerate(maps):
+        for i in range(j + 1):
+            if not any(_non_commuting(fs, maps[i])):
+                partners[i].add(j)
+                partners[j].add(i)
+    return partners
+
+
 def _structures_for_monoid(add, n: int, m: int) -> Iterator[GammaStructure]:
     """Every axiom-passing table over add at m parameters, in the order of
     the product of cube solutions over the positions of _pair_grid(m), the
@@ -270,13 +283,7 @@ def _structures_for_monoid(add, n: int, m: int) -> Iterator[GammaStructure]:
         yield from (structure(1, ((cube,),)) for cube in cubes)
         return
     cubes = list(cubes)
-    rows = [_slot_maps(((cube,),), 2) for cube in cubes]
-    partners = [set() for _ in cubes]  # the cubes whose rows commute with each
-    for j, row in enumerate(rows):
-        for i in range(j + 1):
-            if not any(_non_commuting(row, rows[i])):
-                partners[i].add(j)
-                partners[j].add(i)
+    partners = _partners([_slot_maps(((cube,),), 2) for cube in cubes])
 
     def ok(vals, k: int) -> bool:
         return partners[vals[k]].issuperset(vals[:k])
@@ -343,7 +350,8 @@ class ClassificationReport:
     canonical form and invariant summary, row for row, with the counts.
 
     It holds no structure. representatives rebuilds each one from its form
-    as it is read, so a caller that writes them out holds one at a time.
+    as it is read, so a caller that reads them in turn holds one at a time;
+    tgs classify --out writes the files from the forms' bytes alone.
     """
     order: int
     gamma_size: int

@@ -12,11 +12,11 @@ Witnesses are the first violating tuple in each law's scan order, as
 written in its check, and each is one call of core._first, the package's
 one first-witness scan. The report works as core's does for verify_axioms,
 from its own law table: passed decides each law on whole maps or planes,
-at most once per report, the exchange law first, the one law the action
-search does not build in, then the others only if it holds, and it never
-scans for a witness. The exchange law walks the carrier maps of the table
-itself; each other decision extracts the distinct maps through the slots
-it reads:
+at most once per report, the exchange law first, then the others only if
+it holds, and it never scans for a witness. An action the action search
+yields carries the verdict of every law, and each decision
+returns the recorded verdict; for any other action, each decision extracts
+the distinct maps through the slots it reads:
 
     carrier monoid      decided on its rows as maps, as the additive monoid
                         is in verify_axioms
@@ -26,17 +26,17 @@ it reads:
     absorbing zero      each distinct map through a scalar slot must send 0
                         to 0
     exchange law        with P = a (-) d and Q = b (-) c as carrier maps the
-                        law reads P∘Q == Q∘P; the maps m -> a m b are
-                        walked in table order, each new distinct one tested
-                        against the earlier ones, up to the first pair that
-                        does not commute
+                        law reads P∘Q == Q∘P; every two distinct maps
+                        m -> a m b must commute
 
 A field scans only when its law failed, over the law's whole order.
 
 Actions are enumerated by the table-completion engine of enumeration, with
-additivity in all three slots replayed as cells land, so every generated
-action is additive by construction; the engine yields the solutions of one
-cube, and _actions_for_carrier takes their product over the m*m cubes. A
+additivity in all three slots replayed as cells land and the scalar-zero
+cells pinned to 0, on a carrier that is a commutative monoid, so every
+generated action holds three laws by construction; the engine yields the
+solutions of one cube, and _actions_for_carrier takes their product over
+the m*m cubes, deciding the exchange law once per pair of solutions. A
 submodule test reads, for each carrier element m, the mask of every a m b,
 once per action.
 """
@@ -52,11 +52,10 @@ from .core import (GammaStructure, InputError, ResourceLimitError, Verdict,
                    Violation, _as_grid, _as_layers, _check_order,
                    _closed_subsets, _first, _given_monoid,
                    _is_commutative_monoid, _LawReport, _monoid_violation,
-                   _moves_zero, _non_additive, _positive_int, _prevalidated,
-                   _slot_maps, _violation,
-                   full_mask, mask_elements, mask_of, max_order,
-                   subset_sort_key)
-from .enumeration import _cube_solutions, enumerate_additive_monoids
+                   _moves_zero, _non_additive, _non_commuting, _positive_int,
+                   _prevalidated, _slot_maps, _violation, full_mask,
+                   mask_elements, mask_of, max_order, subset_sort_key)
+from .enumeration import _cube_solutions, _partners, enumerate_additive_monoids
 from .ideals import is_ideal, is_prime
 
 _SUBMODULE_SCAN_CAP = 16
@@ -157,21 +156,9 @@ def _check_module_zero(a_: ModuleAction) -> Violation:
 
 def _non_exchanging(a_: ModuleAction) -> bool:
     """Whether two carrier maps mm -> a mm b, at any parameters, fail to
-    commute. The maps are walked in table order, repeats skipped, and each
-    new one is tested against the earlier distinct ones, so the walk stops at
-    the first pair that does not commute."""
-    seen = {}  # each distinct map f, with after(g) = g∘f
-    for layer in a_.action:
-        for cube in layer:
-            for plane in cube:
-                for f in zip(*plane):
-                    if f not in seen:
-                        after = itemgetter(*f)
-                        for g, before in seen.items():  # before(f) is f∘g
-                            if before(f) != after(g):
-                                return True
-                        seen[f] = after
-    return False
+    commute."""
+    maps = _slot_maps(a_.action, 1)
+    return any(_non_commuting(maps, maps))
 
 
 def _check_module_assoc_surrogate(a_: ModuleAction) -> Violation:
@@ -189,14 +176,29 @@ def _check_module_assoc_surrogate(a_: ModuleAction) -> Violation:
                      *sides(al, be, ga, de, *args))
 
 
+# The verdicts the action search records on each action it yields, kept
+# as a memo is, in the action's own __dict__ and not as a field: the set of
+# laws that fail. The search builds in every law but the exchange law, so
+# there is one shared set per outcome of it.
+_FAILING = {True: frozenset(), False: frozenset({"associativity"})}
+
+
+def _recorded(name: str, decide):
+    """decide, unless the action carries the search's verdicts."""
+    def call(a_: ModuleAction) -> bool:
+        failing = vars(a_).get("_failing")
+        return decide(a_) if failing is None else name in failing
+    return call
+
+
 class ModuleAxiomReport(_LawReport):
-    _LAWS = {
+    _LAWS = {name: (_recorded(name, decide), scan) for name, (decide, scan) in {
         "carrier_monoid": (lambda a_: not _is_commutative_monoid(a_.carrier_addition),
                            _check_carrier_monoid),
         "additivity": (_module_non_additive, _check_module_additivity),
         "absorbing_zero": (lambda a_: _moves_zero(a_.action, (0, 2)), _check_module_zero),
         "associativity": (_non_exchanging, _check_module_assoc_surrogate),
-    }
+    }.items()}
     _ORDER = ("associativity", "carrier_monoid", "additivity", "absorbing_zero")
     _KEYS = (*_LAWS, "passed")
 
@@ -284,26 +286,43 @@ def _actions_for_carrier(s: GammaStructure, k: int, madd) -> Iterator[ModuleActi
     of the one-cube search, the scalar-zero ones pinned to 0; every (al, be)
     cube is a solution of that search, and the actions are the product of
     the solutions over the m*m cubes, cube (al, be) at position al*m + be,
-    the first position slowest."""
+    the first position slowest.
+
+    Each action carries its law verdicts (_FAILING). The carrier
+    is a commutative monoid and the search builds in additivity and zero
+    absorption; the exchange law holds iff the carrier maps of every two of
+    its cubes, a cube with itself included, commute. At one parameter each
+    cube is decided as it streams; at more, every pair of cube solutions is
+    decided once, by _partners."""
     n, m = s.order, s.gamma_size
     cells = list(iproduct(range(n), range(k), range(n)))
     index = dict.fromkeys(cells, -1)
     index.update((c, i) for i, c in enumerate(c for c in cells if c[0] and c[2]))
     cubes = _cube_solutions(index, (n, k, n), (s.addition, madd, s.addition), madd)
+
+    def action(act, ok: bool) -> ModuleAction:
+        return _prevalidated(ModuleAction, scalar=s, carrier_order=k,
+                             carrier_addition=madd, action=act, _failing=_FAILING[ok])
+
     if m == 1:  # product reads its input whole; one cube streams
-        actions = zip(zip(cubes))
-    else:
-        rows = [itemgetter(*range(al * m, al * m + m)) for al in range(m)]
-        actions = (tuple([row(picks) for row in rows])
-                   for picks in iproduct(cubes, repeat=m * m))
-    for act in actions:
-        yield _prevalidated(ModuleAction, scalar=s, carrier_order=k,
-                            carrier_addition=madd, action=act)
+        for cube in cubes:
+            maps = _slot_maps(((cube,),), 1)
+            yield action(((cube,),), not any(_non_commuting(maps, maps)))
+        return
+    cubes = list(cubes)
+    partners = _partners([_slot_maps(((cube,),), 1) for cube in cubes])
+    rows = [itemgetter(*range(al * m, al * m + m)) for al in range(m)]
+    for picks, picked in zip(iproduct(range(len(cubes)), repeat=m * m),
+                             iproduct(cubes, repeat=m * m)):
+        yield action(tuple([row(picked) for row in rows]),
+                     set.intersection(*[partners[p] for p in picks]).issuperset(picks))
 
 
 def enumerate_module_actions(s: GammaStructure, carrier_order: int,
                              carrier_addition=None) -> Iterator[ModuleAction]:
-    """All additivity-satisfying actions on carriers of the given order.
+    """All additivity-satisfying actions on carriers of the given order,
+    each carrying its module law verdicts (see _actions_for_carrier), so
+    verify_module_axioms(action).passed decides nothing.
 
     The arguments and the order cap, max_order(), are checked at the call,
     before any search starts; a given carrier addition must be a commutative

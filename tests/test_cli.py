@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -199,6 +201,60 @@ def test_verify_directory_severity(tmp_path, capsys, order6):
     _write(tmp_path, "c_add3", CLAIMED["add3"])
     assert main(["verify", str(tmp_path)]) == 3
     capsys.readouterr()
+
+
+# the tally lines of `tgs verify` over the (3,1) classification: the checks
+# that do not hold on all 19 structures, as (hold, fail, skip)
+VERIFY_TALLY_3_1 = {
+    "maximal-implies-prime": (7, 12, 0),
+    "jacobson-semiprime-when-maximals-prime": (7, 0, 12),
+    "radical-route-agreement": (18, 1, 0),
+    "primary-radical-prime": (7, 12, 0),
+    "congruence-roundtrip-bijection": (8, 11, 0),
+    "bourne-zero-class-equals-ideal": (10, 9, 0),
+    "prime-iff-quotient-zero-divisor-free": (12, 7, 0),
+    "crt-for-comaximal-maximals": (15, 4, 0),
+    "idempotent-count-equals-component-count": (1, 18, 0),
+    "connectedness-topological-vs-idempotent": (17, 2, 0),
+}
+
+
+def _tally(text: str) -> dict:
+    """{check: (hold, fail, skip)} from the tally lines of verify's output,
+    in the order printed."""
+    found = re.findall(r"^tally (\S+): (\d+) hold, (\d+) fail, (\d+) skip$",
+                       text, re.M)
+    return {name: tuple(map(int, counts)) for name, *counts in found}
+
+
+def test_verify_directory_tally(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["classify", "--order", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    tally = _tally(text)
+    assert lines[-len(tally):] == [line for line in lines if line.startswith("tally ")]
+    assert len(tally) == 34 and list(tally)[:2] == ["axioms", "maximal-implies-prime"]
+    assert {name: c for name, c in tally.items() if c != (19, 0, 0)} == VERIFY_TALLY_3_1
+    # each count is the number of per-file lines with that outcome
+    counted = Counter(("axioms", word) for word in re.findall(
+        r"^\S+: axioms (pass|FAIL)$", text, re.M))
+    counted.update((name, word) for word, name in re.findall(
+        r"^  \[(pass|FAIL|skip)\] ([\w-]+)", text, re.M))
+    counted.update((name, "FAIL" if found else "pass") for name, found in re.findall(
+        r"^  \[reported\] ([\w-]+): (?:holds|(\d+) discrepancies)", text, re.M))
+    assert {name: (counted[name, "pass"], counted[name, "FAIL"], counted[name, "skip"])
+            for name, _ in counted} == tally
+    # a structure that fails its axioms counts once, as an axioms failure;
+    # the suites do not run on it
+    _write(out, "structure_add3", CLAIMED["add3"])
+    assert main(["verify", str(out)]) == 3
+    again = _tally(capsys.readouterr().out)
+    assert again == {**tally, "axioms": (19, 1, 0)}
+    assert main(["verify", str(out), "--suite", "axioms"]) == 3
+    assert _tally(capsys.readouterr().out) == {"axioms": (19, 1, 0)}
 
 
 def test_verify_directory_goes_past_malformed_file(tmp_path, capsys, order6):

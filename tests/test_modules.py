@@ -1,6 +1,8 @@
 import hashlib
 import json
+import pickle
 import random
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -194,6 +196,61 @@ def test_action_stream_digest_on_order_3_carriers(corpus_reps):
     assert count == 81992
     assert h.hexdigest() == (
         "447c63b657dd49c57bf267e3ea272a53b68e2a180c545216b6ea23b1d59136c6")
+
+
+def _unrecorded(a):
+    """a rebuilt through the validating constructor: the same tables, with
+    no law verdict recorded by the search."""
+    return ModuleAction(scalar=a.scalar, carrier_order=a.carrier_order,
+                        carrier_addition=a.carrier_addition, action=a.action)
+
+
+def test_recorded_verdicts_equal_fresh_decisions(search_actions, corpus_reps):
+    # every action the search yields carries its law verdicts; the same
+    # tables built by hand carry none, and each law is decided afresh. Over
+    # the stream-digest corpus both reports must read alike, witnesses
+    # included; over the order-3 carriers of the (2, 2) representatives,
+    # where a report's fields are the scans of the laws that fail, each
+    # recorded verdict must equal the fresh decision
+    for a in search_actions:
+        fresh = _unrecorded(a)
+        assert "_failing" in vars(a) and "_failing" not in vars(fresh)
+        assert verify_module_axioms(a).passed == verify_module_axioms(fresh).passed
+        assert verify_module_axioms(a).to_dict() == verify_module_axioms(fresh).to_dict()
+    count = 0
+    for a in _order_3_actions(corpus_reps):
+        fresh = _unrecorded(a)
+        assert "_failing" not in vars(fresh)
+        assert verify_module_axioms(a).passed == verify_module_axioms(fresh).passed
+        assert vars(a)["_failing"] == {
+            name for name, (decide, _) in ModuleAxiomReport._LAWS.items() if decide(fresh)}
+        count += 1
+    assert count == 81992
+
+
+def test_replaced_action_is_decided_afresh():
+    # dataclasses.replace builds through the validating constructor, so a
+    # copy with a changed table carries no recorded verdict: a passing
+    # action copied with a failing action's table fails, the other way
+    # round passes, and a changed cell is found
+    actions = list(enumerate_module_actions(DERIVED["B2"], 2))
+    good = next(a for a in actions if verify_module_axioms(a).passed)
+    bad = next(a for a in actions if not verify_module_axioms(a).passed)
+    broken = [[[[list(row) for row in plane] for plane in cube]
+               for cube in layer] for layer in good.action]
+    broken[0][0][0][1][1] = 1  # 0 1 1 = 1: the scalar 0 no longer absorbs
+    for a, table in ((good, bad.action), (bad, good.action), (good, broken)):
+        copy = replace(a, action=table)
+        assert "_failing" not in vars(copy)
+        report = verify_module_axioms(copy)
+        assert report.passed is naive_module_check(copy) is (table is good.action)
+        assert report.to_dict() == verify_module_axioms(_unrecorded(copy)).to_dict()
+    assert report.absorbing_zero is not None
+    # a pickled action keeps its record, the shared set of its outcome
+    for a in (good, bad):
+        again = pickle.loads(pickle.dumps(a))
+        assert again == a and vars(again)["_failing"] == vars(a)["_failing"]
+        assert verify_module_axioms(again).passed is verify_module_axioms(a).passed
 
 
 def _module_mutants(actions, rng):
