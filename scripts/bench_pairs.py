@@ -24,9 +24,13 @@ The record gives each pair's ratio of pass_s, change over parent, their
 median and the number of pairs in which the change is lower.
 
 Then, in each checkout, one traced classify run and one traced modules
-run (per-layer metrics, and for classify its "search at" lines), and
-`tgs classify --order 4 --gamma 2` in a fresh interpreter at --jobs 1 and
---jobs 2, with a time limit. Stdlib only; run from anywhere.
+run (per-layer metrics, and for classify its "search at" lines). Last,
+`tgs classify --order 4 --gamma 2` runs in a fresh interpreter, with a time
+limit, interleaved as the passes are: per round, at --jobs 1 and then at
+--jobs 2, parent, change, change, parent, for CLASSIFY_42_ROUNDS rounds.
+The record keeps every wall time, the ratio of each pair of neighbours,
+and whether every run of both sides wrote the same report.json. Stdlib
+only; run from anywhere.
 
 Both checkouts are copied first, PARENT_DIR to <tmp>/a/repo and CHANGE_DIR
 to <tmp>/b/repo, and every run reads its copy: bench/run.py's peak_rss_mb
@@ -58,6 +62,7 @@ METRICS = ("setup_s", "pass_s", "peak_rss_mb")
 CLAIM_SHARE = 0.9  # 9 of 10 pairs
 CLASSIFY_42_TIMEOUT_S = 60
 INTERLEAVED_ROUNDS = 10  # each round parent, change, change, parent
+CLASSIFY_42_ROUNDS = 3  # the same order, at each --jobs
 
 
 def stage(sides: dict, tmp: str) -> dict:
@@ -238,6 +243,35 @@ def classify_42(root: str, jobs: int) -> dict:
             "report_json": report.decode()}
 
 
+def classify_42_interleaved(sides: dict) -> dict:
+    """classify_42 on both sides, ABBA per round and per --jobs (see the
+    module docstring); sides is ordered parent, change. The k-th run of one
+    side at one --jobs is paired with the k-th of the other."""
+    parent, change = sides
+    runs = {(side, jobs): [] for side in sides for jobs in (1, 2)}
+    for _ in range(CLASSIFY_42_ROUNDS):
+        for jobs in (1, 2):
+            for side in (parent, change, change, parent):
+                runs[side, jobs].append(classify_42(sides[side], jobs))
+                print(f"classify 4 2 --jobs {jobs} {side}: "
+                      f"{runs[side, jobs][-1].get('wall_s', 'killed')}", flush=True)
+    reports = {run.pop("report_json", None) for rs in runs.values() for run in rs}
+    out = {"rounds": CLASSIFY_42_ROUNDS,
+           "order": "per round, at --jobs 1 then --jobs 2: parent, change, "
+                    "change, parent",
+           "same_report_json_in_every_run":
+               None if None in reports else len(reports) == 1}
+    for jobs in (1, 2):
+        walls = {side: [run.get("wall_s") for run in runs[side, jobs]] for side in sides}
+        entry = {side: {"runs": runs[side, jobs], "wall_s": walls[side]} for side in sides}
+        if None not in walls[parent] + walls[change]:
+            ratios = [c / p for p, c in zip(walls[parent], walls[change])]
+            entry.update(wall_ratios=ratios, median_wall_ratio=statistics.median(ratios),
+                         summary=summary(walls[parent], walls[change]))
+        out[f"jobs_{jobs}"] = entry
+    return out
+
+
 def run_all(checkouts: dict, sides: dict, args, tmp: str) -> dict:
     """The record of every run, each side run from its staged copy."""
     record = {"host": f"{platform.machine()}, {os.cpu_count()} CPUs, "
@@ -261,14 +295,7 @@ def run_all(checkouts: dict, sides: dict, args, tmp: str) -> dict:
     record["interleaved"] = {
         workload: interleaved(sides, workload, trace_seed + 1 + w, tmp)
         for w, workload in enumerate(WORKLOADS)}
-    record["classify_4_2"] = {}
-    for side, root in sides.items():
-        runs = [classify_42(root, jobs) for jobs in (1, 2)]
-        reports = {run.pop("report_json", None) for run in runs}
-        record["classify_4_2"][side] = {
-            "runs": runs,
-            "same_report_json_across_jobs":
-                None if None in reports else len(reports) == 1}
+    record["classify_4_2"] = classify_42_interleaved(sides)
     return record
 
 

@@ -58,15 +58,6 @@ def _elems(mask: int) -> list:
     return list(mask_elements(mask))
 
 
-def _axioms_pass(s: GammaStructure, report) -> bool:
-    """report.passed, report being verify_axioms(s), kept in s's memo:
-    analyze and tgs verify decide it before the asserted suite asks, so each
-    law is decided once between them. A report decides nothing until read,
-    so one built only to ask costs nothing once the verdict is kept. Only
-    the bool is kept, as a report refers to s."""
-    return memo(s, "axioms_passed", lambda: report.passed)
-
-
 # ---------------------------------------------------------------------------
 # asserted suite
 
@@ -154,9 +145,10 @@ def run_asserted_suite(s: GammaStructure) -> list:
                              not wit, tuple(wit)))
 
     # a quotient is a homomorphic image, and every axiom is an equation, so
-    # the quotients of a structure that passes its axioms pass theirs
+    # the quotients of a structure that passes its axioms pass theirs; the
+    # verdict is read from s's memo when analyze or tgs verify decided it
     wit = []
-    if not _axioms_pass(s, verify_axioms(s)):
+    if not verify_axioms(s).passed:
         for rho in congruences:
             rep = verify_axioms(quotient_structure(s, rho))
             if not rep.passed:
@@ -460,7 +452,7 @@ def analyze(s: GammaStructure) -> dict:
         },
         "axioms": axioms.to_dict(),
     }
-    if not _axioms_pass(s, axioms):
+    if not axioms.passed:
         report["analysis_skipped"] = "axioms failed; nothing below is defined"
         return report
 

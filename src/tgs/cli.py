@@ -20,8 +20,8 @@ import sys
 from collections import Counter
 from functools import cache
 
-from .analysis import (_axioms_pass, analyze, evaluate_all_claims,
-                       render_text, run_asserted_suite, run_reported_suite)
+from .analysis import (analyze, evaluate_all_claims, render_text,
+                       run_asserted_suite, run_reported_suite)
 from .core import (InputError, ResourceLimitError, _check_order,
                    _default_names, _json_text, _structure_template,
                    load_structure, verify_axioms)
@@ -113,7 +113,7 @@ def _verify_structure(s, suite: str, label: str) -> tuple:
     the outcomes, (check, "hold" | "fail" | "skip") in the order printed,
     the axioms counting as one check."""
     rep = verify_axioms(s)
-    if not _axioms_pass(s, rep):
+    if not rep.passed:
         print(f"{label}: axioms FAIL")
         for v in rep.failures():
             print(f"  {v.law} at {tuple(v.args)}: {v.lhs} != {v.rhs}")

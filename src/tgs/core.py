@@ -31,12 +31,12 @@ congruence (quotient._representative_clash). Whole tables are relabeled,
 tested and projected as bytes, by one gather and one translate each.
 
 verify_axioms returns a report that is evaluated as it is read. Its passed
-decides each law on whole maps or planes, at most once per report: ternary
-associativity first, the one law the cube searches do not build in, then
-the others only if it holds. It stops at the first law that fails and never
-scans for a witness. Each decision reads the structure alone; all but zero
-absorption extract the distinct maps through the element slots they need,
-with _slot_maps:
+decides each law on whole maps or planes, at most once per structure:
+ternary associativity first, the one law the cube searches do not build in,
+then the others only if it holds. It stops at the first law that fails and
+never scans for a witness. Each decision reads the structure alone; all but
+zero absorption extract the distinct maps through the element slots they
+need, with _slot_maps:
 
     ternary_assoc       L = t(a,al,b,be,-) and R = t(-,ga,d,de,e) as maps on
                         elements must commute; _non_commuting tests the
@@ -49,9 +49,10 @@ with _slot_maps:
     commutative         whole planes must equal their transposes
     additive_monoid     decided on its rows as maps
 
-A report holds its subject and the verdicts decided so far; the table
-_LAWS of its class gives each law's decision and scan. A law's field is
-computed when first read, and kept; its scan runs only if the law failed.
+A report holds its subject alone; the table _LAWS of its class gives each
+law's decision and scan, and the subject's memo keeps each verdict and
+field, seeded by the cube search with the laws it builds in. A law's field
+is computed when first read; its scan runs only if the law failed.
 The ternary associativity scan finds the failing Ls again, in (a, b) order,
 and starts at the first (a, b) with one, where its first witness lies;
 every other scan runs its whole order.
@@ -205,31 +206,29 @@ class _LawReport:
     """Base of the per-law reports. _LAWS maps each law field, in to_dict
     order, to (decide, scan): decide(subject) reads maps only and returns
     whether the law fails, and scan(subject) then finds its first Violation.
-    A field holds that Violation, or None; it is computed on its first read
-    and kept in the instance dict. A report decides each law at most once.
-    passed decides the laws in _ORDER, the law no constructor builds in
-    first, stops at the first that fails and never scans for a witness.
-    _KEYS is the to_dict key order, "passed" included. Reports are
-    read-only."""
+    A field holds that Violation, or None. Both are kept in the subject's
+    memo, under ("fails", law) and ("violation", law), so all reports of one
+    subject decide and scan each law at most once in all. passed decides the
+    laws in _ORDER, the law no constructor builds in first, stops at the
+    first that fails and never scans for a witness. _KEYS is the to_dict key
+    order, "passed" included. Reports are read-only."""
 
     def __init__(self, subject):
-        vars(self).update(_subject=subject, _fails={})
+        vars(self)["_subject"] = subject
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
     def _decide(self, name: str) -> bool:
-        fails = self._fails
-        if name not in fails:
-            fails[name] = self._LAWS[name][0](self._subject)
-        return fails[name]
+        s = self._subject
+        return memo(s, ("fails", name), lambda: self._LAWS[name][0](s))
 
     def __getattr__(self, name):
         if name not in self._LAWS:
             raise AttributeError(name)
-        value = self._LAWS[name][1](self._subject) if self._decide(name) else None
-        self.__dict__[name] = value
-        return value
+        s = self._subject
+        return memo(s, ("violation", name),
+                    lambda: self._LAWS[name][1](s) if self._decide(name) else None)
 
     def failures(self) -> tuple:
         """The violations found, in the order of _LAWS."""
@@ -252,11 +251,13 @@ class _LawReport:
 # the structure itself
 
 def memo(s, key, compute):
-    """compute() once per structure; later calls return the stored value.
+    """compute() once per subject, a structure or a ModuleAction; later
+    calls return the stored value.
 
-    The store lives in the structure's own __dict__ and is not a dataclass
-    field, so ==, hash and repr ignore it and it is freed with the structure.
-    Every caller shares the value, so it must be immutable.
+    The store lives in the subject's own __dict__ and is not a dataclass
+    field, so ==, hash and repr ignore it and it is freed with the subject.
+    Every caller shares the value, so it must be immutable. A constructor
+    may seed the store, in a fresh dict: _prevalidated(..., _memo={...}).
     """
     store = s.__dict__.setdefault("_memo", {})
     if key not in store:
@@ -328,7 +329,8 @@ def _prevalidated(cls, **fields):
     nested tuples of in-range ints, names filled in, as a search builds them
     or as they derive from validated tables (a quotient reads its parent's
     entries through a partition into range). Equal to what the validating
-    constructor returns for the same tables."""
+    constructor returns for the same tables. A _memo field seeds the memo
+    (see memo)."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -573,7 +575,8 @@ class AxiomReport(_LawReport):
 
 def verify_axioms(s: GammaStructure) -> AxiomReport:
     """The axiom report of s: passed decides every axiom on maps; a field,
-    the first lex witness of one axiom, is scanned when first read."""
+    the first lex witness of one axiom, is scanned when first read; both
+    are kept in s's memo, where a search may have seeded verdicts."""
     return AxiomReport(s)
 
 
@@ -607,11 +610,10 @@ def _from_body(n: int, m: int, body: bytes, names: tuple) -> GammaStructure:
     """The structure of shape (n, m) whose tables serialize to body, built
     without validation: only for a body read from validated tables. Its memo
     holds body from the start, the value _body would compute."""
-    s = _prevalidated(GammaStructure, order=n, gamma_size=m, names=names,
-                      addition=_nest(body[:n * n], (n, n)),
-                      ternary=_nest(body[n * n:], (m, m, n, n, n)))
-    s.__dict__["_memo"] = {"body": body}
-    return s
+    return _prevalidated(GammaStructure, order=n, gamma_size=m, names=names,
+                         addition=_nest(body[:n * n], (n, n)),
+                         ternary=_nest(body[n * n:], (m, m, n, n, n)),
+                         _memo={"body": body})
 
 
 # Keyed by shape and carrier map, never by a table. At the default caps,

@@ -11,12 +11,12 @@ their scalars).
 Witnesses are the first violating tuple in each law's scan order, as
 written in its check, and each is one call of core._first, the package's
 one first-witness scan. The report works as core's does for verify_axioms,
-from its own law table: passed decides each law on whole maps or planes,
-at most once per report, the exchange law first, then the others only if
-it holds, and it never scans for a witness. An action the action search
-yields carries the verdict of every law, and each decision
-returns the recorded verdict; for any other action, each decision extracts
-the distinct maps through the slots it reads:
+from its own law table and the action's memo: passed decides each law on
+whole maps or planes, at most once per action, the exchange law first,
+then the others only if it holds, and never scans for a witness. An action
+the action search yields holds every verdict in its memo from the start;
+for any other action, each decision extracts the distinct maps through the
+slots it reads:
 
     carrier monoid      decided on its rows as maps, as the additive monoid
                         is in verify_axioms
@@ -176,29 +176,14 @@ def _check_module_assoc_surrogate(a_: ModuleAction) -> Violation:
                      *sides(al, be, ga, de, *args))
 
 
-# The verdicts the action search records on each action it yields, kept
-# as a memo is, in the action's own __dict__ and not as a field: the set of
-# laws that fail. The search builds in every law but the exchange law, so
-# there is one shared set per outcome of it.
-_FAILING = {True: frozenset(), False: frozenset({"associativity"})}
-
-
-def _recorded(name: str, decide):
-    """decide, unless the action carries the search's verdicts."""
-    def call(a_: ModuleAction) -> bool:
-        failing = vars(a_).get("_failing")
-        return decide(a_) if failing is None else name in failing
-    return call
-
-
 class ModuleAxiomReport(_LawReport):
-    _LAWS = {name: (_recorded(name, decide), scan) for name, (decide, scan) in {
+    _LAWS = {
         "carrier_monoid": (lambda a_: not _is_commutative_monoid(a_.carrier_addition),
                            _check_carrier_monoid),
         "additivity": (_module_non_additive, _check_module_additivity),
         "absorbing_zero": (lambda a_: _moves_zero(a_.action, (0, 2)), _check_module_zero),
         "associativity": (_non_exchanging, _check_module_assoc_surrogate),
-    }.items()}
+    }
     _ORDER = ("associativity", "carrier_monoid", "additivity", "absorbing_zero")
     _KEYS = (*_LAWS, "passed")
 
@@ -206,7 +191,7 @@ class ModuleAxiomReport(_LawReport):
 def verify_module_axioms(a_: ModuleAction) -> ModuleAxiomReport:
     """The module report of a_: passed decides every law on maps; a field,
     the first witness of one law in the scan order written in its check, is
-    scanned when first read."""
+    scanned when first read; both are kept in a_'s memo."""
     return ModuleAxiomReport(a_)
 
 
@@ -288,7 +273,7 @@ def _actions_for_carrier(s: GammaStructure, k: int, madd) -> Iterator[ModuleActi
     the solutions over the m*m cubes, cube (al, be) at position al*m + be,
     the first position slowest.
 
-    Each action carries its law verdicts (_FAILING). The carrier
+    Each action carries its four law verdicts in a fresh memo. The carrier
     is a commutative monoid and the search builds in additivity and zero
     absorption; the exchange law holds iff the carrier maps of every two of
     its cubes, a cube with itself included, commute. At one parameter each
@@ -301,8 +286,10 @@ def _actions_for_carrier(s: GammaStructure, k: int, madd) -> Iterator[ModuleActi
     cubes = _cube_solutions(index, (n, k, n), (s.addition, madd, s.addition), madd)
 
     def action(act, ok: bool) -> ModuleAction:
-        return _prevalidated(ModuleAction, scalar=s, carrier_order=k,
-                             carrier_addition=madd, action=act, _failing=_FAILING[ok])
+        return _prevalidated(
+            ModuleAction, scalar=s, carrier_order=k, carrier_addition=madd, action=act,
+            _memo={("fails", "carrier_monoid"): False, ("fails", "additivity"): False,
+                   ("fails", "absorbing_zero"): False, ("fails", "associativity"): not ok})
 
     if m == 1:  # product reads its input whole; one cube streams
         for cube in cubes:
@@ -321,7 +308,7 @@ def _actions_for_carrier(s: GammaStructure, k: int, madd) -> Iterator[ModuleActi
 def enumerate_module_actions(s: GammaStructure, carrier_order: int,
                              carrier_addition=None) -> Iterator[ModuleAction]:
     """All additivity-satisfying actions on carriers of the given order,
-    each carrying its module law verdicts (see _actions_for_carrier), so
+    each carrying its module law verdicts in its memo, so
     verify_module_axioms(action).passed decides nothing.
 
     The arguments and the order cap, max_order(), are checked at the call,

@@ -241,13 +241,16 @@ class Unreadable:
 @pytest.mark.parametrize("verify, table", [(verify_axioms, "ternary"),
                                            (verify_module_axioms, "action")])
 def test_constructing_a_report_reads_no_table(verify, table):
-    # a report stores its subject and an empty record of verdicts; passed is
-    # the first read of a table
+    # a report stores its subject alone and writes nothing into the
+    # subject's memo; passed is the first read of a table, and a decision
+    # that raises records no verdict
     subject = Unreadable()
     rep = verify(subject)
-    assert vars(rep) == {"_subject": subject, "_fails": {}}
+    assert vars(rep) == {"_subject": subject}
+    assert vars(subject) == {}
     with pytest.raises(AssertionError, match=f"read {table}"):
         rep.passed
+    assert vars(subject) == {"_memo": {}}
 
 
 def test_each_law_decided_and_scanned_at_most_once(law_calls):
@@ -265,6 +268,30 @@ def test_each_law_decided_and_scanned_at_most_once(law_calls):
         assert set(calls.values()) == {1}
         assert {("decide", name) for name in AxiomReport._LAWS} <= set(calls)
         scanned += sum(kind == "scan" for kind, _ in calls)
+    assert scanned
+
+
+def test_reports_of_one_subject_share_each_decision_and_scan(law_calls):
+    # verdicts and witnesses live in the subject's memo: a second report of
+    # the same structure decides and scans nothing again, and a structure
+    # equal to it but built apart shares none of it
+    calls = law_calls(AxiomReport)
+    scanned = 0
+    for s in _mutants([DERIVED[name] for name in sorted(DERIVED)], random.Random(3)):
+        calls.clear()
+        first, second = verify_axioms(s), verify_axioms(s)
+        first.passed
+        second.to_dict()
+        assert first.to_dict() == second.to_dict()
+        assert second.passed == first.passed
+        assert set(calls.values()) == {1}
+        assert {("decide", name) for name in AxiomReport._LAWS} <= set(calls)
+        scanned += sum(kind == "scan" for kind, _ in calls)
+        calls.clear()
+        other = GammaStructure(order=s.order, gamma_size=s.gamma_size,
+                               addition=s.addition, ternary=s.ternary)
+        assert verify_axioms(other).to_dict() == first.to_dict()
+        assert {("decide", name) for name in AxiomReport._LAWS} <= set(calls)
     assert scanned
 
 

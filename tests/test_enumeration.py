@@ -7,8 +7,8 @@ import multiprocessing
 import pytest
 
 import tgs.enumeration
-from tgs.core import (GammaStructure, ResourceLimitError, InputError,
-                      _prevalidated, _serialize_tables,
+from tgs.core import (AxiomReport, GammaStructure, ResourceLimitError,
+                      InputError, _prevalidated, _serialize_tables,
                       apply_permutation, canonical_form, verify_axioms,
                       zero_fixing_permutations)
 from tgs.enumeration import (CLAIMED_TABLE, ClassificationReport, classify,
@@ -360,6 +360,29 @@ def test_one_position_search_streams(monkeypatch):
     assert completions == [1]
     assert first.ternary == ((next(_cube_solutions(
         _orbit_layout(4), (4, 4, 4), (add,) * 3, add)),),)
+
+
+def test_cube_check_decides_ternary_associativity_alone(law_calls):
+    # each cube the search checks holds the four laws the search builds in
+    # as seeded verdicts, so passed decides one law per completed cube
+    calls = law_calls(AxiomReport)
+    assert sum(1 for _ in enumerate_structures(4, 1)) == 206
+    assert calls == {("decide", "ternary_assoc"): 1420}
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (2, 2)])
+def test_search_output_carries_no_seeded_verdict(n, m, law_calls):
+    # the seeds stay on the cubes checked: verify_axioms on a yielded
+    # structure still decides every law
+    calls = law_calls(AxiomReport)
+    count = 0
+    for s in enumerate_structures(n, m):
+        assert not any(isinstance(key, tuple) for key in vars(s).get("_memo", {}))
+        calls.clear()
+        assert verify_axioms(s).passed
+        assert calls == {("decide", law): 1 for law in AxiomReport._LAWS}
+        count += 1
+    assert count == {(4, 1): 206, (2, 2): 16}[(n, m)]
 
 
 def _filtered_structures(add, n, m):

@@ -1,11 +1,12 @@
 """Source hygiene of the package, read with the stdlib ast module: no module
 imports a name it never uses, no module-level private function goes
 unreferenced, no public function or class goes uncalled, no per-structure
-memo key is set in two places, one search engine completes every table, the
-package writes JSON through one writer (core._json_text, never json.dump or
-json.dumps), the test oracles share no code with the package, every name
-the benchmark traces still exists, and each axiom report decides and
-reports every law of its table."""
+memo key is set in two places, every memo seed is a key some memo call
+computes, one search engine completes every table, the package writes JSON
+through one writer (core._json_text, never json.dump or json.dumps), the
+test oracles share no code with the package, every name the benchmark
+traces still exists, and each axiom report decides and reports every law
+of its table."""
 
 import ast
 import importlib
@@ -92,6 +93,39 @@ def test_each_memo_key_is_set_in_one_place():
                 sites[key.value] += 1
     assert sites
     assert [key for key, count in sites.items() if count > 1] == []
+
+
+def test_every_memo_seed_is_a_computed_key():
+    # _prevalidated(cls, ..., _memo={...}) seeds what memo would compute:
+    # "body", or ("fails", law) for a law of the report of cls. A seed of
+    # any other key would never be read, and the search would decide that
+    # law again. The store is touched nowhere else but in memo and memoized.
+    laws = {"GammaStructure": AxiomReport._LAWS,
+            "ModuleAction": ModuleAxiomReport._LAWS}
+    seeds = Counter()
+    for module, tree in _trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Constant) and node.value == "_memo"
+                        and module + "." + getattr(top, "name", "") not in (
+                            "core.memo", "core.memoized")):
+                    raise AssertionError(f"{module}: the memo store read directly")
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_prevalidated"):
+                    continue
+                for kw in node.keywords:
+                    if kw.arg != "_memo":
+                        continue
+                    cls = node.args[0].id
+                    assert isinstance(kw.value, ast.Dict), f"{module}: {cls} seed"
+                    for key in kw.value.keys:
+                        key = ast.literal_eval(key)
+                        assert (key == "body" and cls == "GammaStructure"
+                                or (key[0] == "fails" and key[1] in laws[cls])), (
+                            f"{module}: {cls} seeded with {key!r}")
+                        seeds[cls, key if key == "body" else key[0]] += 1
+    assert seeds == {("GammaStructure", "body"): 1, ("GammaStructure", "fails"): 4,
+                     ("ModuleAction", "fails"): 4}
 
 
 def test_one_search_engine():

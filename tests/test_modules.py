@@ -200,39 +200,44 @@ def test_action_stream_digest_on_order_3_carriers(corpus_reps):
 
 def _unrecorded(a):
     """a rebuilt through the validating constructor: the same tables, with
-    no law verdict recorded by the search."""
+    an empty memo, so no law verdict recorded by the search."""
     return ModuleAction(scalar=a.scalar, carrier_order=a.carrier_order,
                         carrier_addition=a.carrier_addition, action=a.action)
 
 
+def _fresh_verdicts(a) -> dict:
+    """The memo entry of each law's verdict, decided afresh on a copy of a."""
+    fresh = _unrecorded(a)
+    assert "_memo" not in vars(fresh)
+    return {("fails", name): decide(fresh)
+            for name, (decide, _) in ModuleAxiomReport._LAWS.items()}
+
+
 def test_recorded_verdicts_equal_fresh_decisions(search_actions, corpus_reps):
-    # every action the search yields carries its law verdicts; the same
-    # tables built by hand carry none, and each law is decided afresh. Over
-    # the stream-digest corpus both reports must read alike, witnesses
-    # included; over the order-3 carriers of the (2, 2) representatives,
-    # where a report's fields are the scans of the laws that fail, each
-    # recorded verdict must equal the fresh decision
+    # every action the search yields carries the verdict of each law in its
+    # memo; the same tables built by hand carry none, and each law is
+    # decided afresh. Over the stream-digest corpus, whose actions other
+    # tests may have read further, each recorded verdict must equal the
+    # fresh decision and both reports must read alike, witnesses included;
+    # over the order-3 carriers of the (2, 2) representatives, streamed, an
+    # action's memo must be its four fresh verdicts and nothing else
     for a in search_actions:
-        fresh = _unrecorded(a)
-        assert "_failing" in vars(a) and "_failing" not in vars(fresh)
-        assert verify_module_axioms(a).passed == verify_module_axioms(fresh).passed
-        assert verify_module_axioms(a).to_dict() == verify_module_axioms(fresh).to_dict()
+        fresh = _fresh_verdicts(a)
+        assert {key: vars(a)["_memo"][key] for key in fresh} == fresh
+        assert verify_module_axioms(a).to_dict() == verify_module_axioms(
+            _unrecorded(a)).to_dict()
     count = 0
     for a in _order_3_actions(corpus_reps):
-        fresh = _unrecorded(a)
-        assert "_failing" not in vars(fresh)
-        assert verify_module_axioms(a).passed == verify_module_axioms(fresh).passed
-        assert vars(a)["_failing"] == {
-            name for name, (decide, _) in ModuleAxiomReport._LAWS.items() if decide(fresh)}
+        assert vars(a)["_memo"] == _fresh_verdicts(a)
         count += 1
     assert count == 81992
 
 
 def test_replaced_action_is_decided_afresh():
     # dataclasses.replace builds through the validating constructor, so a
-    # copy with a changed table carries no recorded verdict: a passing
-    # action copied with a failing action's table fails, the other way
-    # round passes, and a changed cell is found
+    # copy with a changed table has no memo and no recorded verdict: a
+    # passing action copied with a failing action's table fails, the other
+    # way round passes, and a changed cell is found
     actions = list(enumerate_module_actions(DERIVED["B2"], 2))
     good = next(a for a in actions if verify_module_axioms(a).passed)
     bad = next(a for a in actions if not verify_module_axioms(a).passed)
@@ -241,15 +246,15 @@ def test_replaced_action_is_decided_afresh():
     broken[0][0][0][1][1] = 1  # 0 1 1 = 1: the scalar 0 no longer absorbs
     for a, table in ((good, bad.action), (bad, good.action), (good, broken)):
         copy = replace(a, action=table)
-        assert "_failing" not in vars(copy)
+        assert "_memo" not in vars(copy)
         report = verify_module_axioms(copy)
         assert report.passed is naive_module_check(copy) is (table is good.action)
         assert report.to_dict() == verify_module_axioms(_unrecorded(copy)).to_dict()
     assert report.absorbing_zero is not None
-    # a pickled action keeps its record, the shared set of its outcome
+    # a pickled action keeps its memo, and with it every recorded verdict
     for a in (good, bad):
         again = pickle.loads(pickle.dumps(a))
-        assert again == a and vars(again)["_failing"] == vars(a)["_failing"]
+        assert again == a and vars(again)["_memo"] == vars(a)["_memo"]
         assert verify_module_axioms(again).passed is verify_module_axioms(a).passed
 
 
@@ -374,17 +379,15 @@ def test_report_fields_read_in_any_order():
             setattr(rep, name, None)
 
 
-def test_passed_on_a_failing_action_decides_one_law(law_calls):
-    # the search builds in every law but the exchange law, which passed
-    # decides first, so a failing search action costs one decision
-    failing = [a for a in enumerate_module_actions(DERIVED["B2"], 2)
-               if not verify_module_axioms(a).passed]
-    assert failing
+def test_passed_on_a_search_action_decides_no_law(law_calls):
+    # the search decides the exchange law and builds in every other law, and
+    # each action carries the four verdicts in its memo, so passed on a
+    # search action, failing or not, decides nothing
     calls = law_calls(ModuleAxiomReport)
-    for a in failing:
-        calls.clear()
-        assert verify_module_axioms(a).passed is False
-        assert calls == {("decide", "associativity"): 1}
+    verdicts = [verify_module_axioms(a).passed
+                for a in enumerate_module_actions(DERIVED["B2"], 2)]
+    assert set(verdicts) == {True, False}
+    assert calls == {}
 
 
 def test_each_law_decided_and_scanned_at_most_once(law_calls):
@@ -426,9 +429,10 @@ def test_hot_paths_never_scan(monkeypatch):
         assert verify_module_axioms(regular_module(s)).passed
     for s in reps[3]:
         analyze(s)
-    # the patch is live: a failing law's field does scan
+    # the patch is live: a failing law's field does scan, on a copy whose
+    # memo no earlier test filled
     with pytest.raises(AssertionError, match="witness scan"):
-        verify_axioms(CLAIMED[sorted(CLAIMED)[0]]).absorbing_zero
+        verify_axioms(replace(CLAIMED[sorted(CLAIMED)[0]])).absorbing_zero
 
 
 def test_action_search_equals_validated_construction():
